@@ -54,15 +54,15 @@ DataCollection MakeExamples(int64_t n, uint64_t seed) {
   for (int j = 0; j < 2000; ++j) {
     data->mutable_dict()->Intern(StrFormat("feature_%d", j));
   }
-  data->Reserve(n);
+  data->Reserve(n, n * 12);
+  dataflow::SparseVector row;
   for (int64_t i = 0; i < n; ++i) {
-    dataflow::Example e;
-    e.id = i;
-    e.label = rng.NextBool() ? 1.0 : 0.0;
+    double label = rng.NextBool() ? 1.0 : 0.0;
+    row.Clear();
     for (int k = 0; k < 12; ++k) {
-      e.features.Set(static_cast<int32_t>(rng.NextBelow(2000)), 1.0);
+      row.Set(static_cast<int32_t>(rng.NextBelow(2000)), 1.0);
     }
-    data->Add(std::move(e));
+    data->AddRow(row.view(), label, i, /*is_test=*/false);
   }
   return DataCollection::FromExamples(std::move(data));
 }

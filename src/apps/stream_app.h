@@ -16,7 +16,7 @@
 // AssembleExamples interns features deterministically in row order, so
 // every feature the model was trained on has the same index in the
 // suffix's space; stream-only features land past the weight vector and
-// contribute zero (SparseVector::Dot skips out-of-range indices).
+// contribute zero (SparseRow::Dot skips out-of-range indices).
 #ifndef HELIX_APPS_STREAM_APP_H_
 #define HELIX_APPS_STREAM_APP_H_
 

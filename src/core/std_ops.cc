@@ -565,7 +565,9 @@ Operator AssembleExamples(const std::string& name,
     }
 
     auto data = std::make_shared<ExamplesData>();
-    data->Reserve(rows);
+    // One entry per feature table per row (a repeated feature index
+    // overwrites, so this is an upper bound).
+    data->Reserve(rows, rows * static_cast<int64_t>(features.size()));
     dataflow::FeatureDict* dict = data->mutable_dict();
 
     // Per feature column (the featurization scan, now column-at-a-time):
@@ -663,22 +665,21 @@ Operator AssembleExamples(const std::string& name,
     }
     std::string scratch;
     std::string feature_name;
+    dataflow::SparseVector row;
     for (int64_t r = 0; r < rows; ++r) {
-      dataflow::Example e;
-      e.id = r;
-      e.is_test = split_codes != nullptr
-                      ? split_codes[r] == test_code
-                      : StringAt(*split, r, &scratch) == "test";
-      e.label =
+      bool is_test = split_codes != nullptr
+                         ? split_codes[r] == test_code
+                         : StringAt(*split, r, &scratch) == "test";
+      double label =
           label_codes != nullptr
               ? (label_pos[label_codes[r]] != 0 ? 1.0 : 0.0)
               : (label_reader.View(r, &scratch) == positive_label ? 1.0
                                                                   : 0.0);
+      row.Clear();
       for (size_t f = 0; f < features.size(); ++f) {
         const ColumnPlan& plan = plans[f];
         if (plan.numeric) {
-          e.features.Set(plan.numeric_index,
-                         plan.parsed[static_cast<size_t>(r)]);
+          row.Set(plan.numeric_index, plan.parsed[static_cast<size_t>(r)]);
         } else if (onehots[f].dict != nullptr) {
           OneHotPlan& oh = onehots[f];
           uint32_t c = oh.codes[r];
@@ -692,16 +693,16 @@ Operator AssembleExamples(const std::string& name,
             feature_name.append(oh.dict->dict().entry(c));
             oh.interned[c] = dict->Intern(feature_name);
           }
-          e.features.Set(oh.interned[c], 1.0);
+          row.Set(oh.interned[c], 1.0);
         } else {
           const std::string& col = features[f]->schema().field(1).name;
           feature_name.assign(col);
           feature_name += '=';
           onehot_readers[f].AppendTo(r, &feature_name);
-          e.features.Set(dict->Intern(feature_name), 1.0);
+          row.Set(dict->Intern(feature_name), 1.0);
         }
       }
-      data->Add(std::move(e));
+      data->AddRow(row.view(), label, r, is_test);
     }
     return DataCollection::FromExamples(std::move(data));
   };
@@ -733,6 +734,12 @@ Operator Learner(const std::string& name, const LearnerConfig& config) {
       HELIX_ASSIGN_OR_RETURN(model,
                              ml::TrainLogisticRegression(*examples, opts));
     } else if (config.model_type == "nb") {
+      // Remote specs parse doubles with strtod, which accepts "nan" and
+      // "inf"; mapped to the default smoothing below, they would train
+      // silently.
+      if (!std::isfinite(config.reg_param)) {
+        return Status::InvalidArgument("nb reg_param must be finite");
+      }
       ml::NaiveBayesOptions opts;
       // reg_param doubles as the smoothing pseudo-count for NB.
       opts.smoothing = config.reg_param > 0 ? config.reg_param : 1.0;
@@ -773,11 +780,11 @@ Operator Predictor(const std::string& name) {
     gold_b.Reserve(n);
     prob_b.Reserve(n);
     for (int64_t i = 0; i < n; ++i) {
-      const dataflow::Example& e = examples->example(i);
-      id_b.AppendInt(e.id);
-      split_b.AppendString(e.is_test ? "test" : "train");
-      gold_b.AppendDouble(e.label);
-      prob_b.AppendDouble(ml::PredictProbability(*model, e.features));
+      id_b.AppendInt(examples->id(i));
+      split_b.AppendString(examples->is_test(i) ? "test" : "train");
+      gold_b.AppendDouble(examples->label(i));
+      prob_b.AppendDouble(
+          ml::PredictProbability(*model, examples->features(i)));
     }
     HELIX_ASSIGN_OR_RETURN(
         auto table,
@@ -1004,18 +1011,17 @@ Operator TokenFeaturizer(const std::string& name,
     int64_t split_point = static_cast<int64_t>(
         static_cast<double>(docs.size()) * train_frac);
     auto data = std::make_shared<ExamplesData>();
-    data->Reserve(table->num_rows());
+    data->Reserve(table->num_rows(), 0);
+    dataflow::SparseVector row;
     for (size_t d = 0; d < docs.size(); ++d) {
       const DocTokens& doc = docs[d];
       bool is_test = static_cast<int64_t>(d) >= split_point;
       for (size_t t = 0; t < doc.tokens.size(); ++t) {
-        dataflow::Example e;
-        e.id = doc.row_ids[t];
-        e.is_test = is_test;
-        e.label = doc.gold[t] ? 1.0 : 0.0;
+        row.Clear();
         nlp::ExtractTokenFeatures(doc.tokens, t, options,
-                                  data->mutable_dict(), &e.features);
-        data->Add(std::move(e));
+                                  data->mutable_dict(), &row);
+        data->AddRow(row.view(), doc.gold[t] ? 1.0 : 0.0, doc.row_ids[t],
+                     is_test);
       }
     }
     return DataCollection::FromExamples(std::move(data));

@@ -389,8 +389,18 @@ Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
     null_count = simd::PopcountZeros(validity.data(),
                                      static_cast<int64_t>(n));
   }
+  // Fixed-width bodies are sized from the row count before they are
+  // read; a count the remaining bytes cannot hold is corrupt, and must
+  // fail before it becomes an allocation.
+  auto check_body = [&](size_t width) -> Status {
+    if (n > r->remaining() / width) {
+      return Status::Corruption("column body exceeds buffer");
+    }
+    return Status::OK();
+  };
   switch (static_cast<Storage>(tag)) {
     case Storage::kInt64: {
+      HELIX_RETURN_IF_ERROR(check_body(sizeof(int64_t)));
       std::vector<int64_t> values(n);
       HELIX_RETURN_IF_ERROR(
           r->GetU64Array(reinterpret_cast<uint64_t*>(values.data()), n));
@@ -398,6 +408,7 @@ Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
           std::move(values), std::move(validity), null_count));
     }
     case Storage::kDouble: {
+      HELIX_RETURN_IF_ERROR(check_body(sizeof(double)));
       std::vector<double> values(n);
       HELIX_RETURN_IF_ERROR(
           r->GetU64Array(reinterpret_cast<uint64_t*>(values.data()), n));
@@ -423,6 +434,7 @@ Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
       HELIX_ASSIGN_OR_RETURN(std::string_view arena_view,
                              r->GetRawView(static_cast<size_t>(arena_size)));
       std::string arena(arena_view);
+      HELIX_RETURN_IF_ERROR(check_body(sizeof(uint64_t)));
       std::vector<uint64_t> offsets(n + 1);
       HELIX_RETURN_IF_ERROR(r->GetU64Array(offsets.data(), n + 1));
       if (offsets[0] != 0 || offsets[n] != arena_size) {
@@ -439,7 +451,8 @@ Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
     }
     case Storage::kMixed: {
       std::vector<Value> values;
-      values.reserve(n);
+      // Every cell carries at least its one-byte type tag.
+      values.reserve(std::min(n, r->remaining()));
       for (size_t i = 0; i < n; ++i) {
         HELIX_ASSIGN_OR_RETURN(Value v, Value::Deserialize(r));
         values.push_back(std::move(v));
@@ -475,6 +488,7 @@ Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
           return Status::Corruption("dictionary offsets not ascending");
         }
       }
+      HELIX_RETURN_IF_ERROR(check_body(sizeof(uint32_t)));
       std::vector<uint32_t> codes(n);
       HELIX_RETURN_IF_ERROR(r->GetU32Array(codes.data(), n));
       for (uint32_t c : codes) {

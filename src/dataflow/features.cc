@@ -63,104 +63,55 @@ Result<FeatureDict> FeatureDict::Deserialize(ByteReader* r) {
   return dict;
 }
 
-void SparseVector::Set(int32_t index, double value) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), index,
-      [](const auto& e, int32_t i) { return e.first < i; });
-  if (it != entries_.end() && it->first == index) {
-    it->second = value;
-  } else {
-    entries_.insert(it, {index, value});
-  }
+double SparseRow::Get(int32_t index) const {
+  const int32_t* end = indices_ + size_;
+  const int32_t* it = std::lower_bound(indices_, end, index);
+  return it != end && *it == index ? values_[it - indices_] : 0.0;
 }
 
-void SparseVector::Add(int32_t index, double delta) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), index,
-      [](const auto& e, int32_t i) { return e.first < i; });
-  if (it != entries_.end() && it->first == index) {
-    it->second += delta;
-  } else {
-    entries_.insert(it, {index, delta});
-  }
-}
-
-double SparseVector::Get(int32_t index) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), index,
-      [](const auto& e, int32_t i) { return e.first < i; });
-  if (it != entries_.end() && it->first == index) {
-    return it->second;
-  }
-  return 0.0;
-}
-
-double SparseVector::Dot(const std::vector<double>& dense) const {
+double SparseRow::Dot(const std::vector<double>& dense) const {
   double sum = 0.0;
-  for (const auto& [idx, val] : entries_) {
-    if (static_cast<size_t>(idx) < dense.size()) {
-      sum += dense[static_cast<size_t>(idx)] * val;
+  for (int32_t k = 0; k < size_; ++k) {
+    if (static_cast<size_t>(indices_[k]) < dense.size()) {
+      sum += dense[static_cast<size_t>(indices_[k])] * values_[k];
     }
   }
   return sum;
 }
 
-void SparseVector::AddTo(std::vector<double>* dense, double scale) const {
-  if (entries_.empty()) {
-    return;
-  }
-  size_t needed = static_cast<size_t>(entries_.back().first) + 1;
-  if (dense->size() < needed) {
-    dense->resize(needed, 0.0);
-  }
-  for (const auto& [idx, val] : entries_) {
-    (*dense)[static_cast<size_t>(idx)] += scale * val;
-  }
-}
-
-double SparseVector::L2NormSquared() const {
-  double sum = 0.0;
-  for (const auto& [idx, val] : entries_) {
-    (void)idx;
-    sum += val * val;
-  }
-  return sum;
-}
-
-uint64_t SparseVector::Fingerprint() const {
+uint64_t SparseRow::Fingerprint() const {
   Hasher h;
-  h.AddU64(entries_.size());
-  for (const auto& [idx, val] : entries_) {
-    h.AddI64(idx).AddDouble(val);
+  h.AddU64(static_cast<uint64_t>(size_));
+  for (int32_t k = 0; k < size_; ++k) {
+    h.AddI64(indices_[k]).AddDouble(values_[k]);
   }
   return h.Digest();
 }
 
-void SparseVector::Serialize(ByteWriter* w) const {
-  w->PutU64(entries_.size());
-  for (const auto& [idx, val] : entries_) {
-    w->PutI64(idx);
-    w->PutDouble(val);
+size_t SparseVector::LowerBound(int32_t index) const {
+  return static_cast<size_t>(
+      std::lower_bound(indices_.begin(), indices_.end(), index) -
+      indices_.begin());
+}
+
+void SparseVector::Set(int32_t index, double value) {
+  size_t pos = LowerBound(index);
+  if (pos < indices_.size() && indices_[pos] == index) {
+    values_[pos] = value;
+  } else {
+    indices_.insert(indices_.begin() + static_cast<ptrdiff_t>(pos), index);
+    values_.insert(values_.begin() + static_cast<ptrdiff_t>(pos), value);
   }
 }
 
-Result<SparseVector> SparseVector::Deserialize(ByteReader* r) {
-  HELIX_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
-  if (n > (1ULL << 30)) {
-    return Status::Corruption("implausible sparse vector size");
+void SparseVector::Add(int32_t index, double delta) {
+  size_t pos = LowerBound(index);
+  if (pos < indices_.size() && indices_[pos] == index) {
+    values_[pos] += delta;
+  } else {
+    indices_.insert(indices_.begin() + static_cast<ptrdiff_t>(pos), index);
+    values_.insert(values_.begin() + static_cast<ptrdiff_t>(pos), delta);
   }
-  SparseVector v;
-  int64_t prev = -1;
-  for (uint64_t i = 0; i < n; ++i) {
-    HELIX_ASSIGN_OR_RETURN(int64_t idx, r->GetI64());
-    HELIX_ASSIGN_OR_RETURN(double val, r->GetDouble());
-    if (idx <= prev || idx > INT32_MAX) {
-      return Status::Corruption("sparse vector indices not increasing");
-    }
-    prev = idx;
-    v.entries_.emplace_back(static_cast<int32_t>(idx), val);
-  }
-  return v;
 }
 
 }  // namespace dataflow

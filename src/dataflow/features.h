@@ -48,63 +48,74 @@ class FeatureDict {
   std::unordered_map<std::string, int32_t> index_;
 };
 
-/// Sorted sparse vector of (feature index, value) pairs.
-class SparseVector {
+/// Borrowed, non-owning view of one sparse row: `num_entries()`
+/// (feature index, value) pairs with strictly increasing, non-negative
+/// indices. Valid only while the owner (an ExamplesData's CSR arrays or
+/// a SparseVector) is alive and unmodified.
+class SparseRow {
  public:
-  SparseVector() = default;
+  SparseRow() = default;
+  SparseRow(const int32_t* indices, const double* values, int32_t size)
+      : indices_(indices), values_(values), size_(size) {}
 
-  /// Sets feature `index` to `value` (overwrites existing; dropping a
-  /// feature is Set(i, 0) — zeros are kept explicit for determinism).
-  void Set(int32_t index, double value);
-
-  /// Adds `delta` to feature `index` (inserting if absent).
-  void Add(int32_t index, double delta);
-
-  double Get(int32_t index) const;
-
-  /// Sorted entries.
-  const std::vector<std::pair<int32_t, double>>& entries() const {
-    return entries_;
-  }
-  int32_t num_entries() const { return static_cast<int32_t>(entries_.size()); }
+  int32_t num_entries() const { return size_; }
+  const int32_t* indices() const { return indices_; }
+  const double* values() const { return values_; }
+  int32_t index(int32_t k) const { return indices_[k]; }
+  double value(int32_t k) const { return values_[k]; }
 
   /// Largest feature index present, or -1 if empty.
-  int32_t MaxIndex() const {
-    return entries_.empty() ? -1 : entries_.back().first;
-  }
+  int32_t MaxIndex() const { return size_ == 0 ? -1 : indices_[size_ - 1]; }
+
+  /// Value of feature `index`, 0 if absent.
+  double Get(int32_t index) const;
 
   /// Dot product with a dense weight vector; indices beyond the vector's
   /// size contribute 0.
   double Dot(const std::vector<double>& dense) const;
 
-  /// dense[i] += scale * this[i] for each stored entry; grows `dense` if
-  /// needed.
-  void AddTo(std::vector<double>* dense, double scale) const;
-
-  double L2NormSquared() const;
-
   uint64_t Fingerprint() const;
 
-  void Serialize(ByteWriter* w) const;
-  static Result<SparseVector> Deserialize(ByteReader* r);
-
  private:
-  std::vector<std::pair<int32_t, double>> entries_;
+  const int32_t* indices_ = nullptr;
+  const double* values_ = nullptr;
+  int32_t size_ = 0;
 };
 
-/// A supervised training/evaluation example.
-///
-/// A single ExamplesData node holds both splits (the paper's `income`
-/// node); `is_test` selects evaluation rows so learner and evaluator can
-/// share one upstream intermediate.
-struct Example {
-  SparseVector features;
-  double label = 0.0;  // binary tasks use {0, 1}
-  /// Stable row identity (e.g. source row index) for joining predictions
-  /// back to inputs.
-  int64_t id = 0;
-  /// True for held-out evaluation rows.
-  bool is_test = false;
+/// Owning builder for one sparse row, kept sorted by index. Featurizers
+/// fill one (reusing it across rows via Clear) and append its view() to
+/// an ExamplesData.
+class SparseVector {
+ public:
+  SparseVector() = default;
+
+  /// Sets feature `index` (>= 0) to `value` (overwrites existing;
+  /// dropping a feature is Set(i, 0) — zeros are kept explicit for
+  /// determinism).
+  void Set(int32_t index, double value);
+
+  /// Adds `delta` to feature `index` (inserting if absent).
+  void Add(int32_t index, double delta);
+
+  void Clear() {
+    indices_.clear();
+    values_.clear();
+  }
+
+  double Get(int32_t index) const { return view().Get(index); }
+  int32_t num_entries() const { return static_cast<int32_t>(indices_.size()); }
+  int32_t MaxIndex() const { return view().MaxIndex(); }
+
+  SparseRow view() const {
+    return SparseRow(indices_.data(), values_.data(), num_entries());
+  }
+
+ private:
+  /// Position of `index` in indices_, or where it would be inserted.
+  size_t LowerBound(int32_t index) const;
+
+  std::vector<int32_t> indices_;
+  std::vector<double> values_;
 };
 
 }  // namespace dataflow

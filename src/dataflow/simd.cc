@@ -29,7 +29,7 @@ const char* const kKernelNames[] = {
     "select_gt",  "select_code_eq", "select_code_in_set", "gather_i64",
     "gather_f64", "gather_u32",     "gather_u8",          "bitmap_and",
     "popcount",   "expand_codes",   "standardize",        "sum_sumsq",
-    "dict_encode",
+    "dict_encode", "scale",
 };
 static_assert(sizeof(kKernelNames) / sizeof(kKernelNames[0]) ==
                   static_cast<size_t>(Kernel::kNumKernels),
@@ -216,6 +216,12 @@ void SumAndSumSq(const double* values, int64_t n, double* sum,
   }
   *sum = s;
   *sum_sq = sq;
+}
+
+void Scale(double* x, int64_t n, double s) {
+  for (int64_t i = 0; i < n; ++i) {
+    x[i] *= s;
+  }
 }
 
 }  // namespace scalar
@@ -431,6 +437,23 @@ __attribute__((target("avx2"))) void Standardize(const double* src, int64_t n,
   }
 }
 
+__attribute__((target("avx2"))) void Scale(double* x, int64_t n, double s) {
+  const __m256d f = _mm256_set1_pd(s);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256d a = _mm256_loadu_pd(x + i);
+    __m256d b = _mm256_loadu_pd(x + i + 4);
+    _mm256_storeu_pd(x + i, _mm256_mul_pd(a, f));
+    _mm256_storeu_pd(x + i + 4, _mm256_mul_pd(b, f));
+  }
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), f));
+  }
+  for (; i < n; ++i) {
+    x[i] *= s;
+  }
+}
+
 }  // namespace avx2
 #endif  // HELIX_SIMD_AVX2
 
@@ -498,6 +521,17 @@ void Standardize(const double* src, int64_t n, double mean, double stddev,
   }
   for (; i < n; ++i) {
     out[i] = (src[i] - mean) / stddev;
+  }
+}
+
+void Scale(double* x, int64_t n, double s) {
+  const float64x2_t f = vdupq_n_f64(s);
+  int64_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    vst1q_f64(x + i, vmulq_f64(vld1q_f64(x + i), f));
+  }
+  for (; i < n; ++i) {
+    x[i] *= s;
   }
 }
 
@@ -679,6 +713,23 @@ void SumAndSumSq(const double* values, int64_t n, double* sum,
   // is still recorded so the counters account for the whole kernel set.
   RecordInvocation(Kernel::kSumAndSumSq, Isa::kScalar);
   scalar::SumAndSumSq(values, n, sum, sum_sq);
+}
+
+ScaleFn ResolveScale() {
+#if defined(HELIX_SIMD_AVX2)
+  if (ActiveIsa() == Isa::kAvx2) {
+    RecordInvocation(Kernel::kScale, Isa::kAvx2);
+    return &avx2::Scale;
+  }
+#endif
+#if defined(HELIX_SIMD_NEON)
+  if (ActiveIsa() == Isa::kNeon) {
+    RecordInvocation(Kernel::kScale, Isa::kNeon);
+    return &neon::Scale;
+  }
+#endif
+  RecordInvocation(Kernel::kScale, Isa::kScalar);
+  return &scalar::Scale;
 }
 
 }  // namespace simd

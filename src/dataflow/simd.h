@@ -2,7 +2,8 @@
 //
 // Every hot per-element loop in the columnar engine — selection-vector
 // builds, gathers, validity-bitmap algebra, code expansion, feature
-// standardization — funnels through the free functions in this header.
+// standardization — and the learner's weight scaling funnel through the
+// free functions in this header.
 // Each function dispatches once (the ISA is probed a single time per
 // process) to one of three implementations:
 //
@@ -115,6 +116,19 @@ void Standardize(const double* src, int64_t n, double mean, double stddev,
 void SumAndSumSq(const double* values, int64_t n, double* sum,
                  double* sum_sq);
 
+// --- learner ----------------------------------------------------------------
+
+/// In-place scale: x[i] *= s for i in [0, n). A per-element IEEE
+/// multiply, so the vector forms match the scalar loop bit-for-bit (NaN,
+/// +-inf, -0.0 and subnormals included).
+using ScaleFn = void (*)(double* x, int64_t n, double s);
+
+/// Returns the scale kernel for the active ISA and records one
+/// invocation. Its caller, the logistic-regression L2 shrink, scales once
+/// per example visit, so it resolves the kernel once per training run:
+/// the per-visit call then pays no dispatch and touches no shared atomic.
+ScaleFn ResolveScale();
+
 // --- counters ---------------------------------------------------------------
 
 /// Kernel identifiers for the invocation counters. kDictEncode is
@@ -134,6 +148,7 @@ enum class Kernel {
   kStandardize,
   kSumAndSumSq,
   kDictEncode,
+  kScale,
   kNumKernels,
 };
 
@@ -179,6 +194,7 @@ void Standardize(const double* src, int64_t n, double mean, double stddev,
                  double* out);
 void SumAndSumSq(const double* values, int64_t n, double* sum,
                  double* sum_sq);
+void Scale(double* x, int64_t n, double s);
 
 }  // namespace scalar
 

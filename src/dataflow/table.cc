@@ -219,7 +219,11 @@ Result<std::shared_ptr<TableData>> TableData::Deserialize(
     // v1: row-major tagged cells, exactly the retired row store's wire
     // form. Parsed through builders so old disk stores load as columns.
     auto table = std::make_shared<TableData>(schema);
-    table->Reserve(static_cast<int64_t>(n));
+    // Every cell carries at least its one-byte type tag, so the bytes
+    // left bound the rows worth reserving for.
+    size_t min_row_bytes = static_cast<size_t>(std::max(arity, 1));
+    table->Reserve(static_cast<int64_t>(
+        std::min<uint64_t>(n, r->remaining() / min_row_bytes)));
     for (uint64_t i = 0; i < n; ++i) {
       Row row;
       row.reserve(static_cast<size_t>(arity));

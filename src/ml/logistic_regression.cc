@@ -1,13 +1,16 @@
 #include "ml/logistic_regression.h"
 
+#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <vector>
 
 #include "common/rng.h"
+#include "dataflow/simd.h"
 
 namespace helix {
 namespace ml {
+
+namespace simd = dataflow::simd;
 
 namespace {
 
@@ -26,23 +29,46 @@ Result<std::shared_ptr<dataflow::ModelData>> TrainLogisticRegression(
     const dataflow::ExamplesData& data,
     const LogisticRegressionOptions& opts) {
   std::vector<size_t> train_idx;
-  for (size_t i = 0; i < static_cast<size_t>(data.num_examples()); ++i) {
-    if (!data.example(static_cast<int64_t>(i)).is_test) {
-      train_idx.push_back(i);
+  size_t dim = static_cast<size_t>(data.num_features());
+  for (int64_t i = 0; i < data.num_examples(); ++i) {
+    if (!data.is_test(i)) {
+      train_idx.push_back(static_cast<size_t>(i));
+      // MaxIndex is -1 for an empty row, which wraps to 0 here.
+      dim = std::max(dim, static_cast<size_t>(data.features(i).MaxIndex()) + 1);
     }
   }
   if (train_idx.empty()) {
     return Status::InvalidArgument("no training examples (all is_test)");
   }
-  if (opts.epochs <= 0 || opts.learning_rate <= 0) {
+  if (opts.epochs <= 0 || opts.learning_rate <= 0 ||
+      !std::isfinite(opts.learning_rate)) {
     return Status::InvalidArgument(
-        "epochs and learning_rate must be positive");
+        "epochs and learning_rate must be positive (learning_rate finite)");
+  }
+  // A negative reg_param would make the shrink grow the weights.
+  if (opts.reg_param < 0 || !std::isfinite(opts.reg_param) ||
+      !std::isfinite(opts.lr_decay)) {
+    return Status::InvalidArgument(
+        "reg_param must be finite and non-negative, lr_decay finite");
   }
 
-  std::vector<double> weights(static_cast<size_t>(data.num_features()), 0.0);
+  const int64_t* offsets = data.offsets();
+  const int32_t* indices = data.indices();
+  const double* values = data.values();
+  const double* labels = data.labels();
+  // Rows may carry indices past the dictionary. The weight vector starts
+  // at dictionary size and grows to cover a row the first time that row
+  // updates it; `live` is that grown size. Storage for every index is
+  // allocated up front (zero-filled, as growth would fill it), so the dot
+  // product, the shrink and the update touch exactly the elements, in the
+  // order, that a growing vector would.
+  std::vector<double> weights(dim, 0.0);
+  size_t live = static_cast<size_t>(data.num_features());
+  double* w = weights.data();
   double bias = 0.0;
   Rng rng(opts.seed);
   double final_loss = 0.0;
+  const simd::ScaleFn scale = simd::ResolveScale();
 
   for (int epoch = 0; epoch < opts.epochs; ++epoch) {
     rng.Shuffle(&train_idx);
@@ -56,24 +82,39 @@ Result<std::shared_ptr<dataflow::ModelData>> TrainLogisticRegression(
       shrink = 0.0;
     }
     for (size_t i : train_idx) {
-      const dataflow::Example& e = data.example(static_cast<int64_t>(i));
-      double p = Sigmoid(e.features.Dot(weights) + bias);
-      double err = p - e.label;  // gradient of log-loss wrt score
+      const int64_t begin = offsets[i];
+      const int64_t end = offsets[i + 1];
+      // Indices are increasing, so the entries inside the live weights
+      // form a prefix of the row.
+      int64_t in_live = end;
+      while (in_live > begin &&
+             static_cast<size_t>(indices[in_live - 1]) >= live) {
+        --in_live;
+      }
+      double dot = 0.0;
+      for (int64_t k = begin; k < in_live; ++k) {
+        dot += w[indices[k]] * values[k];
+      }
+      double p = Sigmoid(dot + bias);
+      double err = p - labels[i];  // gradient of log-loss wrt score
       if (shrink != 1.0) {
-        for (double& w : weights) {
-          w *= shrink;
+        scale(w, static_cast<int64_t>(live), shrink);
+      }
+      if (end > begin) {
+        live = std::max(live, static_cast<size_t>(indices[end - 1]) + 1);
+        double step = -lr * err;
+        for (int64_t k = begin; k < end; ++k) {
+          w[indices[k]] += step * values[k];
         }
       }
-      e.features.AddTo(&weights, -lr * err);
       bias -= lr * err;
       double clamped = std::min(std::max(p, 1e-12), 1.0 - 1e-12);
-      loss += e.label > 0.5 ? -std::log(clamped) : -std::log(1.0 - clamped);
+      loss += labels[i] > 0.5 ? -std::log(clamped) : -std::log(1.0 - clamped);
     }
     final_loss = loss / static_cast<double>(train_idx.size());
   }
 
-  // AddTo may have grown weights past num_features if indices were sparse;
-  // clamp back to dictionary size for a canonical representation.
+  // Clamp back to dictionary size for a canonical representation.
   weights.resize(static_cast<size_t>(data.num_features()), 0.0);
   auto model = std::make_shared<dataflow::ModelData>(
       "logistic_regression", std::move(weights), bias);
@@ -85,12 +126,12 @@ Result<std::shared_ptr<dataflow::ModelData>> TrainLogisticRegression(
 }
 
 double PredictScore(const dataflow::ModelData& model,
-                    const dataflow::SparseVector& features) {
+                    const dataflow::SparseRow& features) {
   return features.Dot(model.weights()) + model.bias();
 }
 
 double PredictProbability(const dataflow::ModelData& model,
-                          const dataflow::SparseVector& features) {
+                          const dataflow::SparseRow& features) {
   return Sigmoid(PredictScore(model, features));
 }
 

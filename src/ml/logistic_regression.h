@@ -30,17 +30,18 @@ struct LogisticRegressionOptions {
 };
 
 /// Trains on examples with is_test == false. Fails if there are no
-/// training examples.
+/// training examples, or on a non-positive or non-finite learning rate, a
+/// negative or non-finite reg_param, or a non-finite lr_decay.
 Result<std::shared_ptr<dataflow::ModelData>> TrainLogisticRegression(
     const dataflow::ExamplesData& data, const LogisticRegressionOptions& opts);
 
 /// P(y=1 | x) under a trained linear model (logistic link).
 double PredictProbability(const dataflow::ModelData& model,
-                          const dataflow::SparseVector& features);
+                          const dataflow::SparseRow& features);
 
 /// Raw linear score w . x + b.
 double PredictScore(const dataflow::ModelData& model,
-                    const dataflow::SparseVector& features);
+                    const dataflow::SparseRow& features);
 
 }  // namespace ml
 }  // namespace helix

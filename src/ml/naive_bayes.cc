@@ -8,8 +8,8 @@ namespace ml {
 
 Result<std::shared_ptr<dataflow::ModelData>> TrainNaiveBayes(
     const dataflow::ExamplesData& data, const NaiveBayesOptions& opts) {
-  if (opts.smoothing <= 0) {
-    return Status::InvalidArgument("smoothing must be positive");
+  if (opts.smoothing <= 0 || !std::isfinite(opts.smoothing)) {
+    return Status::InvalidArgument("smoothing must be positive and finite");
   }
   const size_t dim = static_cast<size_t>(data.num_features());
   // count[c][j] = number of class-c training examples with feature j present.
@@ -18,17 +18,19 @@ Result<std::shared_ptr<dataflow::ModelData>> TrainNaiveBayes(
   double n_pos = 0;
   double n_neg = 0;
 
+  const int64_t* offsets = data.offsets();
+  const int32_t* indices = data.indices();
+  const double* values = data.values();
   for (int64_t i = 0; i < data.num_examples(); ++i) {
-    const dataflow::Example& e = data.example(i);
-    if (e.is_test) {
+    if (data.is_test(i)) {
       continue;
     }
-    bool positive = e.label > 0.5;
+    bool positive = data.label(i) > 0.5;
     (positive ? n_pos : n_neg) += 1.0;
-    std::vector<double>& counts = positive ? count_pos : count_neg;
-    for (const auto& [idx, val] : e.features.entries()) {
-      if (val != 0.0 && static_cast<size_t>(idx) < dim) {
-        counts[static_cast<size_t>(idx)] += 1.0;
+    double* counts = positive ? count_pos.data() : count_neg.data();
+    for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      if (values[k] != 0.0 && static_cast<size_t>(indices[k]) < dim) {
+        counts[indices[k]] += 1.0;
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "ml/perceptron.h"
 
+#include <cmath>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,10 +13,13 @@ Result<std::shared_ptr<dataflow::ModelData>> TrainAveragedPerceptron(
   if (opts.epochs <= 0) {
     return Status::InvalidArgument("epochs must be positive");
   }
+  if (!std::isfinite(opts.margin)) {
+    return Status::InvalidArgument("margin must be finite");
+  }
   std::vector<size_t> train_idx;
-  for (size_t i = 0; i < static_cast<size_t>(data.num_examples()); ++i) {
-    if (!data.example(static_cast<int64_t>(i)).is_test) {
-      train_idx.push_back(i);
+  for (int64_t i = 0; i < data.num_examples(); ++i) {
+    if (!data.is_test(i)) {
+      train_idx.push_back(static_cast<size_t>(i));
     }
   }
   if (train_idx.empty()) {
@@ -23,10 +27,16 @@ Result<std::shared_ptr<dataflow::ModelData>> TrainAveragedPerceptron(
   }
 
   const size_t dim = static_cast<size_t>(data.num_features());
+  const int64_t* offsets = data.offsets();
+  const int32_t* indices = data.indices();
+  const double* values = data.values();
+  const double* labels = data.labels();
   // Lazily-averaged perceptron: `acc` accumulates w * step so the average
   // can be recovered in O(dim) at the end.
   std::vector<double> weights(dim, 0.0);
   std::vector<double> acc(dim, 0.0);
+  double* w = weights.data();
+  double* a = acc.data();
   double bias = 0.0;
   double bias_acc = 0.0;
   double step = 1.0;
@@ -36,22 +46,31 @@ Result<std::shared_ptr<dataflow::ModelData>> TrainAveragedPerceptron(
   for (int epoch = 0; epoch < opts.epochs; ++epoch) {
     rng.Shuffle(&train_idx);
     for (size_t i : train_idx) {
-      const dataflow::Example& e = data.example(static_cast<int64_t>(i));
-      double y = e.label > 0.5 ? 1.0 : -1.0;
-      double score = e.features.Dot(weights) + bias;
+      // Entries past the dictionary never score and their updates are
+      // discarded; indices increase, so the rest form a prefix.
+      const int64_t begin = offsets[i];
+      int64_t end = offsets[i + 1];
+      while (end > begin && static_cast<size_t>(indices[end - 1]) >= dim) {
+        --end;
+      }
+      double y = labels[i] > 0.5 ? 1.0 : -1.0;
+      double score = 0.0;
+      for (int64_t k = begin; k < end; ++k) {
+        score += w[indices[k]] * values[k];
+      }
+      score += bias;
       if (y * score <= opts.margin) {
-        e.features.AddTo(&weights, y);
+        for (int64_t k = begin; k < end; ++k) {
+          w[indices[k]] += y * values[k];
+        }
         bias += y;
         // Track the update moment for averaging.
-        e.features.AddTo(&acc, y * step);
-        bias_acc += y * step;
+        double moment = y * step;
+        for (int64_t k = begin; k < end; ++k) {
+          a[indices[k]] += moment * values[k];
+        }
+        bias_acc += moment;
         ++mistakes;
-        if (weights.size() > dim) {
-          weights.resize(dim);
-        }
-        if (acc.size() > dim) {
-          acc.resize(dim);
-        }
       }
       step += 1.0;
     }

@@ -21,7 +21,7 @@ namespace ml {
 struct PerceptronOptions {
   int epochs = 10;
   uint64_t seed = 17;
-  /// Margin for the update rule; 0 = vanilla perceptron.
+  /// Margin for the update rule; 0 = vanilla perceptron. Must be finite.
   double margin = 0.0;
 };
 

@@ -185,9 +185,12 @@ TEST(SparseVectorTest, SetGetAndSortedEntries) {
   EXPECT_DOUBLE_EQ(v.Get(5), 3.0);
   EXPECT_DOUBLE_EQ(v.Get(1), 2.0);
   EXPECT_DOUBLE_EQ(v.Get(99), 0.0);
-  EXPECT_EQ(v.entries()[0].first, 1);
-  EXPECT_EQ(v.entries()[1].first, 5);
+  EXPECT_EQ(v.view().index(0), 1);
+  EXPECT_EQ(v.view().index(1), 5);
   EXPECT_EQ(v.MaxIndex(), 5);
+  v.Clear();
+  EXPECT_EQ(v.num_entries(), 0);
+  EXPECT_EQ(v.MaxIndex(), -1);
 }
 
 TEST(SparseVectorTest, AddAccumulates) {
@@ -202,40 +205,49 @@ TEST(SparseVectorTest, DotIgnoresOutOfRange) {
   v.Set(0, 2.0);
   v.Set(10, 100.0);
   std::vector<double> dense = {3.0};
-  EXPECT_DOUBLE_EQ(v.Dot(dense), 6.0);
+  EXPECT_DOUBLE_EQ(v.view().Dot(dense), 6.0);
 }
 
-TEST(SparseVectorTest, AddToGrowsDense) {
-  SparseVector v;
-  v.Set(4, 2.0);
-  std::vector<double> dense = {1.0};
-  v.AddTo(&dense, 0.5);
-  ASSERT_EQ(dense.size(), 5u);
-  EXPECT_DOUBLE_EQ(dense[4], 1.0);
-  EXPECT_DOUBLE_EQ(dense[0], 1.0);
+TEST(ExamplesDataTest, CsrRowsReadBackThroughViews) {
+  ExamplesData data;
+  SparseVector row;
+  row.Set(3, 2.0);
+  row.Set(1, -1.0);
+  data.AddRow(row.view(), 1.0, 10, /*is_test=*/false);
+  data.AddRow(SparseRow(), 0.0, 11, /*is_test=*/true);
+  row.Clear();
+  row.Set(0, 0.5);
+  data.AddRow(row.view(), 0.0, 12, /*is_test=*/false);
+  ASSERT_EQ(data.num_examples(), 3);
+  EXPECT_EQ(data.num_nonzeros(), 3);
+  // Rows own copies: rebuilding the builder did not touch row 0.
+  EXPECT_EQ(data.features(0).index(0), 1);
+  EXPECT_DOUBLE_EQ(data.features(0).value(1), 2.0);
+  EXPECT_EQ(data.features(1).num_entries(), 0);
+  EXPECT_DOUBLE_EQ(data.features(2).Get(0), 0.5);
+  EXPECT_EQ(data.id(1), 11);
+  EXPECT_TRUE(data.is_test(1));
+  EXPECT_DOUBLE_EQ(data.label(0), 1.0);
+  const int64_t expected_offsets[] = {0, 2, 2, 3};
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(data.offsets()[i], expected_offsets[i]);
+  }
 }
 
-TEST(SparseVectorTest, SerializationRoundTrip) {
-  SparseVector v;
-  v.Set(2, -1.5);
-  v.Set(7, 3.25);
+TEST(ExamplesDataTest, DeserializeRejectsUnsortedIndices) {
   ByteWriter w;
-  v.Serialize(&w);
-  ByteReader r(w.data());
-  auto got = SparseVector::Deserialize(&r);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().Fingerprint(), v.Fingerprint());
-}
-
-TEST(SparseVectorTest, DeserializeRejectsUnsortedIndices) {
-  ByteWriter w;
+  FeatureDict().Serialize(&w);
+  w.PutU64(1);  // one example
   w.PutU64(2);
   w.PutI64(5);
   w.PutDouble(1.0);
   w.PutI64(3);  // decreasing index
   w.PutDouble(1.0);
+  w.PutDouble(0.0);
+  w.PutI64(0);
+  w.PutBool(false);
   ByteReader r(w.data());
-  EXPECT_TRUE(SparseVector::Deserialize(&r).status().IsCorruption());
+  EXPECT_TRUE(ExamplesData::Deserialize(&r).status().IsCorruption());
 }
 
 // --- Payload round trips through the envelope ----------------------------------------
@@ -268,19 +280,16 @@ TEST(DataCollectionTest, TextRoundTrip) {
 TEST(DataCollectionTest, ExamplesRoundTrip) {
   auto examples = std::make_shared<ExamplesData>();
   examples->mutable_dict()->Intern("f0");
-  Example e;
-  e.features.Set(0, 1.0);
-  e.label = 1.0;
-  e.id = 42;
-  e.is_test = true;
-  examples->Add(e);
+  SparseVector row;
+  row.Set(0, 1.0);
+  examples->AddRow(row.view(), 1.0, 42, /*is_test=*/true);
   DataCollection original = DataCollection::FromExamples(examples);
   auto restored =
       DataCollection::DeserializeFromString(original.SerializeToString());
   ASSERT_TRUE(restored.ok());
   const ExamplesData* got = restored.value().AsExamples().value();
   EXPECT_EQ(got->num_examples(), 1);
-  EXPECT_TRUE(got->example(0).is_test);
+  EXPECT_TRUE(got->is_test(0));
   EXPECT_EQ(restored.value().Fingerprint(), original.Fingerprint());
 }
 

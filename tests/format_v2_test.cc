@@ -6,6 +6,8 @@
 // bytes).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/file_util.h"
 #include "common/hash.h"
 #include "common/rng.h"
@@ -513,6 +515,99 @@ TEST(FormatV2Test, SerializeToSpansIsByteIdenticalToString) {
     prefixed.writer()->PutU32(0xfeedfaceu);
     dc.SerializeToSpans(&prefixed);
     EXPECT_EQ(prefixed.Flatten().substr(4), flat);
+  }
+}
+
+// --- examples golden: envelope bytes written by the per-row layout ----------
+
+// Four examples over a 3-name dictionary, serialized before examples were
+// stored as CSR arrays: an empty row, a -0.0 value, an index past the
+// dictionary with a subnormal value, a negative id, and both splits. The
+// CSR layout is in-memory only, so it must read these bytes, reproduce
+// them exactly, and keep the fingerprint and SizeBytes.
+constexpr char kExamplesGoldenHex[] =
+    "484c58440200000003030000000000000002000000000000006630020000000000"
+    "000066310200000000000000663204000000000000000000000000000000000000"
+    "000000000000000000000000000002000000000000000000000000000000000000"
+    "000000f83f02000000000000000000000000000080000000000000f03f07000000"
+    "00000000010200000000000000010000000000000000000000000002c005000000"
+    "00000000069b0f78335a0000000000000000f03ffdffffffffffffff0001000000"
+    "000000000000000000000000000000000000000000000000000000002a00000000"
+    "000000018c6c735e6301fd30";
+constexpr uint64_t kExamplesGoldenFingerprint = 0x87fa8bc623eeb37eULL;
+constexpr int64_t kExamplesGoldenSizeBytes = 486;
+
+TEST(FormatV2Test, ExamplesGoldenEnvelopeLoadsAndReserializes) {
+  std::string bytes = FromHex(kExamplesGoldenHex);
+  auto restored = DataCollection::DeserializeFromString(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value().Fingerprint(), kExamplesGoldenFingerprint);
+  EXPECT_EQ(restored.value().SizeBytes(), kExamplesGoldenSizeBytes);
+  EXPECT_EQ(restored.value().SerializeToString(), bytes);
+  const ExamplesData* e = restored.value().AsExamples().value();
+  ASSERT_EQ(e->num_examples(), 4);
+  EXPECT_EQ(e->features(0).num_entries(), 0);
+  EXPECT_TRUE(std::signbit(e->features(1).Get(2)));
+  EXPECT_EQ(e->features(2).MaxIndex(), 5);
+  EXPECT_EQ(e->id(2), -3);
+  EXPECT_TRUE(e->is_test(3));
+
+  // Rebuilt through the row builder, the same rows give the same bytes.
+  ExamplesData rebuilt;
+  for (const char* name : {"f0", "f1", "f2"}) {
+    rebuilt.mutable_dict()->Intern(name);
+  }
+  for (int64_t i = 0; i < e->num_examples(); ++i) {
+    SparseVector row;
+    SparseRow view = e->features(i);
+    for (int32_t k = 0; k < view.num_entries(); ++k) {
+      row.Set(view.index(k), view.value(k));
+    }
+    rebuilt.AddRow(row.view(), e->label(i), e->id(i), e->is_test(i));
+  }
+  auto shared = std::make_shared<ExamplesData>(rebuilt);
+  EXPECT_EQ(DataCollection::FromExamples(shared).SerializeToString(), bytes);
+}
+
+// Seals `body` (magic, version, kind, payload) into an envelope with a
+// valid checksum, so only the payload's own checks can reject it.
+std::string SealEnvelope(const ByteWriter& body) {
+  ByteWriter checksum;
+  checksum.PutU64(FnvHash64(body.data().data(), body.data().size()));
+  return body.data() + checksum.data();
+}
+
+TEST(FormatV2Test, ImplausibleExampleCountIsCorruptionNotBadAlloc) {
+  ByteWriter body;
+  body.PutU32(0x44584C48);  // "HLXD"
+  body.PutU32(2);
+  body.PutU8(static_cast<uint8_t>(PayloadKind::kExamples));
+  FeatureDict().Serialize(&body);
+  body.PutU64(1ULL << 32);
+  auto got = DataCollection::DeserializeFromString(SealEnvelope(body));
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+}
+
+TEST(FormatV2Test, ImplausibleTableRowCountIsCorruptionNotBadAlloc) {
+  for (uint32_t version : {1u, 2u}) {
+    for (ValueType type : {ValueType::kInt, ValueType::kString}) {
+      ByteWriter body;
+      body.PutU32(0x44584C48);
+      body.PutU32(version);
+      body.PutU8(static_cast<uint8_t>(PayloadKind::kTable));
+      Schema({{"a", type}}).Serialize(&body);
+      body.PutU64(1ULL << 32);
+      // A plain column header (storage tag, no validity), so v2 reaches
+      // the body allocation.
+      body.PutU8(static_cast<uint8_t>(type == ValueType::kInt
+                                          ? Column::Storage::kInt64
+                                          : Column::Storage::kString));
+      body.PutU8(0);
+      body.PutU64(0);  // empty string arena
+      auto got = DataCollection::DeserializeFromString(SealEnvelope(body));
+      EXPECT_TRUE(got.status().IsCorruption())
+          << "v" << version << ": " << got.status().ToString();
+    }
   }
 }
 

@@ -8,7 +8,9 @@
 // — the exact failure mode format v2's determinism contract forbids.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -263,6 +265,60 @@ TEST(SimdTest, SumAndSumSqIsSequentialOnEveryPath) {
           << "seed=" << seed << " n=" << n;
     }
   }
+}
+
+TEST(SimdTest, ScaleMatchesScalarBitForBitAtEveryLength) {
+  // Special values the L2 shrink must carry through unchanged in kind:
+  // NaN (with a payload), +-inf, +-0, subnormals and the extremes.
+  const double specials[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -4.9e-310,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+  };
+  // NaN-free factors: the trainer only scales by a finite shrink in
+  // [0, 1], but the kernel must still agree on 0 * inf and friends.
+  const double factors[] = {0.999, 0.5, 1.0, 0.0, -0.0, -2.0, 1e-300,
+                            std::numeric_limits<double>::infinity()};
+  for (int seed = 1; seed <= kNumSeeds; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed));
+    for (int64_t n = 0; n <= 67; ++n) {
+      // One spare slot in front so odd seeds run on a misaligned base.
+      std::vector<double> src(static_cast<size_t>(n) + 1);
+      for (double& v : src) {
+        v = rng.NextBool(0.3) ? specials[rng.NextBelow(10)]
+                              : rng.NextGaussian() * 1e3;
+      }
+      double s = rng.NextBool(0.5) ? rng.NextDouble()
+                                   : factors[rng.NextBelow(8)];
+      size_t offset = static_cast<size_t>(seed % 2);
+      std::vector<double> got = src;
+      std::vector<double> want = src;
+      ResolveScale()(got.data() + offset, n, s);
+      scalar::Scale(want.data() + offset, n, s);
+      ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                               got.size() * sizeof(double)))
+          << "seed=" << seed << " n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(SimdTest, ResolveScaleCountsOncePerResolution) {
+  Isa isa = ActiveIsa();
+  uint64_t before = InvocationCount(Kernel::kScale, isa);
+  ScaleFn scale = ResolveScale();
+  std::vector<double> x(9, 2.0);
+  for (int i = 0; i < 100; ++i) {
+    scale(x.data(), 9, 0.5);
+  }
+  EXPECT_EQ(InvocationCount(Kernel::kScale, isa), before + 1);
+  EXPECT_EQ(x[8], std::ldexp(2.0, -100));
 }
 
 TEST(SimdTest, InvocationCountersAdvance) {

@@ -3,6 +3,8 @@
 // paths, exercised outside the executor.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/file_util.h"
 #include "core/std_ops.h"
 
@@ -202,10 +204,10 @@ TEST(StdOpsTest, AssembleExamplesOneHotAndNumeric) {
   const dataflow::ExamplesData* e = out.value().AsExamples().value();
   ASSERT_EQ(e->num_examples(), 2);
   // Labels and splits.
-  EXPECT_DOUBLE_EQ(e->example(0).label, 1.0);
-  EXPECT_FALSE(e->example(0).is_test);
-  EXPECT_DOUBLE_EQ(e->example(1).label, 0.0);
-  EXPECT_TRUE(e->example(1).is_test);
+  EXPECT_DOUBLE_EQ(e->label(0), 1.0);
+  EXPECT_FALSE(e->is_test(0));
+  EXPECT_DOUBLE_EQ(e->label(1), 0.0);
+  EXPECT_TRUE(e->is_test(1));
   // One-hot for categorical edu; single standardized feature for age.
   EXPECT_GE(e->dict().Lookup("edu=BS"), 0);
   EXPECT_GE(e->dict().Lookup("edu=HS"), 0);
@@ -213,8 +215,8 @@ TEST(StdOpsTest, AssembleExamplesOneHotAndNumeric) {
   EXPECT_LT(e->dict().Lookup("age=30"), 0);
   // Standardization: mean 40, values +-1 stddev.
   int32_t age_idx = e->dict().Lookup("age");
-  EXPECT_NEAR(e->example(0).features.Get(age_idx), -1.0, 1e-9);
-  EXPECT_NEAR(e->example(1).features.Get(age_idx), 1.0, 1e-9);
+  EXPECT_NEAR(e->features(0).Get(age_idx), -1.0, 1e-9);
+  EXPECT_NEAR(e->features(1).Get(age_idx), 1.0, 1e-9);
 }
 
 TEST(StdOpsTest, AssembleExamplesNeedsLabelInput) {
@@ -229,13 +231,10 @@ DataCollection TinyExamples() {
   auto data = std::make_shared<dataflow::ExamplesData>();
   int32_t f = data->mutable_dict()->Intern("f");
   for (int i = 0; i < 40; ++i) {
-    dataflow::Example e;
+    dataflow::SparseVector row;
     bool positive = i % 2 == 0;
-    e.features.Set(f, positive ? 1.0 : 0.0);
-    e.label = positive ? 1.0 : 0.0;
-    e.id = i;
-    e.is_test = i >= 30;
-    data->Add(std::move(e));
+    row.Set(f, positive ? 1.0 : 0.0);
+    data->AddRow(row.view(), positive ? 1.0 : 0.0, i, /*is_test=*/i >= 30);
   }
   return DataCollection::FromExamples(data);
 }
@@ -250,6 +249,25 @@ TEST(StdOpsTest, LearnerTrainsEachModelType) {
     ASSERT_TRUE(out.ok()) << model_type << ": " << out.status().ToString();
     EXPECT_EQ(out.value().kind(), dataflow::PayloadKind::kModel);
   }
+}
+
+TEST(StdOpsTest, LearnerRejectsNonFiniteHyperparameters) {
+  for (const char* model_type : {"lr", "nb", "perceptron"}) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+      ops::LearnerConfig config;
+      config.model_type = model_type;
+      config.reg_param = bad;
+      auto out = Invoke(ops::Learner("m", config), {TinyExamples()});
+      EXPECT_TRUE(out.status().IsInvalidArgument()) << model_type;
+    }
+  }
+  // Only LR reads learning_rate.
+  ops::LearnerConfig config;
+  config.model_type = "lr";
+  config.learning_rate = std::numeric_limits<double>::quiet_NaN();
+  auto out = Invoke(ops::Learner("m", config), {TinyExamples()});
+  EXPECT_TRUE(out.status().IsInvalidArgument());
 }
 
 TEST(StdOpsTest, LearnerUnknownModelFails) {
@@ -355,7 +373,7 @@ TEST(StdOpsTest, TokenFeaturizerSplitsByDocument) {
   bool saw_train = false;
   bool saw_test = false;
   for (int64_t i = 0; i < e->num_examples(); ++i) {
-    (e->example(i).is_test ? saw_test : saw_train) = true;
+    (e->is_test(i) ? saw_test : saw_train) = true;
   }
   EXPECT_TRUE(saw_train);
   EXPECT_TRUE(saw_test);
