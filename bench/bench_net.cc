@@ -5,9 +5,9 @@
 // latency, and the reuse hit rates — if remoting is correct, the hit
 // rates match and only the latency overhead differs.
 //
-// Also emits the transport scaling curve (1/10/100/1000 concurrent
-// connections x {event loop, thread-per-connection}, with the process
-// thread count as evidence of the event loop's flat thread model) and a
+// Also emits the event loop's scaling curve (1/10/100/1000 concurrent
+// connections, with the process thread count as evidence of its flat
+// thread model), the zero-copy FetchOutput reply throughput, and a
 // serial-vs-pipelined RPC row for the async multiplexing client.
 //
 // Usage: bench_net [--users=4] [--iterations=6] [--rows=4000] [--threads=0]
@@ -211,77 +211,71 @@ void PrintMode(const Config& config, const char* mode,
 // Cache-hit reply throughput: one warm iteration materializes every
 // output server-side, then the client fetches the largest one in a tight
 // loop. The server's store Get is a memory hit, so the measured rate is
-// the reply path itself — with zero_copy the payload goes straight from
-// the stored columns' buffers into one writev; without it the server
-// flattens the envelope into a contiguous string first. Emits one
-// "json,{...}" row per mode; the delta is the memcpy the span path
-// skipped.
+// the reply path itself — the payload goes straight from the stored
+// columns' buffers into gathered writes, never flattened into a
+// contiguous reply buffer. Emits one "json,{...}" row.
 void RunFetchOutputBench(const Config& config, const std::string& workspace,
                          const std::string& train, const std::string& test) {
-  for (bool zero_copy : {true, false}) {
-    net::ServerOptions options;
-    options.service.workspace_dir =
-        workspace + (zero_copy ? "-zc" : "-copy");
-    options.service.num_threads = 2;
-    options.service.mat_policy =
-        std::make_shared<core::AlwaysMaterializePolicy>();
-    options.zero_copy_replies = zero_copy;
-    auto server = ValueOrDie(
-        net::HelixServer::Start(options, net::MakeStandardResolver()),
-        "start server");
-    auto client = ValueOrDie(
-        net::HelixClient::Connect("127.0.0.1", server->port()), "connect");
-    uint64_t session = ValueOrDie(client->OpenSession("fetcher"), "session");
-    apps::CensusConfig census;
-    census.train_path = train;
-    census.test_path = test;
-    census.learner.epochs = 2;
-    auto result = ValueOrDie(
-        client->RunIteration(session, net::MakeCensusSpec(census), "warm",
-                             core::ChangeCategory::kInitial),
-        "warm iteration");
-    // Fetch every output once to find the biggest payload (and to fault
-    // everything resident).
-    uint64_t signature = 0;
-    size_t payload_bytes = 0;
-    for (const net::RemoteOutput& output : result.outputs) {
-      if (output.signature == 0) {
-        continue;
-      }
-      auto data = ValueOrDie(client->FetchOutput(output.signature),
-                             "probe fetch");
-      size_t size = data.SerializeToString().size();
-      if (size > payload_bytes) {
-        payload_bytes = size;
-        signature = output.signature;
-      }
+  net::ServerOptions options;
+  options.service.workspace_dir = workspace;
+  options.service.num_threads = 2;
+  options.service.mat_policy =
+      std::make_shared<core::AlwaysMaterializePolicy>();
+  auto server = ValueOrDie(
+      net::HelixServer::Start(options, net::MakeStandardResolver()),
+      "start server");
+  auto client = ValueOrDie(
+      net::HelixClient::Connect("127.0.0.1", server->port()), "connect");
+  uint64_t session = ValueOrDie(client->OpenSession("fetcher"), "session");
+  apps::CensusConfig census;
+  census.train_path = train;
+  census.test_path = test;
+  census.learner.epochs = 2;
+  auto result = ValueOrDie(
+      client->RunIteration(session, net::MakeCensusSpec(census), "warm",
+                           core::ChangeCategory::kInitial),
+      "warm iteration");
+  // Fetch every output once to find the biggest payload (and to fault
+  // everything resident).
+  uint64_t signature = 0;
+  size_t payload_bytes = 0;
+  for (const net::RemoteOutput& output : result.outputs) {
+    if (output.signature == 0) {
+      continue;
     }
-    CheckOk(signature != 0
-                ? Status::OK()
-                : Status::Internal("no fetchable outputs materialized"),
-            "fetch target");
-    constexpr int kFetches = 64;
-    int64_t start = SystemClock::Default()->NowMicros();
-    for (int i = 0; i < kFetches; ++i) {
-      auto data = ValueOrDie(client->FetchOutput(signature), "fetch");
-      (void)data;
+    auto data =
+        ValueOrDie(client->FetchOutput(output.signature), "probe fetch");
+    size_t size = data.SerializeToString().size();
+    if (size > payload_bytes) {
+      payload_bytes = size;
+      signature = output.signature;
     }
-    int64_t wall = SystemClock::Default()->NowMicros() - start;
-    double total_bytes = static_cast<double>(payload_bytes) * kFetches;
-    JsonWriter json;
-    json.BeginObject()
-        .KV("record", "bench_net")
-        .KV("mode", zero_copy ? "fetch_zero_copy" : "fetch_copy")
-        .KV("rows", config.rows)
-        .KV("payload_bytes", static_cast<int64_t>(payload_bytes))
-        .KV("fetches", static_cast<int64_t>(kFetches))
-        .KV("wall_ms", static_cast<double>(wall) / 1e3)
-        .KV("bytes_per_sec",
-            wall > 0 ? total_bytes * 1e6 / static_cast<double>(wall) : 0)
-        .EndObject();
-    PrintJsonLine(json);
-    server->Stop();
   }
+  CheckOk(signature != 0
+              ? Status::OK()
+              : Status::Internal("no fetchable outputs materialized"),
+          "fetch target");
+  constexpr int kFetches = 64;
+  int64_t start = SystemClock::Default()->NowMicros();
+  for (int i = 0; i < kFetches; ++i) {
+    auto data = ValueOrDie(client->FetchOutput(signature), "fetch");
+    (void)data;
+  }
+  int64_t wall = SystemClock::Default()->NowMicros() - start;
+  double total_bytes = static_cast<double>(payload_bytes) * kFetches;
+  JsonWriter json;
+  json.BeginObject()
+      .KV("record", "bench_net")
+      .KV("mode", "fetch_zero_copy")
+      .KV("rows", config.rows)
+      .KV("payload_bytes", static_cast<int64_t>(payload_bytes))
+      .KV("fetches", static_cast<int64_t>(kFetches))
+      .KV("wall_ms", static_cast<double>(wall) / 1e3)
+      .KV("bytes_per_sec",
+          wall > 0 ? total_bytes * 1e6 / static_cast<double>(wall) : 0)
+      .EndObject();
+  PrintJsonLine(json);
+  server->Stop();
 }
 
 // Lifts RLIMIT_NOFILE to its hard cap so the 1000-connection point (two
@@ -317,13 +311,10 @@ int ReadThreadCount() {
 // One point on the scaling curve: N concurrent connections sharing a
 // fixed call budget of small GetCounters RPCs — the cost of carrying
 // connections, not of running workflows. The thread count is sampled
-// with all N connected: in event-loop mode it stays flat as N grows
-// (io_threads + pool + the clients' own receivers); in thread mode it
-// grows by one reader per connection.
-void RunScalingCell(const std::string& workspace, bool event_loop,
-                    int num_clients) {
+// with all N connected: the server's share stays flat as N grows
+// (io_threads + pool); only the clients' own receivers scale with N.
+void RunScalingCell(const std::string& workspace, int num_clients) {
   net::ServerOptions options;
-  options.event_loop = event_loop;
   options.service.workspace_dir = workspace;
   options.service.num_threads = 2;
   // This bench measures transport capacity, not shedding: lift the
@@ -374,7 +365,7 @@ void RunScalingCell(const std::string& workspace, bool event_loop,
   JsonWriter json;
   json.BeginObject()
       .KV("record", "bench_net")
-      .KV("mode", event_loop ? "scaling_event_loop" : "scaling_threaded")
+      .KV("mode", "scaling_event_loop")
       .KV("clients", static_cast<int64_t>(num_clients))
       .KV("calls", static_cast<int64_t>(total))
       .KV("threads_at_peak", static_cast<int64_t>(threads_connected))
@@ -391,15 +382,11 @@ void RunScalingCell(const std::string& workspace, bool event_loop,
 void RunScalingBench(const Config& config, const std::string& workspace) {
   RaiseFdLimit();
   const int points[] = {1, 10, 100, 1000};
-  for (bool event_loop : {true, false}) {
-    for (int clients : points) {
-      if (clients > config.max_clients) {
-        continue;
-      }
-      RunScalingCell(workspace + (event_loop ? "-ev-" : "-th-") +
-                         std::to_string(clients),
-                     event_loop, clients);
+  for (int clients : points) {
+    if (clients > config.max_clients) {
+      continue;
     }
+    RunScalingCell(workspace + "-" + std::to_string(clients), clients);
   }
 }
 

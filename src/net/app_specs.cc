@@ -6,7 +6,8 @@ namespace helix {
 namespace net {
 namespace {
 
-void PutLearner(const core::ops::LearnerConfig& learner, WorkflowSpec* spec) {
+void PutLearner(const core::ops::LearnerConfig& learner,
+                core::WorkflowSpec* spec) {
   spec->SetString("learner.model_type", learner.model_type);
   spec->SetDouble("learner.reg_param", learner.reg_param);
   spec->SetDouble("learner.learning_rate", learner.learning_rate);
@@ -14,7 +15,8 @@ void PutLearner(const core::ops::LearnerConfig& learner, WorkflowSpec* spec) {
   spec->SetInt("learner.seed", static_cast<int64_t>(learner.seed));
 }
 
-Status GetLearner(const WorkflowSpec& spec, core::ops::LearnerConfig* out) {
+Status GetLearner(const core::WorkflowSpec& spec,
+                  core::ops::LearnerConfig* out) {
   out->model_type = spec.GetString("learner.model_type", out->model_type);
   HELIX_ASSIGN_OR_RETURN(out->reg_param,
                          spec.GetDouble("learner.reg_param", out->reg_param));
@@ -33,8 +35,8 @@ Status GetLearner(const WorkflowSpec& spec, core::ops::LearnerConfig* out) {
 
 }  // namespace
 
-WorkflowSpec MakeCensusSpec(const apps::CensusConfig& config) {
-  WorkflowSpec spec;
+core::WorkflowSpec MakeCensusSpec(const apps::CensusConfig& config) {
+  core::WorkflowSpec spec;
   spec.app = kCensusApp;
   spec.SetString("train_path", config.train_path);
   spec.SetString("test_path", config.test_path);
@@ -58,7 +60,8 @@ WorkflowSpec MakeCensusSpec(const apps::CensusConfig& config) {
   return spec;
 }
 
-Result<apps::CensusConfig> CensusConfigFromSpec(const WorkflowSpec& spec) {
+Result<apps::CensusConfig> CensusConfigFromSpec(
+    const core::WorkflowSpec& spec) {
   if (spec.app != kCensusApp) {
     return Status::InvalidArgument("spec is for app '" + spec.app +
                                    "', not census");
@@ -111,8 +114,8 @@ Result<apps::CensusConfig> CensusConfigFromSpec(const WorkflowSpec& spec) {
   return config;
 }
 
-WorkflowSpec MakeIeSpec(const apps::IeConfig& config) {
-  WorkflowSpec spec;
+core::WorkflowSpec MakeIeSpec(const apps::IeConfig& config) {
+  core::WorkflowSpec spec;
   spec.app = kIeApp;
   spec.SetString("corpus_path", config.corpus_path);
   spec.SetDouble("train_frac", config.train_frac);
@@ -132,7 +135,7 @@ WorkflowSpec MakeIeSpec(const apps::IeConfig& config) {
   return spec;
 }
 
-Result<apps::IeConfig> IeConfigFromSpec(const WorkflowSpec& spec) {
+Result<apps::IeConfig> IeConfigFromSpec(const core::WorkflowSpec& spec) {
   if (spec.app != kIeApp) {
     return Status::InvalidArgument("spec is for app '" + spec.app +
                                    "', not ie");
@@ -184,8 +187,8 @@ Result<apps::IeConfig> IeConfigFromSpec(const WorkflowSpec& spec) {
   return config;
 }
 
-WorkflowSpec MakeStreamSpec(const apps::StreamConfig& config) {
-  WorkflowSpec spec;
+core::WorkflowSpec MakeStreamSpec(const apps::StreamConfig& config) {
+  core::WorkflowSpec spec;
   spec.app = kStreamApp;
   spec.SetString("base_train_path", config.base_train_path);
   spec.SetString("holdout_path", config.holdout_path);
@@ -201,7 +204,8 @@ WorkflowSpec MakeStreamSpec(const apps::StreamConfig& config) {
   return spec;
 }
 
-Result<apps::StreamConfig> StreamConfigFromSpec(const WorkflowSpec& spec) {
+Result<apps::StreamConfig> StreamConfigFromSpec(
+    const core::WorkflowSpec& spec) {
   if (spec.app != kStreamApp) {
     return Status::InvalidArgument("spec is for app '" + spec.app +
                                    "', not stream");
@@ -234,8 +238,8 @@ Result<apps::StreamConfig> StreamConfigFromSpec(const WorkflowSpec& spec) {
   return config;
 }
 
-WorkflowResolver MakeStandardResolver() {
-  return [](const WorkflowSpec& spec) -> Result<core::Workflow> {
+core::WorkflowResolver MakeStandardResolver() {
+  return [](const core::WorkflowSpec& spec) -> Result<core::Workflow> {
     if (spec.app == kCensusApp) {
       HELIX_ASSIGN_OR_RETURN(apps::CensusConfig config,
                              CensusConfigFromSpec(spec));

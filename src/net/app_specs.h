@@ -27,19 +27,19 @@ inline constexpr char kCensusApp[] = "census";
 inline constexpr char kIeApp[] = "ie";
 inline constexpr char kStreamApp[] = "stream";
 
-WorkflowSpec MakeCensusSpec(const apps::CensusConfig& config);
-Result<apps::CensusConfig> CensusConfigFromSpec(const WorkflowSpec& spec);
+core::WorkflowSpec MakeCensusSpec(const apps::CensusConfig& config);
+Result<apps::CensusConfig> CensusConfigFromSpec(const core::WorkflowSpec& spec);
 
-WorkflowSpec MakeIeSpec(const apps::IeConfig& config);
-Result<apps::IeConfig> IeConfigFromSpec(const WorkflowSpec& spec);
+core::WorkflowSpec MakeIeSpec(const apps::IeConfig& config);
+Result<apps::IeConfig> IeConfigFromSpec(const core::WorkflowSpec& spec);
 
-WorkflowSpec MakeStreamSpec(const apps::StreamConfig& config);
-Result<apps::StreamConfig> StreamConfigFromSpec(const WorkflowSpec& spec);
+core::WorkflowSpec MakeStreamSpec(const apps::StreamConfig& config);
+Result<apps::StreamConfig> StreamConfigFromSpec(const core::WorkflowSpec& spec);
 
 /// Resolver for the standard applications ("census", "ie", "stream");
 /// anything else is NotFound. Data paths inside the specs are read
 /// server-side.
-WorkflowResolver MakeStandardResolver();
+core::WorkflowResolver MakeStandardResolver();
 
 }  // namespace net
 }  // namespace helix

@@ -173,7 +173,7 @@ Status HelixClient::CloseSession(uint64_t session_id) {
 }
 
 Result<RemoteIterationResult> HelixClient::RunIteration(
-    uint64_t session_id, const WorkflowSpec& spec,
+    uint64_t session_id, const core::WorkflowSpec& spec,
     const std::string& description, core::ChangeCategory category) {
   HELIX_ASSIGN_OR_RETURN(
       std::string reply,
@@ -200,7 +200,7 @@ Result<dataflow::DataCollection> HelixClient::FetchOutput(
 }
 
 void HelixClient::RunIterationAsync(
-    uint64_t session_id, const WorkflowSpec& spec,
+    uint64_t session_id, const core::WorkflowSpec& spec,
     const std::string& description, core::ChangeCategory category,
     std::function<void(Result<RemoteIterationResult>)> done) {
   CallAsync(Opcode::kRunIteration,

@@ -68,7 +68,7 @@ class HelixClient {
   void CallAsync(Opcode opcode, std::string payload, ReplyCallback done);
 
   void RunIterationAsync(
-      uint64_t session_id, const WorkflowSpec& spec,
+      uint64_t session_id, const core::WorkflowSpec& spec,
       const std::string& description, core::ChangeCategory category,
       std::function<void(Result<RemoteIterationResult>)> done);
   void GetCountersAsync(
@@ -93,7 +93,7 @@ class HelixClient {
   /// into a workflow on the server; the reply carries the iteration
   /// summary and per-output fingerprints (payloads stay server-side).
   Result<RemoteIterationResult> RunIteration(uint64_t session_id,
-                                             const WorkflowSpec& spec,
+                                             const core::WorkflowSpec& spec,
                                              const std::string& description,
                                              core::ChangeCategory category);
 

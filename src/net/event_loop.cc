@@ -366,9 +366,9 @@ bool EventLoop::DrainFrames(Shard* shard, const std::shared_ptr<Conn>& conn) {
     Result<size_t> consumed = DecodeFrameFromBuffer(
         pending, options_.max_payload_bytes, &frame, &request_id);
     if (!consumed.ok()) {
-      // Same policy as the blocking reader: best-effort error reply
-      // addressed to the parsed request id, then drop the stream — after
-      // a framing error there is no trustworthy next-frame boundary.
+      // Best-effort error reply addressed to the parsed request id, then
+      // drop the stream — after a framing error there is no trustworthy
+      // next-frame boundary.
       Frame error;
       error.opcode = static_cast<uint8_t>(Opcode::kReply);
       error.request_id = request_id;

@@ -1,9 +1,9 @@
 // EventLoop: a small fixed set of epoll-driven I/O threads multiplexing
 // every client connection of a HelixServer.
 //
-// The thread-per-connection reader model spends one blocked OS thread per
+// A blocking reader per connection would spend one blocked OS thread per
 // client — fine for dozens, fatal for the paper's "millions of users"
-// framing. This loop serves the same framing protocol with `io_threads`
+// framing. This loop serves the framing protocol with `io_threads`
 // threads total, each owning one epoll instance (a shard) and a disjoint
 // subset of the connections:
 //
@@ -27,8 +27,7 @@
 //     the connection survives and the client may retry;
 //   * a bounded outbound-queue byte budget per connection — a peer that
 //     stops reading has its connection torn down when queued replies
-//     exceed the budget (the slow-reader defense; replaces the blunt
-//     30s SO_SNDTIMEO of the blocking write path).
+//     exceed the budget (the slow-reader defense).
 //
 // Threading: handlers (on_accept, on_frame, on_shed) run on the loop
 // thread owning the connection; on_hangup runs there too, or on the
@@ -103,10 +102,11 @@ class EventLoop {
     /// no-op once the connection is torn down.
     void SendFrame(const Frame& frame);
 
-    /// Queues one span-list reply frame (wire bytes identical to
-    /// WriteFrameSpans). The entry owns `payload` and holds `pin` until
-    /// flushed — the borrowed spans' backing memory must be owned by the
-    /// two. Marks one in-flight request complete.
+    /// Queues one span-list reply frame (BuildFrameParts around the
+    /// spans; wire bytes identical to SendFrame of the flattened payload).
+    /// The entry owns `payload` and holds `pin` until flushed — the
+    /// borrowed spans' backing memory must be owned by the two. Marks one
+    /// in-flight request complete.
     void SendFrameSpans(uint8_t opcode, uint64_t request_id,
                         std::unique_ptr<SpanWriter> payload,
                         std::shared_ptr<const void> pin);

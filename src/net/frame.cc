@@ -1,7 +1,6 @@
 #include "net/frame.h"
 
 #include <utility>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/hash.h"
@@ -208,22 +207,6 @@ void BuildFrameParts(uint8_t opcode, uint64_t request_id,
   trailer.PutU64(checksum);
   *header_out = std::move(header.TakeData());
   *trailer_out = std::move(trailer.TakeData());
-}
-
-Status WriteFrameSpans(TcpConnection* conn, uint8_t opcode,
-                       uint64_t request_id, SpanWriter* payload) {
-  std::string header;
-  std::string trailer;
-  BuildFrameParts(opcode, request_id, payload, &header, &trailer);
-  const std::vector<ByteSpan>& spans = payload->spans();
-  std::vector<struct iovec> iov;
-  iov.reserve(spans.size() + 2);
-  iov.push_back({header.data(), header.size()});
-  for (const ByteSpan& s : spans) {
-    iov.push_back({const_cast<char*>(s.data), s.len});
-  }
-  iov.push_back({trailer.data(), trailer.size()});
-  return conn->WritevAll(iov.data(), iov.size());
 }
 
 }  // namespace net

@@ -85,20 +85,12 @@ Result<Frame> ReadFrame(TcpConnection* conn, uint32_t max_payload_bytes,
 /// Encodes and writes one frame.
 Status WriteFrame(TcpConnection* conn, const Frame& frame);
 
-/// Writes one frame whose payload is `payload`'s span list, via one
-/// gathered writev-style call: header, then the spans as-is, then the
-/// checksum — the payload bytes are never copied into a contiguous
-/// buffer. On the wire this is byte-identical to WriteFrame of the
-/// flattened payload; any borrowed memory must stay alive for the call.
-Status WriteFrameSpans(TcpConnection* conn, uint8_t opcode,
-                       uint64_t request_id, SpanWriter* payload);
-
-/// Builds the header and checksum-trailer bytes of the frame
-/// WriteFrameSpans would emit for `payload`'s span list — the two owned
-/// pieces a caller queues around the borrowed spans for a *deferred*
-/// gathered write (the event loop's outbound queue). Concatenating
-/// header + spans + trailer is byte-identical to EncodeFrame of the
-/// flattened payload.
+/// Builds the header and checksum-trailer bytes of a frame whose payload
+/// is `payload`'s span list — the two owned pieces the event loop queues
+/// around the borrowed spans for a deferred gathered write, so the
+/// payload bytes are never copied into a contiguous buffer (the checksum
+/// streams over the spans in place). Concatenating header + spans +
+/// trailer is byte-identical to EncodeFrame of the flattened payload.
 void BuildFrameParts(uint8_t opcode, uint64_t request_id,
                      SpanWriter* payload, std::string* header_out,
                      std::string* trailer_out);

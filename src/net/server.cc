@@ -1,6 +1,5 @@
 #include "net/server.h"
 
-#include <cerrno>
 #include <chrono>
 #include <utility>
 
@@ -25,133 +24,10 @@ int64_t FrameWireBytes(size_t payload_bytes) {
 
 }  // namespace
 
-// --------------------------------------------------------- connections ---
-
-/// Thread mode: the connection of one blocking reader thread. Replies are
-/// written synchronously on the pool worker, serialized by write_mu; the
-/// SO_SNDTIMEO on the socket bounds how long a slow reader can pin a
-/// worker.
-struct HelixServer::ThreadConn : HelixServer::ClientConn {
-  HelixServer* server = nullptr;
-  std::unique_ptr<TcpConnection> conn;
-  std::mutex write_mu;
-  std::thread reader;
-  std::atomic<bool> done{false};
-  /// Dispatched-but-unanswered requests (the per-connection shed bound);
-  /// the global bound rides on the server's outstanding_ drain gauge.
-  std::atomic<int> inflight{0};
-
-  void SendReply(uint64_t request_id, std::string payload) override {
-    Frame reply;
-    reply.opcode = static_cast<uint8_t>(Opcode::kReply);
-    reply.request_id = request_id;
-    reply.payload = std::move(payload);
-    size_t payload_bytes = reply.payload.size();
-    int64_t write_start = SteadyNowMicros();
-    std::lock_guard<std::mutex> lock(write_mu);
-    Status written = WriteFrame(conn.get(), reply);
-    if (written.ok()) {
-      server->AccountReplyOut(this, payload_bytes, write_start);
-    } else {
-      OnWriteFailure(request_id, written);
-    }
-  }
-
-  void SendReplySpans(uint64_t request_id,
-                      std::unique_ptr<SpanWriter> payload,
-                      std::shared_ptr<const void> pin) override {
-    // Synchronous gathered write: the caller's pin outlives the call, so
-    // it carries no further duty here.
-    size_t payload_bytes = payload->TotalBytes();
-    int64_t write_start = SteadyNowMicros();
-    std::lock_guard<std::mutex> lock(write_mu);
-    Status written =
-        WriteFrameSpans(conn.get(), static_cast<uint8_t>(Opcode::kReply),
-                        request_id, payload.get());
-    if (written.ok()) {
-      server->AccountReplyOut(this, payload_bytes, write_start);
-    } else {
-      OnWriteFailure(request_id, written);
-    }
-    (void)pin;
-  }
-
-  bool WaitRepliesFlushed(int /*timeout_ms*/) override {
-    return true;  // writes are synchronous: sent means in the kernel
-  }
-
-  /// Classifies a failed reply write by the socket's errno: a send
-  /// timeout (EAGAIN under SO_SNDTIMEO) is a slow reader that stopped
-  /// draining; everything else (EPIPE, ECONNRESET, ...) is a peer that
-  /// vanished. Either way the stream is shut down so the reader stops
-  /// accepting work from a peer that cannot receive answers; the
-  /// iteration's effects on the shared store are durable regardless.
-  void OnWriteFailure(uint64_t request_id, const Status& written) {
-    int err = conn->last_errno();
-    if (err == EAGAIN || err == EWOULDBLOCK) {
-      server->reply_timeouts_->Add(1);
-      HELIX_LOG(Warning) << "reply to request " << request_id
-                         << " timed out (slow reader): "
-                         << written.ToString();
-    } else {
-      server->reply_drops_->Add(1);
-      HELIX_LOG(Info) << "dropping reply to request " << request_id << ": "
-                      << written.ToString();
-    }
-    conn->ShutdownBoth();
-  }
-};
-
-/// Event-loop mode: a thin handle over the loop-owned connection. Replies
-/// are *enqueued* (the loop thread flushes on write readiness), so the
-/// reply_write histogram measures enqueue cost, not wire time; write
-/// failures surface through OnLoopHangup instead of a Status here. Holding
-/// the loop Conn weakly keeps `Conn::user -> EventConn` from becoming a
-/// reference cycle: when the loop tears the connection down, queued
-/// handler tasks see an expired handle and drop their replies.
-struct HelixServer::EventConn : HelixServer::ClientConn {
-  HelixServer* server = nullptr;
-  std::weak_ptr<EventLoop::Conn> loop_conn;
-
-  void SendReply(uint64_t request_id, std::string payload) override {
-    std::shared_ptr<EventLoop::Conn> lc = loop_conn.lock();
-    if (lc == nullptr) {
-      return;  // torn down; its in-flight slots were already returned
-    }
-    Frame reply;
-    reply.opcode = static_cast<uint8_t>(Opcode::kReply);
-    reply.request_id = request_id;
-    reply.payload = std::move(payload);
-    size_t payload_bytes = reply.payload.size();
-    int64_t enqueue_start = SteadyNowMicros();
-    lc->SendFrame(reply);
-    server->AccountReplyOut(this, payload_bytes, enqueue_start);
-  }
-
-  void SendReplySpans(uint64_t request_id,
-                      std::unique_ptr<SpanWriter> payload,
-                      std::shared_ptr<const void> pin) override {
-    std::shared_ptr<EventLoop::Conn> lc = loop_conn.lock();
-    if (lc == nullptr) {
-      return;
-    }
-    size_t payload_bytes = payload->TotalBytes();
-    int64_t enqueue_start = SteadyNowMicros();
-    lc->SendFrameSpans(static_cast<uint8_t>(Opcode::kReply), request_id,
-                       std::move(payload), std::move(pin));
-    server->AccountReplyOut(this, payload_bytes, enqueue_start);
-  }
-
-  bool WaitRepliesFlushed(int timeout_ms) override {
-    std::shared_ptr<EventLoop::Conn> lc = loop_conn.lock();
-    return lc == nullptr || lc->WaitOutboundDrained(timeout_ms);
-  }
-};
-
 // -------------------------------------------------------------- startup ---
 
 Result<std::unique_ptr<HelixServer>> HelixServer::Start(
-    const ServerOptions& options, WorkflowResolver resolver) {
+    const ServerOptions& options, core::WorkflowResolver resolver) {
   if (!resolver) {
     return Status::InvalidArgument("HelixServer requires a resolver");
   }
@@ -177,189 +53,69 @@ Result<std::unique_ptr<HelixServer>> HelixServer::Start(
   server->reply_timeouts_ = metrics->GetCounter("server.reply_timeouts");
   HELIX_ASSIGN_OR_RETURN(server->listener_,
                          TcpListener::Listen(options.host, options.port));
-  if (options.event_loop) {
-    EventLoopOptions loop_options;
-    loop_options.io_threads = options.io_threads;
-    loop_options.max_payload_bytes = options.max_payload_bytes;
-    loop_options.max_inflight_per_connection =
-        options.max_inflight_per_connection;
-    loop_options.max_inflight_total = options.max_inflight_total;
-    loop_options.max_outbound_queue_bytes = options.max_outbound_queue_bytes;
-    EventLoop::Handlers handlers;
-    HelixServer* raw = server.get();
-    handlers.on_accept = [raw](const std::shared_ptr<EventLoop::Conn>& c) {
-      raw->OnLoopAccept(c);
-    };
-    handlers.on_frame = [raw](const std::shared_ptr<EventLoop::Conn>& c,
-                              Frame&& frame, int64_t decode_micros) {
-      raw->OnLoopFrame(c, std::move(frame), decode_micros);
-    };
-    handlers.on_shed = [raw](const std::shared_ptr<EventLoop::Conn>&) {
-      raw->requests_shed_->Add(1);
-    };
-    handlers.on_hangup = [raw](const std::shared_ptr<EventLoop::Conn>& c,
-                               HangupReason reason) {
-      raw->OnLoopHangup(c, reason);
-    };
-    HELIX_ASSIGN_OR_RETURN(
-        server->event_loop_,
-        EventLoop::Start(server->listener_.get(), loop_options,
-                         std::move(handlers)));
-  } else {
-    server->accept_thread_ = std::thread([s = server.get()]() {
-      s->AcceptLoop();
-    });
-  }
+  EventLoopOptions loop_options;
+  loop_options.io_threads = options.io_threads;
+  loop_options.max_payload_bytes = options.max_payload_bytes;
+  loop_options.max_inflight_per_connection =
+      options.max_inflight_per_connection;
+  loop_options.max_inflight_total = options.max_inflight_total;
+  loop_options.max_outbound_queue_bytes = options.max_outbound_queue_bytes;
+  EventLoop::Handlers handlers;
+  HelixServer* raw = server.get();
+  handlers.on_accept = [raw](const std::shared_ptr<EventLoop::Conn>& c) {
+    raw->OnLoopAccept(c);
+  };
+  handlers.on_frame = [raw](const std::shared_ptr<EventLoop::Conn>& c,
+                            Frame&& frame, int64_t decode_micros) {
+    raw->OnLoopFrame(c, std::move(frame), decode_micros);
+  };
+  handlers.on_shed = [raw](const std::shared_ptr<EventLoop::Conn>&) {
+    raw->requests_shed_->Add(1);
+  };
+  handlers.on_hangup = [raw](const std::shared_ptr<EventLoop::Conn>& c,
+                             HangupReason reason) {
+    raw->OnLoopHangup(c, reason);
+  };
+  HELIX_ASSIGN_OR_RETURN(
+      server->event_loop_,
+      EventLoop::Start(server->listener_.get(), loop_options,
+                       std::move(handlers)));
   return server;
 }
 
 HelixServer::~HelixServer() { Stop(); }
 
 int64_t HelixServer::num_connections() const {
-  if (event_loop_ != nullptr) {
-    return event_loop_->num_connections();
-  }
-  return thread_mode_connections_.load(std::memory_order_acquire);
+  return event_loop_->num_connections();
 }
 
-// -------------------------------------------------- thread-mode transport ---
-
-void HelixServer::AcceptLoop() {
-  while (true) {
-    auto accepted = listener_->Accept();
-    if (!accepted.ok()) {
-      if (accepted.status().IsFailedPrecondition()) {
-        return;  // Stop() closed the listener: orderly shutdown
-      }
-      // Environmental (EMFILE under fd pressure, etc.): the server must
-      // keep accepting once the pressure clears, not die silently.
-      HELIX_LOG(Warning) << "accept failed, retrying: "
-                         << accepted.status().ToString();
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      continue;
-    }
-    auto connection = std::make_shared<ThreadConn>();
-    connection->server = this;
-    connection->conn = std::move(accepted).value();
-    // A client that stops reading must not pin a pool worker forever on a
-    // full send buffer; after the timeout the write fails, is classified
-    // as a reply timeout, and the connection is dropped.
-    connection->conn->SetSendTimeout(options_.send_timeout_seconds);
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      // Reap connections whose readers already finished (client hung up):
-      // a long-running server must not accumulate one fd + thread per
-      // past client until shutdown. Handler tasks still in flight keep
-      // the ThreadConn alive through their shared_ptr.
-      for (auto it = conns_.begin(); it != conns_.end();) {
-        if ((*it)->done.load(std::memory_order_acquire)) {
-          if ((*it)->reader.joinable()) {
-            (*it)->reader.join();
-          }
-          it = conns_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      conns_.push_back(connection);
-    }
-    thread_mode_connections_.fetch_add(1, std::memory_order_acq_rel);
-    connection->reader = std::thread([this, connection]() {
-      ReaderLoop(connection);
-      thread_mode_connections_.fetch_sub(1, std::memory_order_acq_rel);
-      connection->done.store(true, std::memory_order_release);
-    });
-  }
-}
-
-void HelixServer::ReaderLoop(std::shared_ptr<ThreadConn> connection) {
-  while (true) {
-    uint64_t request_id = 0;
-    int64_t read_start = SteadyNowMicros();
-    Result<Frame> frame = ReadFrame(connection->conn.get(),
-                                    options_.max_payload_bytes, &request_id);
-    if (!frame.ok()) {
-      // Clean close at a frame boundary is silent; anything else (bad
-      // magic, corrupt checksum, oversized length, torn stream) gets a
-      // best-effort error reply addressed to the parsed request id, then
-      // the stream is dropped — after a framing error the byte stream has
-      // no trustworthy next-frame boundary.
-      if (!frame.status().IsNotFound()) {
-        connection->SendReply(request_id,
-                              EncodeErrorReply(frame.status()));
-        connection->conn->ShutdownBoth();
-      }
-      break;
-    }
-    // Decode phase: everything ReadFrame did — waiting for the request
-    // bytes, header/checksum verification, payload copy. For a pipelining
-    // client this is wire + parse time; for an idle connection it is
-    // dominated by the wait for the next request.
-    decode_micros_->Observe(SteadyNowMicros() - read_start);
-    AccountFrameIn(connection.get(), frame->payload.size());
-    // Backpressure, same policy (and reply bytes) as the event loop:
-    // shed past either in-flight bound, and keep the connection up —
-    // shedding is an answer, not a punishment.
-    bool shed = connection->inflight.load(std::memory_order_acquire) >=
-                options_.max_inflight_per_connection;
-    if (!shed) {
-      std::lock_guard<std::mutex> lock(drain_mu_);
-      shed = outstanding_ >= options_.max_inflight_total;
-    }
-    if (shed) {
-      requests_shed_->Add(1);
-      connection->SendReply(
-          request_id,
-          EncodeErrorReply(Status::ResourceExhausted(
-              "server overloaded: in-flight request limit reached")));
-      continue;
-    }
-    connection->inflight.fetch_add(1, std::memory_order_acq_rel);
-    bool scheduled = DispatchFrame(
-        connection, std::move(frame).value(),
-        [connection]() {
-          connection->inflight.fetch_sub(1, std::memory_order_acq_rel);
-        });
-    if (!scheduled) {
-      break;  // shutting down; the dispatch already answered
-    }
-  }
-  // Close-on-disconnect: retire the sessions this connection opened, so a
-  // client that drops (or crashes) does not leak server-side sessions.
-  CloseConnectionSessions(connection.get());
-}
-
-// --------------------------------------------------- event-mode transport ---
+// ------------------------------------------------------------ transport ---
 
 void HelixServer::OnLoopAccept(const std::shared_ptr<EventLoop::Conn>& conn) {
-  auto connection = std::make_shared<EventConn>();
-  connection->server = this;
+  auto connection = std::make_shared<ClientConn>();
   connection->loop_conn = conn;
   conn->user = connection;
 }
 
 void HelixServer::OnLoopFrame(const std::shared_ptr<EventLoop::Conn>& conn,
                               Frame&& frame, int64_t decode_micros) {
-  std::shared_ptr<EventConn> connection =
-      std::static_pointer_cast<EventConn>(conn->user);
   decode_micros_->Observe(decode_micros);
-  AccountFrameIn(connection.get(), frame.payload.size());
-  // A failed dispatch (pool refusing work during shutdown) already sent
-  // the error reply; the loop connection outlives it either way.
-  (void)DispatchFrame(connection, std::move(frame), nullptr);
+  frames_in_total_->Add(1);
+  bytes_in_total_->Add(FrameWireBytes(frame.payload.size()));
+  DispatchFrame(std::static_pointer_cast<ClientConn>(conn->user),
+                std::move(frame));
 }
 
 void HelixServer::OnLoopHangup(const std::shared_ptr<EventLoop::Conn>& conn,
                                HangupReason reason) {
-  std::shared_ptr<EventConn> connection =
-      std::static_pointer_cast<EventConn>(conn->user);
+  std::shared_ptr<ClientConn> connection =
+      std::static_pointer_cast<ClientConn>(conn->user);
   if (connection == nullptr) {
     return;
   }
   switch (reason) {
     case HangupReason::kSlowReader:
-      // The event-mode analogue of the blocking path's send timeout: the
-      // peer stopped draining replies and its queued bytes blew the
+      // The peer stopped draining replies and its queued bytes blew the
       // budget.
       reply_timeouts_->Add(1);
       HELIX_LOG(Warning) << "dropping connection " << conn->id()
@@ -381,8 +137,8 @@ void HelixServer::OnLoopHangup(const std::shared_ptr<EventLoop::Conn>& conn,
 
 // ------------------------------------------------------------- dispatch ---
 
-bool HelixServer::DispatchFrame(const std::shared_ptr<ClientConn>& conn,
-                                Frame frame, std::function<void()> on_done) {
+void HelixServer::DispatchFrame(const std::shared_ptr<ClientConn>& conn,
+                                Frame frame) {
   // Dispatch onto the shared pool: iterations of different sessions run
   // concurrently, bounded by the pool — the remote analogue of
   // SubmitIteration.
@@ -393,32 +149,24 @@ bool HelixServer::DispatchFrame(const std::shared_ptr<ClientConn>& conn,
   uint64_t request_id = frame.request_id;
   int64_t enqueue_micros = SteadyNowMicros();
   bool scheduled = service_->pool()->Schedule(
-      [this, conn, enqueue_micros, on_done,
-       f = std::move(frame)]() mutable {
+      [this, conn, enqueue_micros, f = std::move(frame)]() mutable {
         HandleRequest(conn, std::move(f), enqueue_micros);
-        if (on_done) {
-          on_done();
-        }
         std::lock_guard<std::mutex> lock(drain_mu_);
         if (--outstanding_ == 0) {
           drain_cv_.notify_all();
         }
       });
   if (!scheduled) {
-    if (on_done) {
-      on_done();
-    }
     {
       std::lock_guard<std::mutex> lock(drain_mu_);
       if (--outstanding_ == 0) {
         drain_cv_.notify_all();
       }
     }
-    conn->SendReply(request_id,
-                    EncodeErrorReply(Status::FailedPrecondition(
-                        "server is shutting down")));
+    SendReply(conn.get(), request_id,
+              EncodeErrorReply(Status::FailedPrecondition(
+                  "server is shutting down")));
   }
-  return scheduled;
 }
 
 void HelixServer::HandleRequest(const std::shared_ptr<ClientConn>& connection,
@@ -429,10 +177,10 @@ void HelixServer::HandleRequest(const std::shared_ptr<ClientConn>& connection,
   std::string reply;
   switch (static_cast<Opcode>(frame.opcode)) {
     case Opcode::kOpenSession:
-      reply = HandleOpenSession(connection, frame);
+      reply = HandleOpenSession(connection.get(), frame);
       break;
     case Opcode::kCloseSession:
-      reply = HandleCloseSession(connection, frame);
+      reply = HandleCloseSession(connection.get(), frame);
       break;
     case Opcode::kRunIteration:
       reply = HandleRunIteration(frame);
@@ -447,9 +195,9 @@ void HelixServer::HandleRequest(const std::shared_ptr<ClientConn>& connection,
       reply = HandleGetTrace(frame);
       break;
     case Opcode::kFetchOutput:
-      // Delivers its own reply: the zero-copy span path hands the stored
-      // payload to the transport, which keeps it alive until written.
-      HandleFetchOutput(connection, frame, handler_start);
+      // Delivers its own reply: the span path hands the stored payload to
+      // the loop, which keeps it alive until written.
+      HandleFetchOutput(connection.get(), frame, handler_start);
       return;
     case Opcode::kShutdown:
       reply = EncodeEmptyReply();
@@ -460,14 +208,16 @@ void HelixServer::HandleRequest(const std::shared_ptr<ClientConn>& connection,
       break;
   }
   execute_micros_->Observe(SteadyNowMicros() - handler_start);
-  connection->SendReply(frame.request_id, std::move(reply));
+  SendReply(connection.get(), frame.request_id, std::move(reply));
   if (static_cast<Opcode>(frame.opcode) == Opcode::kShutdown) {
     // Ack first (above), act later: Stop() from a pool task would deadlock
     // the pool drain, so shutdown is recorded and surfaced through
-    // WaitForShutdownRequest for the owner to act on. In event mode the
-    // ack is only *queued* by SendReply, so wait for the flush — the
-    // owner's Stop() tears the loop down and would destroy it unsent.
-    connection->WaitRepliesFlushed(/*timeout_ms=*/2000);
+    // WaitForShutdownRequest for the owner to act on. SendReply only
+    // *queues* the ack, so wait for the flush — the owner's Stop() tears
+    // the loop down and would destroy it unsent.
+    if (std::shared_ptr<EventLoop::Conn> lc = connection->loop_conn.lock()) {
+      lc->WaitOutboundDrained(/*timeout_ms=*/2000);
+    }
     {
       std::lock_guard<std::mutex> lock(state_mu_);
       shutdown_requested_ = true;
@@ -478,8 +228,8 @@ void HelixServer::HandleRequest(const std::shared_ptr<ClientConn>& connection,
 
 // ------------------------------------------------------------- handlers ---
 
-std::string HelixServer::HandleOpenSession(
-    const std::shared_ptr<ClientConn>& connection, const Frame& frame) {
+std::string HelixServer::HandleOpenSession(ClientConn* connection,
+                                           const Frame& frame) {
   Result<std::string> name = DecodeOpenSessionRequest(frame.payload);
   if (!name.ok()) {
     return EncodeErrorReply(name.status());
@@ -496,8 +246,8 @@ std::string HelixServer::HandleOpenSession(
   return EncodeOpenSessionReply(session.value()->id());
 }
 
-std::string HelixServer::HandleCloseSession(
-    const std::shared_ptr<ClientConn>& connection, const Frame& frame) {
+std::string HelixServer::HandleCloseSession(ClientConn* connection,
+                                            const Frame& frame) {
   Result<uint64_t> session_id = DecodeCloseSessionRequest(frame.payload);
   if (!session_id.ok()) {
     return EncodeErrorReply(session_id.status());
@@ -598,42 +348,35 @@ std::string HelixServer::HandleGetTrace(const Frame& frame) {
   return EncodeTextReply(service_->trace()->ToChromeJson());
 }
 
-void HelixServer::HandleFetchOutput(
-    const std::shared_ptr<ClientConn>& connection, const Frame& frame,
-    int64_t handler_start) {
+void HelixServer::HandleFetchOutput(ClientConn* connection,
+                                    const Frame& frame,
+                                    int64_t handler_start) {
   Result<uint64_t> signature = DecodeFetchOutputRequest(frame.payload);
   if (!signature.ok()) {
     execute_micros_->Observe(SteadyNowMicros() - handler_start);
-    connection->SendReply(frame.request_id,
-                          EncodeErrorReply(signature.status()));
+    SendReply(connection, frame.request_id,
+              EncodeErrorReply(signature.status()));
     return;
   }
   Result<dataflow::DataCollection> data =
       service_->store()->Get(signature.value());
   if (!data.ok()) {
     execute_micros_->Observe(SteadyNowMicros() - handler_start);
-    connection->SendReply(frame.request_id,
-                          EncodeErrorReply(data.status().WithContext(
-                              "fetching output with signature " +
-                              std::to_string(signature.value()))));
+    SendReply(connection, frame.request_id,
+              EncodeErrorReply(data.status().WithContext(
+                  "fetching output with signature " +
+                  std::to_string(signature.value()))));
     return;
   }
-  if (options_.zero_copy_replies) {
-    // The span list borrows the columns' own buffers, so the collection
-    // rides along as the pin: the thread path holds it across its
-    // synchronous writev, the event path until the queued entry flushes.
-    auto owned =
-        std::make_shared<dataflow::DataCollection>(std::move(data).value());
-    auto spans = std::make_unique<SpanWriter>();
-    EncodeFetchOutputReplyToSpans(*owned, spans.get());
-    execute_micros_->Observe(SteadyNowMicros() - handler_start);
-    connection->SendReplySpans(frame.request_id, std::move(spans),
-                               std::move(owned));
-    return;
-  }
-  std::string reply = EncodeFetchOutputReply(data.value());
+  // The span list borrows the columns' own buffers, so the collection
+  // rides along as the pin until the queued entry flushes.
+  auto owned =
+      std::make_shared<dataflow::DataCollection>(std::move(data).value());
+  auto spans = std::make_unique<SpanWriter>();
+  EncodeFetchOutputReplyToSpans(*owned, spans.get());
   execute_micros_->Observe(SteadyNowMicros() - handler_start);
-  connection->SendReply(frame.request_id, std::move(reply));
+  SendReplySpans(connection, frame.request_id, std::move(spans),
+                 std::move(owned));
 }
 
 // -------------------------------------------------------------- helpers ---
@@ -654,24 +397,40 @@ void HelixServer::CloseConnectionSessions(ClientConn* connection) {
   }
 }
 
-void HelixServer::AccountFrameIn(ClientConn* connection,
-                                 size_t payload_bytes) {
-  frames_in_total_->Add(1);
-  bytes_in_total_->Add(FrameWireBytes(payload_bytes));
-  connection->frames_in.fetch_add(1, std::memory_order_relaxed);
-  connection->bytes_in.fetch_add(FrameWireBytes(payload_bytes),
-                                 std::memory_order_relaxed);
+void HelixServer::SendReply(ClientConn* connection, uint64_t request_id,
+                            std::string payload) {
+  std::shared_ptr<EventLoop::Conn> lc = connection->loop_conn.lock();
+  if (lc == nullptr) {
+    return;  // torn down; its in-flight slots were already returned
+  }
+  Frame reply;
+  reply.opcode = static_cast<uint8_t>(Opcode::kReply);
+  reply.request_id = request_id;
+  reply.payload = std::move(payload);
+  int64_t enqueue_start = SteadyNowMicros();
+  lc->SendFrame(reply);
+  AccountReplyOut(reply.payload.size(), enqueue_start);
 }
 
-void HelixServer::AccountReplyOut(ClientConn* connection,
-                                  size_t payload_bytes,
-                                  int64_t write_start) {
-  reply_write_micros_->Observe(SteadyNowMicros() - write_start);
+void HelixServer::SendReplySpans(ClientConn* connection, uint64_t request_id,
+                                 std::unique_ptr<SpanWriter> payload,
+                                 std::shared_ptr<const void> pin) {
+  std::shared_ptr<EventLoop::Conn> lc = connection->loop_conn.lock();
+  if (lc == nullptr) {
+    return;
+  }
+  size_t payload_bytes = payload->TotalBytes();
+  int64_t enqueue_start = SteadyNowMicros();
+  lc->SendFrameSpans(static_cast<uint8_t>(Opcode::kReply), request_id,
+                     std::move(payload), std::move(pin));
+  AccountReplyOut(payload_bytes, enqueue_start);
+}
+
+void HelixServer::AccountReplyOut(size_t payload_bytes,
+                                  int64_t enqueue_start) {
+  reply_write_micros_->Observe(SteadyNowMicros() - enqueue_start);
   frames_out_total_->Add(1);
   bytes_out_total_->Add(FrameWireBytes(payload_bytes));
-  connection->frames_out.fetch_add(1, std::memory_order_relaxed);
-  connection->bytes_out.fetch_add(FrameWireBytes(payload_bytes),
-                                  std::memory_order_relaxed);
 }
 
 // ------------------------------------------------------------- shutdown ---
@@ -692,46 +451,26 @@ void HelixServer::Stop() {
   }
   state_cv_.notify_all();
 
+  // 1. One call: joins the loop threads and tears down every
+  // connection — no new frames after it returns. The hangup handlers it
+  // fires retire the connections' sessions, which needs the service still
+  // alive (it is; teardown is below). The listener closes after, so a
+  // racing accept in the loop never touches a closed fd. Either may be
+  // absent when Start() failed partway and the half-built server is being
+  // destroyed.
   if (event_loop_ != nullptr) {
-    // 1+2. One call: joins the loop threads and tears down every
-    // connection — no new frames after it returns. The hangup handlers it
-    // fires retire the connections' sessions, which needs the service
-    // still alive (it is; teardown is below). The listener closes after,
-    // so a racing accept in the loop never touches a closed fd.
     event_loop_->Stop();
-    listener_->Close();
-  } else {
-    // 1. No new connections. The listener may be absent when Start()
-    // failed partway and the half-built server is being destroyed.
-    if (listener_ != nullptr) {
-      listener_->Close();
-    }
-    if (accept_thread_.joinable()) {
-      accept_thread_.join();
-    }
-    // 2. No new requests: unblock and join every reader. Joining a reader
-    //    that already exited on its own (client hung up earlier) is fine.
-    std::vector<std::shared_ptr<ThreadConn>> conns;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns = conns_;
-    }
-    for (const auto& connection : conns) {
-      connection->conn->ShutdownBoth();
-    }
-    for (const auto& connection : conns) {
-      if (connection->reader.joinable()) {
-        connection->reader.join();
-      }
-    }
   }
-  // 3. Let in-flight handlers finish (their replies go to already-dead
+  if (listener_ != nullptr) {
+    listener_->Close();
+  }
+  // 2. Let in-flight handlers finish (their replies go to already-dead
   //    connections and are dropped; their store effects are durable).
   {
     std::unique_lock<std::mutex> lock(drain_mu_);
     drain_cv_.wait(lock, [this]() { return outstanding_ == 0; });
   }
-  // 4. Tear down the service: drains the pool and the background writer,
+  // 3. Tear down the service: drains the pool and the background writer,
   //    then persists the shared stats registry. The pointer is detached
   //    under state_mu_ first so a concurrent service() reads nullptr
   //    rather than a service mid-destruction; the heavy destructor then
@@ -742,10 +481,6 @@ void HelixServer::Stop() {
     doomed = std::move(service_);
   }
   doomed.reset();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.clear();
-  }
 }
 
 }  // namespace net

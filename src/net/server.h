@@ -3,32 +3,28 @@
 // One server owns one service::SessionService (shared store, stats
 // registry, thread pool, in-flight table, background writer) and serves
 // OpenSession / RunIteration / GetCounters / FetchOutput / CloseSession /
-// Shutdown over the framing protocol (net/frame.h). Two transport modes
-// share every handler:
+// Shutdown over the framing protocol (net/frame.h). The transport is a
+// small fixed set of epoll I/O threads (net/event_loop.h) driving every
+// connection — nonblocking reads into per-connection buffers, incremental
+// frame decoding, and buffered outbound queues flushed on write
+// readiness. Thread count is io_threads + the service pool, independent
+// of the connection count.
 //
-//   * event-loop mode (default): a small fixed set of epoll I/O threads
-//     (net/event_loop.h) drives every connection — nonblocking reads into
-//     per-connection buffers, incremental frame decoding, and buffered
-//     outbound queues flushed on write readiness. Thread count is
-//     io_threads + the service pool, independent of the connection count.
-//   * thread mode (ServerOptions::event_loop = false): the legacy one
-//     blocking reader thread per connection, kept as the differential
-//     baseline for tests and the bench_net scaling curve.
-//
-// In both modes each valid request is dispatched onto the service's
-// *shared* ThreadPool — concurrently executing iterations are bounded by
-// the pool, not the connection count — and replies are keyed to requests
-// by request id, so one connection may pipeline.
+// Each valid request is dispatched onto the service's *shared*
+// ThreadPool — concurrently executing iterations are bounded by the pool,
+// not the connection count — and replies are keyed to requests by
+// request id, so one connection may pipeline. FetchOutput replies are
+// queued as a span list over the stored columns' own buffers (zero-copy:
+// the payload is never flattened into a contiguous reply buffer).
 //
 // Backpressure is explicit: past max_inflight_per_connection /
 // max_inflight_total dispatched-but-unanswered requests, further frames
 // are answered immediately with ResourceExhausted (counted in
 // server.requests_shed) and the connection survives. A peer that stops
-// reading its replies is torn down — in event-loop mode when its outbound
-// queue exceeds max_outbound_queue_bytes, in thread mode via the
-// SO_SNDTIMEO write timeout. Reply-write failures are classified:
+// reading its replies is torn down when its outbound queue exceeds
+// max_outbound_queue_bytes. Connection losses are classified:
 // server.reply_timeouts counts slow-reader kills, server.reply_drops
-// counts peers that vanished (EPIPE / ECONNRESET / torn streams).
+// counts peers that vanished (resets, torn streams).
 //
 // Session lifecycle: OpenSession registers a service session and ties it
 // to the connection that opened it; CloseSession (or the connection
@@ -42,25 +38,22 @@
 // well-framed but unknown opcode is answered with InvalidArgument and the
 // connection stays up.
 //
-// Shutdown/drain ordering (Stop): stop accepting -> tear down transports
-// (join the event loop or the per-connection readers; no new requests) ->
-// wait for in-flight handlers to finish -> destroy the service (which
-// drains the pool and writer, then persists stats). A Shutdown RPC does
-// not stop the server from inside a pool task (that would deadlock the
-// drain); it is acked — and the ack flushed to the kernel — before the
-// request is surfaced through WaitForShutdownRequest for the owner to act
-// on.
+// Shutdown/drain ordering (Stop): stop the event loop (joins its threads
+// and tears down every connection; no new requests) -> close the
+// listener -> wait for in-flight handlers to finish -> destroy the
+// service (which drains the pool and writer, then persists stats). A
+// Shutdown RPC does not stop the server from inside a pool task (that
+// would deadlock the drain); it is acked — and the ack flushed to the
+// kernel — before the request is surfaced through WaitForShutdownRequest
+// for the owner to act on.
 #ifndef HELIX_NET_SERVER_H_
 #define HELIX_NET_SERVER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -80,41 +73,27 @@ struct ServerOptions {
   /// 0 = ephemeral; read the bound port from HelixServer::port().
   int port = 0;
   uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
-  /// When true (default), FetchOutput replies are written as a gathered
-  /// span list over the stored columns' own buffers (header + borrowed
-  /// bodies + checksum in one writev) — a cache-hit reply never copies the
-  /// payload into a contiguous buffer. Off = flatten-and-WriteFrame, kept
-  /// for benchmarks and as a fallback; the wire bytes are identical. In
-  /// event-loop mode the queued reply pins the DataCollection until its
-  /// spans are flushed.
-  bool zero_copy_replies = true;
-  /// Transport mode: epoll event loop (default) or the legacy
-  /// thread-per-connection blocking readers.
-  bool event_loop = true;
   /// Event-loop I/O threads; does not grow with the connection count.
   int io_threads = 2;
-  /// Backpressure limits (both modes): dispatched-but-unanswered requests
-  /// beyond either bound are shed with ResourceExhausted.
+  /// Backpressure limits: dispatched-but-unanswered requests beyond
+  /// either bound are shed with ResourceExhausted.
   int max_inflight_per_connection = 64;
   int64_t max_inflight_total = 1024;
-  /// Event-loop slow-reader defense: tear a connection down when its
-  /// queued unsent replies exceed this many bytes.
+  /// Slow-reader defense: tear a connection down when its queued unsent
+  /// replies exceed this many bytes.
   int64_t max_outbound_queue_bytes = 64ll << 20;
-  /// Thread-mode slow-reader defense: SO_SNDTIMEO on reply writes.
-  int send_timeout_seconds = 30;
   /// Options for the owned SessionService.
   service::ServiceOptions service;
 };
 
 /// See the file comment. Thread safety: port(), service(), Stop(), and
 /// WaitForShutdownRequest() are safe from any thread; Stop() is
-/// idempotent. Ownership: the server owns the listener, the transport
-/// (event loop or reader threads), and the SessionService; destruction
-/// runs Stop().
+/// idempotent. Ownership: the server owns the listener, the event loop,
+/// and the SessionService; destruction runs Stop().
 class HelixServer {
  public:
   static Result<std::unique_ptr<HelixServer>> Start(
-      const ServerOptions& options, WorkflowResolver resolver);
+      const ServerOptions& options, core::WorkflowResolver resolver);
 
   ~HelixServer();
 
@@ -142,103 +121,76 @@ class HelixServer {
   void Stop();
 
  private:
-  /// One client connection as the request handlers see it, independent of
-  /// transport mode: how a reply gets delivered, and which sessions the
-  /// connection opened (closed when it drops).
+  /// The server's state for one event-loop connection: a weak handle to
+  /// the loop-owned Conn replies are queued on, and the sessions the
+  /// connection opened (closed when it drops). Holding the loop Conn
+  /// weakly keeps `Conn::user -> ClientConn` from becoming a reference
+  /// cycle: when the loop tears the connection down, queued handler tasks
+  /// see an expired handle and drop their replies.
   struct ClientConn {
-    virtual ~ClientConn() = default;
-    /// Delivers one flat reply frame (thread mode: synchronous write
-    /// under the connection's write mutex; event mode: enqueue on the
-    /// loop's outbound queue).
-    virtual void SendReply(uint64_t request_id, std::string payload) = 0;
-    /// Span-list reply (the zero-copy FetchOutput path). The payload and
-    /// `pin` stay alive until the bytes reach the kernel.
-    virtual void SendReplySpans(uint64_t request_id,
-                                std::unique_ptr<SpanWriter> payload,
-                                std::shared_ptr<const void> pin) = 0;
-    /// Blocks until previously sent replies reached the kernel (the
-    /// Shutdown-ack flush); thread mode writes synchronously and returns
-    /// immediately.
-    virtual bool WaitRepliesFlushed(int timeout_ms) = 0;
-
-    /// Per-connection traffic accounting (frames and on-the-wire bytes,
-    /// header + payload + checksum), folded into the registry totals as
-    /// they happen; kept per-connection so a busy tenant is attributable.
-    std::atomic<int64_t> frames_in{0};
-    std::atomic<int64_t> bytes_in{0};
-    std::atomic<int64_t> frames_out{0};
-    std::atomic<int64_t> bytes_out{0};
-
-    /// Sessions opened by this connection, retired when it drops.
+    std::weak_ptr<EventLoop::Conn> loop_conn;
     std::mutex sessions_mu;
     std::vector<uint64_t> session_ids;
   };
-  struct ThreadConn;  // thread mode (defined in server.cc)
-  struct EventConn;   // event-loop mode (defined in server.cc)
 
-  HelixServer(ServerOptions options, WorkflowResolver resolver)
+  HelixServer(ServerOptions options, core::WorkflowResolver resolver)
       : options_(std::move(options)), resolver_(std::move(resolver)) {}
 
-  // Thread-mode transport.
-  void AcceptLoop();
-  void ReaderLoop(std::shared_ptr<ThreadConn> connection);
-
-  // Event-mode transport callbacks (run on the loop threads).
+  // Event-loop callbacks (run on the loop threads).
   void OnLoopAccept(const std::shared_ptr<EventLoop::Conn>& conn);
   void OnLoopFrame(const std::shared_ptr<EventLoop::Conn>& conn,
                    Frame&& frame, int64_t decode_micros);
   void OnLoopHangup(const std::shared_ptr<EventLoop::Conn>& conn,
                     HangupReason reason);
 
-  /// Shared dispatch: bumps the drain gauge and schedules HandleRequest
-  /// on the service pool. `on_done` (optional) runs after the handler
-  /// finishes (thread mode's in-flight release). False when the pool
-  /// refused the task (shutdown); the error reply was already sent.
-  bool DispatchFrame(const std::shared_ptr<ClientConn>& conn, Frame frame,
-                     std::function<void()> on_done);
+  /// Bumps the drain gauge and schedules HandleRequest on the service
+  /// pool. When the pool refuses the task (shutdown) the request is
+  /// answered with FailedPrecondition instead.
+  void DispatchFrame(const std::shared_ptr<ClientConn>& conn, Frame frame);
   /// Runs on a pool worker: decodes, executes, and answers one request.
   /// `enqueue_micros` is the dispatch timestamp (steady clock), feeding
   /// the `server.queue_micros` histogram.
   void HandleRequest(const std::shared_ptr<ClientConn>& connection,
                      Frame frame, int64_t enqueue_micros);
-  std::string HandleOpenSession(const std::shared_ptr<ClientConn>& connection,
-                                const Frame& frame);
-  std::string HandleCloseSession(
-      const std::shared_ptr<ClientConn>& connection, const Frame& frame);
+  std::string HandleOpenSession(ClientConn* connection, const Frame& frame);
+  std::string HandleCloseSession(ClientConn* connection, const Frame& frame);
   std::string HandleRunIteration(const Frame& frame);
   std::string HandleGetCounters(const Frame& frame);
   std::string HandleGetMetrics(const Frame& frame);
   std::string HandleGetTrace(const Frame& frame);
-  /// Unlike the handlers above, FetchOutput delivers its own reply: the
-  /// zero-copy path hands the stored DataCollection to the transport as
-  /// the pin keeping its borrowed spans alive until flushed.
-  void HandleFetchOutput(const std::shared_ptr<ClientConn>& connection,
-                         const Frame& frame, int64_t handler_start);
+  /// Unlike the handlers above, FetchOutput delivers its own reply: it
+  /// hands the stored DataCollection to the loop as the pin keeping its
+  /// borrowed spans alive until flushed.
+  void HandleFetchOutput(ClientConn* connection, const Frame& frame,
+                         int64_t handler_start);
+  /// Queue one flat reply frame / one span-list reply frame on the
+  /// connection (a no-op once the loop tore it down) and account it.
+  /// `pin` stays alive until the span bytes reach the kernel.
+  void SendReply(ClientConn* connection, uint64_t request_id,
+                 std::string payload);
+  void SendReplySpans(ClientConn* connection, uint64_t request_id,
+                      std::unique_ptr<SpanWriter> payload,
+                      std::shared_ptr<const void> pin);
   /// Retires every session this connection opened (close-on-disconnect).
   void CloseConnectionSessions(ClientConn* connection);
-  /// Folds one received frame into the traffic counters.
-  void AccountFrameIn(ClientConn* connection, size_t payload_bytes);
-  /// Folds one delivered reply into the traffic counters and the
-  /// reply_write histogram (wire time in thread mode, enqueue cost in
-  /// event mode).
-  void AccountReplyOut(ClientConn* connection, size_t payload_bytes,
-                       int64_t write_start);
+  /// Folds one queued reply into the traffic counters and the
+  /// reply_write histogram (enqueue cost; the loop flushes later).
+  void AccountReplyOut(size_t payload_bytes, int64_t enqueue_start);
 
   const ServerOptions options_;
-  const WorkflowResolver resolver_;
+  const core::WorkflowResolver resolver_;
   std::unique_ptr<TcpListener> listener_;
   std::unique_ptr<service::SessionService> service_;
-  std::unique_ptr<EventLoop> event_loop_;  // event mode only
-  std::thread accept_thread_;              // thread mode only
+  std::unique_ptr<EventLoop> event_loop_;
 
   // Request-phase histograms and traffic counters, registered in the
   // service's metrics registry at Start. The registry outlives Stop()'s
   // service teardown window only as part of the service, so handlers only
   // touch these while holding a live ClientConn dispatched before drain.
-  obs::Histogram* decode_micros_ = nullptr;      // frame read/parse
+  obs::Histogram* decode_micros_ = nullptr;      // frame parse
   obs::Histogram* queue_micros_ = nullptr;       // dispatch -> handler start
   obs::Histogram* execute_micros_ = nullptr;     // handler body
-  obs::Histogram* reply_write_micros_ = nullptr; // write (or enqueue)
+  obs::Histogram* reply_write_micros_ = nullptr; // reply enqueue
   obs::Counter* frames_in_total_ = nullptr;
   obs::Counter* bytes_in_total_ = nullptr;
   obs::Counter* frames_out_total_ = nullptr;
@@ -250,13 +202,8 @@ class HelixServer {
   obs::Counter* reply_drops_ = nullptr;
   obs::Counter* reply_timeouts_ = nullptr;
 
-  std::mutex conns_mu_;  // thread mode connection registry
-  std::vector<std::shared_ptr<ThreadConn>> conns_;
-  std::atomic<int64_t> thread_mode_connections_{0};
-
   // Outstanding handler tasks on the shared pool; Stop drains to zero
-  // before destroying the service. Doubles as the thread-mode global
-  // in-flight gauge for shedding.
+  // before destroying the service.
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
   int64_t outstanding_ = 0;

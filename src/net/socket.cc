@@ -2,17 +2,14 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
-#include <limits.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <vector>
 
 #include "common/strings.h"
 
@@ -60,47 +57,10 @@ Status TcpConnection::WriteAll(const void* data, size_t len) {
       if (errno == EINTR) {
         continue;
       }
-      last_errno_ = errno;
       return Errno("send");
     }
     p += n;
     len -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status TcpConnection::WritevAll(const struct iovec* iov, size_t iovcnt) {
-  // Mutable copy: partial writes advance iov_base/iov_len in place.
-  std::vector<struct iovec> vec(iov, iov + iovcnt);
-  size_t idx = 0;
-  while (idx < vec.size()) {
-    if (vec[idx].iov_len == 0) {
-      ++idx;
-      continue;
-    }
-    msghdr msg;
-    std::memset(&msg, 0, sizeof(msg));
-    msg.msg_iov = &vec[idx];
-    msg.msg_iovlen = std::min<size_t>(vec.size() - idx,
-                                      static_cast<size_t>(IOV_MAX));
-    // sendmsg rather than writev for MSG_NOSIGNAL, same as WriteAll.
-    ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      last_errno_ = errno;
-      return Errno("sendmsg");
-    }
-    size_t wrote = static_cast<size_t>(n);
-    while (idx < vec.size() && wrote >= vec[idx].iov_len) {
-      wrote -= vec[idx].iov_len;
-      ++idx;
-    }
-    if (idx < vec.size() && wrote > 0) {
-      vec[idx].iov_base = static_cast<char*>(vec[idx].iov_base) + wrote;
-      vec[idx].iov_len -= wrote;
-    }
   }
   return Status::OK();
 }
@@ -114,7 +74,6 @@ Result<bool> TcpConnection::ReadAllOrEof(void* data, size_t len) {
       if (errno == EINTR) {
         continue;
       }
-      last_errno_ = errno;
       return Errno("recv");
     }
     if (n == 0) {
@@ -129,13 +88,6 @@ Result<bool> TcpConnection::ReadAllOrEof(void* data, size_t len) {
 }
 
 void TcpConnection::ShutdownBoth() { (void)::shutdown(fd_, SHUT_RDWR); }
-
-void TcpConnection::SetSendTimeout(int seconds) {
-  timeval tv;
-  tv.tv_sec = seconds;
-  tv.tv_usec = 0;
-  (void)setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
 
 TcpListener::~TcpListener() {
   Close();

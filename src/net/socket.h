@@ -9,8 +9,6 @@
 #ifndef HELIX_NET_SOCKET_H_
 #define HELIX_NET_SOCKET_H_
 
-#include <sys/uio.h>
-
 #include <atomic>
 #include <memory>
 #include <string>
@@ -24,8 +22,8 @@ namespace net {
 /// One connected TCP stream. Thread safety: WriteAll and ReadAll may run
 /// concurrently with each other (full duplex) and with ShutdownBoth, but
 /// each direction must be driven by at most one thread at a time — callers
-/// needing concurrent writers serialize externally (the server holds a
-/// per-connection write mutex). Ownership: closes the fd on destruction.
+/// needing concurrent writers serialize externally (the client holds a
+/// write mutex). Ownership: closes the fd on destruction.
 class TcpConnection {
  public:
   explicit TcpConnection(int fd) : fd_(fd) {}
@@ -37,12 +35,6 @@ class TcpConnection {
   /// Writes exactly `len` bytes; IOError if the peer went away.
   Status WriteAll(const void* data, size_t len);
 
-  /// Gathered write: sends every byte of `iov[0..iovcnt)` in order
-  /// without concatenating them first (the zero-copy reply path).
-  /// Handles partial writes and IOV_MAX batching; same error contract as
-  /// WriteAll. The iovec array is not modified.
-  Status WritevAll(const struct iovec* iov, size_t iovcnt);
-
   /// Reads exactly `len` bytes. Returns true on success, false on a clean
   /// end-of-stream *before the first byte* (orderly peer close between
   /// messages); IOError on mid-buffer EOF or a socket error.
@@ -53,25 +45,10 @@ class TcpConnection {
   /// to call from any thread, repeatedly.
   void ShutdownBoth();
 
-  /// Bounds how long WriteAll may block on a full send buffer; afterwards
-  /// a stalled write fails with IOError instead of blocking forever. A
-  /// server sets this on accepted connections so a client that stops
-  /// reading cannot pin a worker thread.
-  void SetSendTimeout(int seconds);
-
   int fd() const { return fd_; }
-
-  /// The errno of this connection's most recent failed I/O call (0 if none
-  /// has failed). Lets a caller classify *why* a write died — EPIPE /
-  /// ECONNRESET is a peer that went away, EAGAIN / EWOULDBLOCK out of a
-  /// blocking call is the send-timeout slow-reader defense firing — which
-  /// the Status message alone does not carry reliably. Meaningful only on
-  /// the thread driving that direction (same discipline as the I/O calls).
-  int last_errno() const { return last_errno_; }
 
  private:
   int fd_;
-  int last_errno_ = 0;
 };
 
 /// A listening TCP socket.

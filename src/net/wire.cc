@@ -55,12 +55,12 @@ Result<std::string> DecodeOpenSessionRequest(std::string_view payload) {
 }
 
 std::string EncodeRunIterationRequest(uint64_t session_id,
-                                      const WorkflowSpec& spec,
+                                      const core::WorkflowSpec& spec,
                                       const std::string& description,
                                       core::ChangeCategory category) {
   ByteWriter out;
   out.PutU64(session_id);
-  EncodeWorkflowSpec(spec, &out);
+  core::EncodeWorkflowSpec(spec, &out);
   out.PutString(description);
   out.PutU8(static_cast<uint8_t>(category));
   return std::move(out.TakeData());
@@ -71,7 +71,7 @@ Result<RunIterationRequest> DecodeRunIterationRequest(
   ByteReader in(payload);
   RunIterationRequest request;
   HELIX_ASSIGN_OR_RETURN(request.session_id, in.GetU64());
-  HELIX_ASSIGN_OR_RETURN(request.spec, DecodeWorkflowSpec(&in));
+  HELIX_ASSIGN_OR_RETURN(request.spec, core::DecodeWorkflowSpec(&in));
   HELIX_ASSIGN_OR_RETURN(request.description, in.GetString());
   HELIX_ASSIGN_OR_RETURN(uint8_t category, in.GetU8());
   if (category > static_cast<uint8_t>(core::ChangeCategory::kEvaluation)) {
@@ -193,16 +193,6 @@ std::string EncodeTextReply(const std::string& text) {
   ByteWriter out;
   EncodeStatus(Status::OK(), &out);
   out.PutString(text);
-  return std::move(out.TakeData());
-}
-
-std::string EncodeFetchOutputReply(const dataflow::DataCollection& data) {
-  ByteWriter out;
-  EncodeStatus(Status::OK(), &out);
-  // The envelope rides unprefixed: the frame already bounds the payload,
-  // and the envelope's own checksum bounds the body.
-  std::string envelope = data.SerializeToString();
-  out.PutRaw(envelope.data(), envelope.size());
   return std::move(out.TakeData());
 }
 

@@ -59,14 +59,6 @@ enum class Opcode : uint8_t {
   kReply = 0x80,
 };
 
-/// The spec and resolver live in core/workflow_spec.h (the workload layer
-/// records and replays specs without touching sockets); re-exported here
-/// so wire-level code keeps reading naturally.
-using WorkflowSpec = core::WorkflowSpec;
-using WorkflowResolver = core::WorkflowResolver;
-using core::DecodeWorkflowSpec;
-using core::EncodeWorkflowSpec;
-
 /// One workflow output as seen across the wire: name, content
 /// fingerprint, and the executor signature keying the server-side store
 /// entry — enough for the client to verify determinism and, when it
@@ -108,12 +100,12 @@ std::string EncodeOpenSessionRequest(const std::string& name);
 Result<std::string> DecodeOpenSessionRequest(std::string_view payload);
 
 std::string EncodeRunIterationRequest(uint64_t session_id,
-                                      const WorkflowSpec& spec,
+                                      const core::WorkflowSpec& spec,
                                       const std::string& description,
                                       core::ChangeCategory category);
 struct RunIterationRequest {
   uint64_t session_id = 0;
-  WorkflowSpec spec;
+  core::WorkflowSpec spec;
   std::string description;
   core::ChangeCategory category = core::ChangeCategory::kInitial;
 };
@@ -144,13 +136,9 @@ std::string EncodeCountersReply(const service::SessionCounters& counters);
 std::string EncodeEmptyReply();
 /// OK status + one opaque text blob (GetMetrics / GetTrace JSON).
 std::string EncodeTextReply(const std::string& text);
-/// OK status + a whole DataCollection envelope (flattening copy path —
-/// the zero-copy server path emits the same bytes through
-/// EncodeFetchOutputReplyToSpans instead).
-std::string EncodeFetchOutputReply(const dataflow::DataCollection& data);
-/// Span-list form of EncodeFetchOutputReply: status into the scratch
-/// writer, then the envelope borrowing column bodies from `data`, which
-/// must outlive the spans.
+/// OK status + a whole DataCollection envelope, as a span list: status
+/// into the scratch writer, then the envelope borrowing column bodies
+/// from `data`, which must outlive the spans.
 void EncodeFetchOutputReplyToSpans(const dataflow::DataCollection& data,
                                    SpanWriter* s);
 

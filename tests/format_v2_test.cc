@@ -484,7 +484,8 @@ TEST(FormatV2Test, DictionaryEnvelopeCorruptionCaughtByChecksum) {
 TEST(FormatV2Test, SerializeToSpansIsByteIdenticalToString) {
   // Both a dict-heavy table and a plain mixed-type table: the span path
   // must flatten to the exact SerializeToString bytes (same envelope,
-  // same checksum) — WriteFrameSpans relies on this identity.
+  // same checksum) — the zero-copy FetchOutput reply relies on this
+  // identity.
   std::vector<DataCollection> cases;
   cases.push_back(DataCollection::FromTable(MakeDictTable()));
   auto plain = std::make_shared<TableData>(Schema({

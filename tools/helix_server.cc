@@ -9,10 +9,9 @@
 // Usage:
 //   helix_server [--host=127.0.0.1] [--port=0] [--workspace=DIR]
 //                [--threads=0] [--budget-mb=1024] [--record=FILE]
-//                [--event-loop=1] [--io-threads=2]
+//                [--io-threads=2]
 //
-// --event-loop=0 selects the legacy thread-per-connection transport;
-// the default epoll event loop serves any number of connections from
+// The epoll event loop serves any number of connections from
 // --io-threads I/O threads plus the service pool.
 //
 // Port 0 binds an ephemeral port; the chosen one is printed on the
@@ -49,7 +48,6 @@ struct ServerConfig {
   int threads = 0;
   int64_t budget_mb = 1024;
   std::string record_out;  // empty = no trace recording
-  bool event_loop = true;
   int io_threads = 2;
 };
 
@@ -57,7 +55,6 @@ int Run(const ServerConfig& config) {
   net::ServerOptions options;
   options.host = config.host;
   options.port = config.port;
-  options.event_loop = config.event_loop;
   options.io_threads = config.io_threads;
   options.service.workspace_dir = config.workspace;
   options.service.storage_budget_bytes = config.budget_mb << 20;
@@ -87,7 +84,6 @@ int Run(const ServerConfig& config) {
       .KV("host", config.host)
       .KV("port", static_cast<int64_t>((*server)->port()))
       .KV("workspace", config.workspace)
-      .KV("transport", config.event_loop ? "event_loop" : "threaded")
       .KV("isa", dataflow::simd::ActiveIsaName())
       .EndObject();
   bench::PrintJsonLine(json);
@@ -125,8 +121,6 @@ int main(int argc, char** argv) {
       config.threads = static_cast<int>(v);
     } else if ((v = helix::bench::FlagValue(arg, "--budget-mb")) >= 0) {
       config.budget_mb = v;
-    } else if ((v = helix::bench::FlagValue(arg, "--event-loop")) >= 0) {
-      config.event_loop = v != 0;
     } else if ((v = helix::bench::FlagValue(arg, "--io-threads")) >= 0) {
       config.io_threads = static_cast<int>(v);
     } else if (std::strncmp(arg, "--host=", 7) == 0) {
