@@ -1,7 +1,10 @@
 #include "dataflow/data_collection.h"
 
+#include <vector>
+
 #include "common/hash.h"
 #include "common/strings.h"
+#include "dataflow/simd.h"
 
 namespace helix {
 namespace dataflow {
@@ -10,15 +13,103 @@ namespace {
 // "HLXD" little-endian.
 constexpr uint32_t kMagic = 0x44584C48;
 // Envelope format history:
-//   v1 — tables serialized row-major as tagged cells;
+//   v1 — tables serialized row-major as tagged cells; FNV-64 trailer;
 //   v2 — tables serialized column-contiguous (type tag + validity +
-//        packed body per column); all other payload kinds unchanged.
+//        packed body per column); all other payload kinds unchanged;
+//   v3 — 4-byte CRC32C trailer instead of the 8-byte FNV-64 one, and
+//        examples serialized as one block per CSR array; no bytes may
+//        follow the payload.
 // Writers always emit kFormatVersion; readers accept every version in
 // [kMinSupportedVersion, kFormatVersion] so stores written by older
 // builds keep loading. Bump kFormatVersion only with a reader for every
 // still-supported older version.
-constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kFormatVersion = 3;
 constexpr uint32_t kMinSupportedVersion = 1;
+constexpr size_t kHeaderBytes = 4 + 4 + 1;  // magic, version, kind
+
+size_t TrailerBytes(uint32_t version) { return version >= 3 ? 4 : 8; }
+
+// The one decode body behind both public entry points. The trailer must
+// be present either way; `verify_trailer` says whether to hash the bytes
+// against it, or whether a container checksum already covered them.
+Result<DataCollection> Decode(std::string_view data, bool verify_trailer) {
+  ByteReader header(data);
+  HELIX_ASSIGN_OR_RETURN(uint32_t magic, header.GetU32());
+  if (magic != kMagic) {
+    return Status::Corruption("bad magic in data collection envelope");
+  }
+  HELIX_ASSIGN_OR_RETURN(uint32_t version, header.GetU32());
+  if (version < kMinSupportedVersion || version > kFormatVersion) {
+    return Status::Corruption(
+        StrFormat("unsupported format version %u", version));
+  }
+  size_t trailer = TrailerBytes(version);
+  if (data.size() < kHeaderBytes + trailer) {
+    return Status::Corruption("data collection buffer too short");
+  }
+  std::string_view body = data.substr(0, data.size() - trailer);
+  if (verify_trailer) {
+    ByteReader trailer_reader(data.substr(body.size()));
+    if (version >= 3) {
+      uint32_t stored = trailer_reader.GetU32().value();
+      uint32_t actual = simd::Crc32c(body.data(), body.size());
+      if (stored != actual) {
+        return Status::Corruption(
+            StrFormat("checksum mismatch: stored %08x != actual %08x",
+                      stored, actual));
+      }
+    } else {
+      uint64_t stored = trailer_reader.GetU64().value();
+      uint64_t actual = FnvHash64(body.data(), body.size());
+      if (stored != actual) {
+        return Status::Corruption(StrFormat(
+            "checksum mismatch: stored %016llx != actual %016llx",
+            static_cast<unsigned long long>(stored),
+            static_cast<unsigned long long>(actual)));
+      }
+    }
+  }
+
+  ByteReader r(body.substr(header.pos()));
+  HELIX_ASSIGN_OR_RETURN(uint8_t kind_tag, r.GetU8());
+  DataCollection out;
+  switch (static_cast<PayloadKind>(kind_tag)) {
+    case PayloadKind::kTable: {
+      // v1 tables are row-major; v2 and v3 share the columnar body.
+      HELIX_ASSIGN_OR_RETURN(auto t, TableData::Deserialize(&r, version));
+      out = DataCollection::FromTable(std::move(t));
+      break;
+    }
+    case PayloadKind::kText: {
+      HELIX_ASSIGN_OR_RETURN(auto t, TextData::Deserialize(&r));
+      out = DataCollection::FromText(std::move(t));
+      break;
+    }
+    case PayloadKind::kExamples: {
+      HELIX_ASSIGN_OR_RETURN(auto e, ExamplesData::Deserialize(&r, version));
+      out = DataCollection::FromExamples(std::move(e));
+      break;
+    }
+    case PayloadKind::kModel: {
+      HELIX_ASSIGN_OR_RETURN(auto m, ModelData::Deserialize(&r));
+      out = DataCollection::FromModel(std::move(m));
+      break;
+    }
+    case PayloadKind::kMetrics: {
+      HELIX_ASSIGN_OR_RETURN(auto m, MetricsData::Deserialize(&r));
+      out = DataCollection::FromMetrics(std::move(m));
+      break;
+    }
+    default:
+      return Status::Corruption(
+          StrFormat("bad payload kind tag %u", kind_tag));
+  }
+  if (version >= 3 && !r.AtEnd()) {
+    return Status::Corruption("trailing bytes after the envelope payload");
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<const TableData*> DataCollection::AsTable() const {
@@ -68,8 +159,7 @@ std::string DataCollection::SerializeToString() const {
   w.PutU32(kFormatVersion);
   w.PutU8(static_cast<uint8_t>(kind()));
   payload_->Serialize(&w);
-  uint64_t checksum = FnvHash64(w.data().data(), w.data().size());
-  w.PutU64(checksum);
+  w.PutU32(simd::Crc32c(w.data().data(), w.data().size()));
   return std::move(w).TakeData();
 }
 
@@ -80,75 +170,30 @@ void DataCollection::SerializeToSpans(SpanWriter* s) const {
   w->PutU32(kFormatVersion);
   w->PutU8(static_cast<uint8_t>(kind()));
   payload_->SerializeToSpans(s);
-  // Stream the checksum over the emitted spans — the same digest hashing
-  // the flattened buffer would produce. Bytes the caller wrote before the
+  // Checksum the emitted spans as one stream — the same CRC hashing the
+  // flattened buffer would produce. Bytes the caller wrote before the
   // envelope (e.g. a reply status prefix) are skipped.
-  uint64_t checksum = kFnvOffsetBasis;
+  std::vector<ByteSpan> covered;
   size_t skip = start;
   for (const ByteSpan& span : s->spans()) {
     if (skip >= span.len) {
       skip -= span.len;
       continue;
     }
-    checksum = FnvHash64(span.data + skip, span.len - skip, checksum);
+    covered.push_back(ByteSpan{span.data + skip, span.len - skip});
     skip = 0;
   }
-  s->writer()->PutU64(checksum);
+  s->writer()->PutU32(simd::Crc32c(covered.data(), covered.size()));
 }
 
 Result<DataCollection> DataCollection::DeserializeFromString(
     std::string_view data) {
-  // Envelope: 4 (magic) + 4 (version) + 1 (kind) + body + 8 (checksum).
-  if (data.size() < 4 + 4 + 1 + 8) {
-    return Status::Corruption("data collection buffer too short");
-  }
-  std::string_view body = data.substr(0, data.size() - 8);
-  ByteReader checksum_reader(data.substr(data.size() - 8));
-  HELIX_ASSIGN_OR_RETURN(uint64_t stored_checksum, checksum_reader.GetU64());
-  uint64_t actual_checksum = FnvHash64(body.data(), body.size());
-  if (stored_checksum != actual_checksum) {
-    return Status::Corruption(
-        StrFormat("checksum mismatch: stored %016llx != actual %016llx",
-                  static_cast<unsigned long long>(stored_checksum),
-                  static_cast<unsigned long long>(actual_checksum)));
-  }
+  return Decode(data, /*verify_trailer=*/true);
+}
 
-  ByteReader r(body);
-  HELIX_ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
-  if (magic != kMagic) {
-    return Status::Corruption("bad magic in data collection envelope");
-  }
-  HELIX_ASSIGN_OR_RETURN(uint32_t version, r.GetU32());
-  if (version < kMinSupportedVersion || version > kFormatVersion) {
-    return Status::Corruption(
-        StrFormat("unsupported format version %u", version));
-  }
-  HELIX_ASSIGN_OR_RETURN(uint8_t kind_tag, r.GetU8());
-
-  switch (static_cast<PayloadKind>(kind_tag)) {
-    case PayloadKind::kTable: {
-      // The only payload whose body changed between v1 and v2.
-      HELIX_ASSIGN_OR_RETURN(auto t, TableData::Deserialize(&r, version));
-      return DataCollection::FromTable(std::move(t));
-    }
-    case PayloadKind::kText: {
-      HELIX_ASSIGN_OR_RETURN(auto t, TextData::Deserialize(&r));
-      return DataCollection::FromText(std::move(t));
-    }
-    case PayloadKind::kExamples: {
-      HELIX_ASSIGN_OR_RETURN(auto e, ExamplesData::Deserialize(&r));
-      return DataCollection::FromExamples(std::move(e));
-    }
-    case PayloadKind::kModel: {
-      HELIX_ASSIGN_OR_RETURN(auto m, ModelData::Deserialize(&r));
-      return DataCollection::FromModel(std::move(m));
-    }
-    case PayloadKind::kMetrics: {
-      HELIX_ASSIGN_OR_RETURN(auto m, MetricsData::Deserialize(&r));
-      return DataCollection::FromMetrics(std::move(m));
-    }
-  }
-  return Status::Corruption(StrFormat("bad payload kind tag %u", kind_tag));
+Result<DataCollection> DataCollection::DeserializeVerified(
+    std::string_view data) {
+  return Decode(data, /*verify_trailer=*/false);
 }
 
 }  // namespace dataflow

@@ -2,9 +2,12 @@
 //
 // In the paper every DAG node is an intermediate result; here that result is
 // a DataCollection — a cheap, shareable handle to an immutable payload. The
-// serialization envelope (magic, version, kind tag, body, trailing checksum)
-// is what the materialization store writes to disk; deserialization verifies
-// the checksum so a corrupt store entry degrades to recomputation.
+// serialization envelope (magic, version, kind tag, body, trailing CRC32C)
+// is what the materialization store writes to disk and FetchOutput sends;
+// a standalone envelope is verified against its checksum so a corrupt one
+// degrades to recomputation. Inside a container that checksums its own
+// bytes (a disk segment record, a wire frame) the envelope's trailer is
+// not hashed a second time: one checksum per byte per container.
 #ifndef HELIX_DATAFLOW_DATA_COLLECTION_H_
 #define HELIX_DATAFLOW_DATA_COLLECTION_H_
 
@@ -71,11 +74,10 @@ class DataCollection {
   Result<const ModelData*> AsModel() const;
   Result<const MetricsData*> AsMetrics() const;
 
-  /// Serializes with envelope (magic, format version, kind, body, FNV-64
-  /// checksum of everything before the checksum). Always writes the
-  /// current format version (v2: column-contiguous tables); the buffer is
-  /// size-estimated and reserved up front so the materialization path
-  /// serializes in one allocation.
+  /// Serializes with envelope (magic, format version, kind, body, CRC32C
+  /// of everything before the checksum). Always writes the current format
+  /// version (v3); the buffer is size-estimated and reserved up front so
+  /// the materialization path serializes in one allocation.
   std::string SerializeToString() const;
 
   /// Zero-copy variant of SerializeToString: appends the identical
@@ -89,10 +91,19 @@ class DataCollection {
   void SerializeToSpans(SpanWriter* s) const;
 
   /// Parses and checksum-verifies an envelope produced by
-  /// SerializeToString — this version's (v2) or any still-supported older
-  /// one (v1 row-major tables), so stores persisted by previous builds
-  /// keep loading. Corruption on any mismatch.
+  /// SerializeToString — this version's (v3) or any still-supported older
+  /// one (v1 row-major tables, v2 per-row examples, both with FNV-64
+  /// trailers), so stores persisted by previous builds keep loading.
+  /// Corruption on any mismatch.
   static Result<DataCollection> DeserializeFromString(std::string_view data);
+
+  /// Same parse, for bytes a container checksum already verified (a
+  /// storage backend record, a wire frame) or that never left the
+  /// process: the trailer must be present but is not hashed again. Every
+  /// structural check still runs, so damaged bytes fail closed as
+  /// Corruption (or decode to some other well-formed payload) — never a
+  /// crash or an allocation the buffer cannot back.
+  static Result<DataCollection> DeserializeVerified(std::string_view data);
 
  private:
   std::shared_ptr<const DataPayload> payload_;

@@ -7,10 +7,15 @@ namespace helix {
 namespace dataflow {
 
 namespace {
-// Wire form of one example: u64 entry count, then per entry an i64 index
-// and a double value, then the double label, i64 id and bool split flag.
+// Envelope v1/v2 form of one example: u64 entry count, then per entry an
+// i64 index and a double value, then the double label, i64 id and bool
+// split flag.
 constexpr size_t kMinExampleBytes = 8 + 8 + 8 + 1;
 constexpr size_t kEntryBytes = 8 + 8;
+// Envelope v3 (block) form: per row an i64 offset, a double label, an
+// i64 id and a u8 split flag; per entry an i32 index and a double value.
+constexpr size_t kBlockRowBytes = 8 + 8 + 8 + 1;
+constexpr size_t kBlockEntryBytes = 4 + 8;
 }  // namespace
 
 void ExamplesData::AddRow(const SparseRow& features, double label,
@@ -60,19 +65,36 @@ uint64_t ExamplesData::Fingerprint() const {
 }
 
 void ExamplesData::Serialize(ByteWriter* w) const {
+  // One block per CSR array (envelope v3): n, offsets[n + 1], indices and
+  // values [nnz], then labels, ids and split flags [n].
+  size_t n = labels_.size();
+  size_t nnz = indices_.size();
   dict_->Serialize(w);
-  w->PutU64(static_cast<uint64_t>(num_examples()));
-  for (int64_t i = 0; i < num_examples(); ++i) {
-    SparseRow row = features(i);
-    w->PutU64(static_cast<uint64_t>(row.num_entries()));
-    for (int32_t k = 0; k < row.num_entries(); ++k) {
-      w->PutI64(row.index(k));
-      w->PutDouble(row.value(k));
-    }
-    w->PutDouble(label(i));
-    w->PutI64(id(i));
-    w->PutBool(is_test(i));
-  }
+  w->PutU64(n);
+  w->PutU64Array(reinterpret_cast<const uint64_t*>(offsets_.data()), n + 1);
+  w->PutU32Array(reinterpret_cast<const uint32_t*>(indices_.data()), nnz);
+  w->PutU64Array(reinterpret_cast<const uint64_t*>(values_.data()), nnz);
+  w->PutU64Array(reinterpret_cast<const uint64_t*>(labels_.data()), n);
+  w->PutU64Array(reinterpret_cast<const uint64_t*>(ids_.data()), n);
+  w->PutRaw(is_test_.data(), n);
+}
+
+void ExamplesData::SerializeToSpans(SpanWriter* s) const {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  // The blocks are the in-memory arrays byte for byte: borrow them.
+  size_t n = labels_.size();
+  size_t nnz = indices_.size();
+  dict_->Serialize(s->writer());
+  s->writer()->PutU64(n);
+  s->Borrow(offsets_.data(), (n + 1) * sizeof(int64_t));
+  s->Borrow(indices_.data(), nnz * sizeof(int32_t));
+  s->Borrow(values_.data(), nnz * sizeof(double));
+  s->Borrow(labels_.data(), n * sizeof(double));
+  s->Borrow(ids_.data(), n * sizeof(int64_t));
+  s->Borrow(is_test_.data(), n);
+#else
+  Serialize(s->writer());
+#endif
 }
 
 std::string ExamplesData::DebugString() const {
@@ -81,19 +103,28 @@ std::string ExamplesData::DebugString() const {
 }
 
 Result<std::shared_ptr<ExamplesData>> ExamplesData::Deserialize(
-    ByteReader* r) {
+    ByteReader* r, uint32_t format_version) {
   HELIX_ASSIGN_OR_RETURN(FeatureDict dict, FeatureDict::Deserialize(r));
   auto data =
       std::make_shared<ExamplesData>(std::make_shared<FeatureDict>(dict));
+  if (format_version <= 2) {
+    HELIX_RETURN_IF_ERROR(data->DeserializeRows(r));
+  } else {
+    HELIX_RETURN_IF_ERROR(data->DeserializeBlocks(r));
+  }
+  return data;
+}
+
+Status ExamplesData::DeserializeRows(ByteReader* r) {
   HELIX_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
   // A count the remaining bytes cannot hold is corrupt; rejecting it here
   // bounds every reservation below by the buffer actually present.
   if (n > r->remaining() / kMinExampleBytes) {
     return Status::Corruption("example count exceeds payload");
   }
-  data->Reserve(static_cast<int64_t>(n),
-                static_cast<int64_t>((r->remaining() - n * kMinExampleBytes) /
-                                     kEntryBytes));
+  Reserve(static_cast<int64_t>(n),
+          static_cast<int64_t>((r->remaining() - n * kMinExampleBytes) /
+                               kEntryBytes));
   for (uint64_t i = 0; i < n; ++i) {
     HELIX_ASSIGN_OR_RETURN(uint64_t entries, r->GetU64());
     if (entries > (1ULL << 30) || entries > r->remaining() / kEntryBytes) {
@@ -107,15 +138,76 @@ Result<std::shared_ptr<ExamplesData>> ExamplesData::Deserialize(
         return Status::Corruption("sparse vector indices not increasing");
       }
       prev = idx;
-      data->indices_.push_back(static_cast<int32_t>(idx));
-      data->values_.push_back(val);
+      indices_.push_back(static_cast<int32_t>(idx));
+      values_.push_back(val);
     }
     HELIX_ASSIGN_OR_RETURN(double label, r->GetDouble());
     HELIX_ASSIGN_OR_RETURN(int64_t id, r->GetI64());
     HELIX_ASSIGN_OR_RETURN(bool is_test, r->GetBool());
-    data->EndRow(label, id, is_test);
+    EndRow(label, id, is_test);
   }
-  return data;
+  return Status::OK();
+}
+
+Status ExamplesData::DeserializeBlocks(ByteReader* r) {
+  // Every size is bounded by the bytes actually present before anything
+  // is allocated, and the CSR invariants the learners index by are
+  // checked before the arrays are trusted.
+  HELIX_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
+  if (r->remaining() < sizeof(int64_t) ||
+      n > (r->remaining() - sizeof(int64_t)) / kBlockRowBytes) {
+    return Status::Corruption("example count exceeds payload");
+  }
+  offsets_.resize(n + 1);
+  HELIX_RETURN_IF_ERROR(
+      r->GetU64Array(reinterpret_cast<uint64_t*>(offsets_.data()), n + 1));
+  if (offsets_[0] != 0) {
+    return Status::Corruption("example offsets do not start at 0");
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    if (offsets_[i + 1] < offsets_[i]) {
+      return Status::Corruption("example offsets decrease");
+    }
+  }
+  // After the offsets at least 17 bytes per row remain (the count check
+  // above), so the subtraction cannot wrap.
+  uint64_t nnz = static_cast<uint64_t>(offsets_[n]);
+  if (nnz > (r->remaining() - n * (kBlockRowBytes - 8)) / kBlockEntryBytes) {
+    return Status::Corruption("example entry count exceeds payload");
+  }
+  indices_.resize(nnz);
+  HELIX_RETURN_IF_ERROR(
+      r->GetU32Array(reinterpret_cast<uint32_t*>(indices_.data()), nnz));
+  for (uint64_t i = 0; i < n; ++i) {
+    int64_t b = offsets_[i];
+    int64_t e = offsets_[i + 1];
+    if (b < e && indices_[static_cast<size_t>(b)] < 0) {
+      return Status::Corruption("negative sparse vector index");
+    }
+    for (int64_t k = b + 1; k < e; ++k) {
+      if (indices_[static_cast<size_t>(k)] <=
+          indices_[static_cast<size_t>(k - 1)]) {
+        return Status::Corruption("sparse vector indices not increasing");
+      }
+    }
+  }
+  values_.resize(nnz);
+  HELIX_RETURN_IF_ERROR(
+      r->GetU64Array(reinterpret_cast<uint64_t*>(values_.data()), nnz));
+  labels_.resize(n);
+  HELIX_RETURN_IF_ERROR(
+      r->GetU64Array(reinterpret_cast<uint64_t*>(labels_.data()), n));
+  ids_.resize(n);
+  HELIX_RETURN_IF_ERROR(
+      r->GetU64Array(reinterpret_cast<uint64_t*>(ids_.data()), n));
+  HELIX_ASSIGN_OR_RETURN(std::string_view flags, r->GetRawView(n));
+  is_test_.assign(flags.begin(), flags.end());
+  for (uint8_t flag : is_test_) {
+    if (flag > 1) {
+      return Status::Corruption("example split flag out of range");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace dataflow

@@ -4,10 +4,11 @@
 // Rows are stored as CSR (compressed sparse row): one offsets array and
 // contiguous index/value arrays, with labels, ids and the split flag as
 // parallel arrays. Learners walk the raw arrays; everything else reads a
-// row through a borrowed SparseRow view. The layout is in-memory only:
-// Fingerprint, Serialize and SizeBytes are defined per row exactly as
-// they were for the one-heap-vector-per-row representation, so stored
-// envelopes and planner inputs do not depend on it.
+// row through a borrowed SparseRow view. Fingerprint and SizeBytes are
+// defined per row exactly as they were for the one-heap-vector-per-row
+// representation, so fingerprints and planner inputs do not depend on
+// the layout. Serialize writes the arrays as blocks (envelope v3); the
+// per-row form of envelopes v1/v2 still reads.
 #ifndef HELIX_DATAFLOW_EXAMPLES_H_
 #define HELIX_DATAFLOW_EXAMPLES_H_
 
@@ -77,11 +78,19 @@ class ExamplesData final : public DataPayload {
   int64_t SizeBytes() const override;
   uint64_t Fingerprint() const override;
   void Serialize(ByteWriter* w) const override;
+  /// Same bytes as Serialize; the CSR blocks are borrowed, not copied.
+  void SerializeToSpans(SpanWriter* s) const override;
   std::string DebugString() const override;
 
-  static Result<std::shared_ptr<ExamplesData>> Deserialize(ByteReader* r);
+  /// Parses a body written in the given envelope format version (1 and 2
+  /// = one tagged record per row, 3 = one block per array).
+  static Result<std::shared_ptr<ExamplesData>> Deserialize(
+      ByteReader* r, uint32_t format_version);
 
  private:
+  Status DeserializeRows(ByteReader* r);
+  Status DeserializeBlocks(ByteReader* r);
+
   /// Closes the row whose entries were appended since the last row.
   void EndRow(double label, int64_t id, bool is_test);
 

@@ -2,8 +2,9 @@
 //
 // Every hot per-element loop in the columnar engine — selection-vector
 // builds, gathers, validity-bitmap algebra, code expansion, feature
-// standardization — and the learner's weight scaling funnel through the
-// free functions in this header.
+// standardization — the learner's weight scaling, and the CRC32C that
+// guards every stored and transmitted byte funnel through the free
+// functions in this header.
 // Each function dispatches once (the ISA is probed a single time per
 // process) to one of three implementations:
 //
@@ -14,6 +15,10 @@
 //   * a portable scalar loop everywhere else, and always under
 //     -DHELIX_FORCE_SCALAR=ON (the CI lane that keeps the fallback
 //     honest).
+//
+// The CRC32C checksum is probed separately: it runs the SSE4.2 `crc32`
+// instruction on x86-64 when the CPU reports it, independently of the
+// vector ISA, and the scalar table-driven loop everywhere else.
 //
 // Two rules keep vectorization invisible to the rest of the system:
 //
@@ -39,6 +44,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/spans.h"
+
 namespace helix {
 namespace obs {
 class MetricsRegistry;
@@ -47,12 +54,16 @@ class MetricsRegistry;
 namespace dataflow {
 namespace simd {
 
-enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+/// kSse42 names the CRC instruction set (Crc32c only).
+enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2, kSse42 = 3 };
 
-/// The ISA the dispatcher selected for this process (probed once).
+/// The vector ISA the dispatcher selected for this process (probed once).
 /// Individual kernels without a vector implementation on the active ISA
 /// still run (and are counted as) scalar.
 Isa ActiveIsa();
+/// The ISA Crc32c runs on in this process (probed once): kSse42 or
+/// kScalar.
+Isa Crc32cIsa();
 const char* IsaName(Isa isa);
 inline const char* ActiveIsaName() { return IsaName(ActiveIsa()); }
 
@@ -129,6 +140,21 @@ using ScaleFn = void (*)(double* x, int64_t n, double s);
 /// the per-visit call then pays no dispatch and touches no shared atomic.
 ScaleFn ResolveScale();
 
+// --- checksums --------------------------------------------------------------
+
+/// CRC32C (Castagnoli polynomial, reflected, initial value and final xor
+/// ~0: the iSCSI / RFC 3720 checksum) of `len` bytes at `data`,
+/// continuing from `crc`: 0 starts a checksum, and
+/// Crc32c(b, nb, Crc32c(a, na)) == CRC32C of a followed by b. Every ISA
+/// path is bit-identical to scalar::Crc32c. Records one invocation.
+uint32_t Crc32c(const void* data, size_t len, uint32_t crc = 0);
+
+/// CRC32C of the concatenation of `n` spans, continuing from `crc` — one
+/// checksum over a gathered byte stream (a header plus borrowed bodies),
+/// so it records ONE invocation however many pieces it covers: the
+/// counter counts checksums, not calls into the instruction loop.
+uint32_t Crc32c(const ByteSpan* spans, size_t n, uint32_t crc = 0);
+
 // --- counters ---------------------------------------------------------------
 
 /// Kernel identifiers for the invocation counters. kDictEncode is
@@ -149,6 +175,7 @@ enum class Kernel {
   kSumAndSumSq,
   kDictEncode,
   kScale,
+  kCrc32c,
   kNumKernels,
 };
 
@@ -195,6 +222,7 @@ void Standardize(const double* src, int64_t n, double mean, double stddev,
 void SumAndSumSq(const double* values, int64_t n, double* sum,
                  double* sum_sq);
 void Scale(double* x, int64_t n, double s);
+uint32_t Crc32c(const void* data, size_t len, uint32_t crc = 0);
 
 }  // namespace scalar
 

@@ -1,9 +1,10 @@
 #include "net/frame.h"
 
 #include <utility>
+#include <vector>
 
 #include "common/bytes.h"
-#include "common/hash.h"
+#include "dataflow/simd.h"
 
 namespace helix {
 namespace net {
@@ -42,11 +43,11 @@ Result<Header> DecodeHeader(std::string_view bytes,
   return header;
 }
 
-// Verifies the trailing checksum over everything before it.
+// Verifies the trailing CRC32C over everything before it.
 Status VerifyChecksum(std::string_view covered, std::string_view trailer) {
   ByteReader reader(trailer);
-  HELIX_ASSIGN_OR_RETURN(uint64_t declared, reader.GetU64());
-  if (declared != FnvHash64(covered)) {
+  HELIX_ASSIGN_OR_RETURN(uint32_t declared, reader.GetU32());
+  if (declared != dataflow::simd::Crc32c(covered.data(), covered.size())) {
     return Status::Corruption("frame checksum mismatch");
   }
   return Status::OK();
@@ -64,7 +65,8 @@ std::string EncodeFrame(const Frame& frame) {
   writer.PutU64(frame.request_id);
   writer.PutU32(static_cast<uint32_t>(frame.payload.size()));
   writer.PutRaw(frame.payload.data(), frame.payload.size());
-  writer.PutU64(FnvHash64(writer.data()));
+  writer.PutU32(
+      dataflow::simd::Crc32c(writer.data().data(), writer.data().size()));
   return std::move(writer.TakeData());
 }
 
@@ -160,16 +162,17 @@ Result<Frame> ReadFrame(TcpConnection* conn, uint32_t max_payload_bytes,
       return Status::IOError("connection closed mid-frame");
     }
   }
-  // Hash incrementally (header, then payload in place) instead of
-  // concatenating: a frame near the payload limit must not cost three
+  // One checksum streamed over header then payload in place, instead of
+  // concatenating: a frame near the payload limit must not cost
   // transient copies of itself on the hot request path.
-  uint64_t computed = FnvHash64(header_bytes);
-  computed = FnvHash64(rest.data(), header.payload_len, computed);
-  uint64_t declared = 0;
+  ByteSpan covered[] = {{header_bytes.data(), header_bytes.size()},
+                        {rest.data(), header.payload_len}};
+  uint32_t computed = dataflow::simd::Crc32c(covered, 2);
+  uint32_t declared = 0;
   {
     ByteReader trailer(
         std::string_view(rest).substr(header.payload_len));
-    HELIX_ASSIGN_OR_RETURN(declared, trailer.GetU64());
+    HELIX_ASSIGN_OR_RETURN(declared, trailer.GetU32());
   }
   if (declared != computed) {
     return Status::Corruption("frame checksum mismatch");
@@ -197,14 +200,15 @@ void BuildFrameParts(uint8_t opcode, uint64_t request_id,
   header.PutU8(opcode);
   header.PutU64(request_id);
   header.PutU32(static_cast<uint32_t>(payload->TotalBytes()));
-  // The checksum streams over header + spans — same digest EncodeFrame
+  // The checksum streams over header + spans — same CRC EncodeFrame
   // computes over its contiguous buffer.
-  uint64_t checksum = FnvHash64(header.data());
-  for (const ByteSpan& s : payload->spans()) {
-    checksum = FnvHash64(s.data, s.len, checksum);
-  }
+  std::vector<ByteSpan> covered;
+  covered.reserve(payload->spans().size() + 1);
+  covered.push_back(ByteSpan{header.data().data(), header.size()});
+  covered.insert(covered.end(), payload->spans().begin(),
+                 payload->spans().end());
   ByteWriter trailer;
-  trailer.PutU64(checksum);
+  trailer.PutU32(dataflow::simd::Crc32c(covered.data(), covered.size()));
   *header_out = std::move(header.TakeData());
   *trailer_out = std::move(trailer.TakeData());
 }

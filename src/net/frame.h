@@ -5,12 +5,17 @@
 //
 //   offset  size  field
 //   0       4     magic 0x584C4548 ("HELX")
-//   4       1     protocol version (kProtocolVersion)
+//   4       1     protocol version (kProtocolVersion = 2)
 //   5       1     opcode (net/wire.h)
 //   6       8     request id (echoed verbatim on the reply)
 //   14      4     payload length N
 //   18      N     payload (opcode-specific, see net/wire.h)
-//   18+N    8     FNV-64 checksum over bytes [0, 18+N)
+//   18+N    4     CRC32C over bytes [0, 18+N)
+//
+// Version 1 carried an 8-byte FNV-64 trailer; peers of different versions
+// reject each other's frames (InvalidArgument) rather than guess. The
+// frame CRC is the only hash a receiver runs over the payload: a
+// FetchOutput reply's envelope decodes without re-hashing its trailer.
 //
 // Decoding is defensive by construction: a reader trusts nothing until the
 // magic, version, and length bound have been validated and the checksum has
@@ -34,9 +39,9 @@ namespace helix {
 namespace net {
 
 inline constexpr uint32_t kFrameMagic = 0x584C4548;  // "HELX" when LE
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 18;
-inline constexpr size_t kFrameChecksumBytes = 8;
+inline constexpr size_t kFrameChecksumBytes = 4;
 /// Default bound on one frame's payload; a decoder rejects larger lengths
 /// before reading (or allocating) the payload.
 inline constexpr uint32_t kDefaultMaxPayloadBytes = 64u << 20;

@@ -397,11 +397,26 @@ void HelixServer::CloseConnectionSessions(ClientConn* connection) {
   }
 }
 
+Status HelixServer::CheckReplySize(size_t payload_bytes) const {
+  if (payload_bytes <= options_.max_payload_bytes) {
+    return Status::OK();
+  }
+  return Status::ResourceExhausted(
+      "reply of " + std::to_string(payload_bytes) +
+      " bytes exceeds the " + std::to_string(options_.max_payload_bytes) +
+      "-byte frame payload limit");
+}
+
 void HelixServer::SendReply(ClientConn* connection, uint64_t request_id,
                             std::string payload) {
   std::shared_ptr<EventLoop::Conn> lc = connection->loop_conn.lock();
   if (lc == nullptr) {
     return;  // torn down; its in-flight slots were already returned
+  }
+  // A frame the peer would reject drops its connection and fails every
+  // call in flight there; answer this one call with the error instead.
+  if (Status fits = CheckReplySize(payload.size()); !fits.ok()) {
+    payload = EncodeErrorReply(fits);
   }
   Frame reply;
   reply.opcode = static_cast<uint8_t>(Opcode::kReply);
@@ -415,11 +430,15 @@ void HelixServer::SendReply(ClientConn* connection, uint64_t request_id,
 void HelixServer::SendReplySpans(ClientConn* connection, uint64_t request_id,
                                  std::unique_ptr<SpanWriter> payload,
                                  std::shared_ptr<const void> pin) {
+  size_t payload_bytes = payload->TotalBytes();
+  if (Status fits = CheckReplySize(payload_bytes); !fits.ok()) {
+    SendReply(connection, request_id, EncodeErrorReply(fits));
+    return;
+  }
   std::shared_ptr<EventLoop::Conn> lc = connection->loop_conn.lock();
   if (lc == nullptr) {
     return;
   }
-  size_t payload_bytes = payload->TotalBytes();
   int64_t enqueue_start = SteadyNowMicros();
   lc->SendFrameSpans(static_cast<uint8_t>(Opcode::kReply), request_id,
                      std::move(payload), std::move(pin));

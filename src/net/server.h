@@ -72,6 +72,9 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral; read the bound port from HelixServer::port().
   int port = 0;
+  /// Bound on one frame's payload in either direction: a larger request
+  /// is rejected, and a reply that would exceed it (a big FetchOutput) is
+  /// answered with ResourceExhausted instead of sent.
   uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
   /// Event-loop I/O threads; does not grow with the connection count.
   int io_threads = 2;
@@ -165,7 +168,8 @@ class HelixServer {
                          int64_t handler_start);
   /// Queue one flat reply frame / one span-list reply frame on the
   /// connection (a no-op once the loop tore it down) and account it.
-  /// `pin` stays alive until the span bytes reach the kernel.
+  /// `pin` stays alive until the span bytes reach the kernel. A reply
+  /// past max_payload_bytes goes out as a ResourceExhausted error reply.
   void SendReply(ClientConn* connection, uint64_t request_id,
                  std::string payload);
   void SendReplySpans(ClientConn* connection, uint64_t request_id,
@@ -176,6 +180,8 @@ class HelixServer {
   /// Folds one queued reply into the traffic counters and the
   /// reply_write histogram (enqueue cost; the loop flushes later).
   void AccountReplyOut(size_t payload_bytes, int64_t enqueue_start);
+  /// ResourceExhausted when a reply payload exceeds max_payload_bytes.
+  Status CheckReplySize(size_t payload_bytes) const;
 
   const ServerOptions options_;
   const core::WorkflowResolver resolver_;

@@ -285,9 +285,10 @@ Result<dataflow::DataCollection> DecodeFetchOutputReply(
     std::string_view payload) {
   ByteReader in(payload);
   HELIX_RETURN_IF_ERROR(DecodeReplyStatus(&in));
-  // Everything after the status is one DataCollection envelope; its own
-  // magic/version/checksum validate the bytes.
-  return dataflow::DataCollection::DeserializeFromString(
+  // Everything after the status is one DataCollection envelope. The frame
+  // CRC already covered these bytes, so its trailer is not hashed again;
+  // its magic, version and structure still validate them.
+  return dataflow::DataCollection::DeserializeVerified(
       payload.substr(payload.size() - in.remaining()));
 }
 

@@ -87,7 +87,11 @@ class StorageBackend {
   }
 
   /// Returns the payload bytes for `signature`. NotFound if absent;
-  /// Corruption if present but failing verification (checksums).
+  /// Corruption if present but failing verification. The returned bytes
+  /// are trusted as-is: a backend whose bytes leave the process (disk)
+  /// must verify every one of them against its own record checksum,
+  /// because the store decodes the envelope without re-hashing it (a
+  /// backend that never lets them leave, like MemoryBackend, need not).
   virtual Result<std::string> Read(uint64_t signature) = 0;
 
   /// Removes `signature`; OK if absent. Persistent backends make the

@@ -1,14 +1,23 @@
 #include "storage/disk_backend.h"
 
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
-#include <fstream>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/file_util.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/strings.h"
+#include "dataflow/simd.h"
 
 namespace helix {
 namespace storage {
@@ -21,42 +30,36 @@ constexpr char kSegmentSuffix[] = ".log";
 constexpr uint8_t kRecordPut = 1;
 constexpr uint8_t kRecordTombstone = 2;
 
-// Framing per record: [u32 body_len][body][u64 fnv64(body)].
-constexpr int64_t kFrameOverhead = 4 + 8;
+// Segment formats (see disk_backend.h): v1 FNV-64 records, no header;
+// v2 CRC32C records after a file header.
+constexpr int kSegmentV1 = 1;
+constexpr int kSegmentV2 = 2;
 
-std::string BuildPutBody(const StoreEntry& meta, std::string_view payload) {
-  ByteWriter w;
-  // Exact-size reserve: the payload dominates, so building the framed
-  // record must not reallocate-and-copy it on the materialization path.
-  w.Reserve(1 + 8 + (8 + meta.node_name.size()) + 6 * 8 + 8 +
-            (8 + payload.size()));
-  w.PutU8(kRecordPut);
-  w.PutU64(meta.signature);
-  w.PutString(meta.node_name);
-  w.PutI64(meta.size_bytes);
-  w.PutI64(meta.write_micros);
-  w.PutI64(meta.load_micros);
-  w.PutI64(meta.compute_micros);
-  w.PutI64(meta.iteration);
-  w.PutU64(meta.fingerprint);
-  w.PutString(payload);
-  return w.TakeData();
+// v2 segment file header: "HLXS" little-endian, then the version.
+constexpr uint32_t kSegmentMagic = 0x53584C48;
+constexpr int64_t kSegmentHeaderBytes = 4 + 4;
+// v2 PUT footer: signature, six metadata fields, payload length, name
+// length, record type (last, so a body parses from its end).
+constexpr size_t kPutFooterBytes = 8 + 6 * 8 + 8 + 4 + 1;
+constexpr size_t kTombstoneBodyBytes = 8 + 1;
+
+size_t TrailerBytes(int format) {
+  return format == kSegmentV1 ? 8 : 4;
 }
 
-std::string BuildTombstoneBody(uint64_t signature) {
-  ByteWriter w;
-  w.PutU8(kRecordTombstone);
-  w.PutU64(signature);
-  return w.TakeData();
+uint32_t LoadLe32(const char* p) {
+  return ByteReader(std::string_view(p, 4)).GetU32().value();
 }
 
 struct ParsedRecord {
   uint8_t type = 0;
   StoreEntry meta;
-  std::string payload;
+  std::string_view payload;  // aliases the parsed body
 };
 
-Result<ParsedRecord> ParseBody(std::string_view body) {
+// v1 body: u8 type, u64 signature, then for a PUT the length-prefixed
+// node name, six metadata fields and the length-prefixed payload.
+Result<ParsedRecord> ParseV1Body(std::string_view body) {
   ByteReader r(body);
   ParsedRecord rec;
   HELIX_ASSIGN_OR_RETURN(rec.type, r.GetU8());
@@ -74,8 +77,131 @@ Result<ParsedRecord> ParseBody(std::string_view body) {
   HELIX_ASSIGN_OR_RETURN(rec.meta.compute_micros, r.GetI64());
   HELIX_ASSIGN_OR_RETURN(rec.meta.iteration, r.GetI64());
   HELIX_ASSIGN_OR_RETURN(rec.meta.fingerprint, r.GetU64());
-  HELIX_ASSIGN_OR_RETURN(rec.payload, r.GetString());
+  HELIX_ASSIGN_OR_RETURN(uint64_t payload_len, r.GetU64());
+  HELIX_ASSIGN_OR_RETURN(rec.payload, r.GetRawView(payload_len));
   return rec;
+}
+
+// v2 body: a PUT is payload, node name, footer; a TOMBSTONE is the
+// signature and the type byte. The payload leads so a read lands it at
+// offset 0 of its buffer and drops the rest in place.
+Result<ParsedRecord> ParseV2Body(std::string_view body) {
+  ParsedRecord rec;
+  if (body.empty()) {
+    return Status::Corruption("empty segment record");
+  }
+  rec.type = static_cast<uint8_t>(body.back());
+  if (rec.type == kRecordTombstone) {
+    if (body.size() != kTombstoneBodyBytes) {
+      return Status::Corruption("malformed tombstone record");
+    }
+    rec.meta.signature = ByteReader(body).GetU64().value();
+    return rec;
+  }
+  if (rec.type != kRecordPut || body.size() < kPutFooterBytes) {
+    return Status::Corruption("unknown or short segment record");
+  }
+  ByteReader r(body.substr(body.size() - kPutFooterBytes));
+  rec.meta.signature = r.GetU64().value();
+  rec.meta.size_bytes = r.GetI64().value();
+  rec.meta.write_micros = r.GetI64().value();
+  rec.meta.load_micros = r.GetI64().value();
+  rec.meta.compute_micros = r.GetI64().value();
+  rec.meta.iteration = r.GetI64().value();
+  rec.meta.fingerprint = r.GetU64().value();
+  uint64_t payload_len = r.GetU64().value();
+  uint32_t name_len = r.GetU32().value();
+  uint64_t head = body.size() - kPutFooterBytes;
+  if (payload_len > head || name_len != head - payload_len) {
+    return Status::Corruption("segment record lengths disagree");
+  }
+  rec.payload = body.substr(0, payload_len);
+  rec.meta.node_name.assign(body.substr(payload_len, name_len));
+  return rec;
+}
+
+// Checks one record body against its trailer (FNV-64 in v1 segments,
+// CRC32C in v2) and parses it.
+Result<ParsedRecord> VerifyAndParse(std::string_view body,
+                                    std::string_view trailer, int format) {
+  if (format == kSegmentV1) {
+    if (ByteReader(trailer).GetU64().value() !=
+        FnvHash64(body.data(), body.size())) {
+      return Status::Corruption("segment record checksum mismatch");
+    }
+    return ParseV1Body(body);
+  }
+  if (LoadLe32(trailer.data()) !=
+      dataflow::simd::Crc32c(body.data(), body.size())) {
+    return Status::Corruption("segment record checksum mismatch");
+  }
+  return ParseV2Body(body);
+}
+
+// Node name then footer: everything of a v2 PUT body after the payload.
+std::string BuildPutTail(const StoreEntry& meta, size_t payload_len) {
+  ByteWriter w;
+  w.Reserve(meta.node_name.size() + kPutFooterBytes);
+  w.PutRaw(meta.node_name.data(), meta.node_name.size());
+  w.PutU64(meta.signature);
+  w.PutI64(meta.size_bytes);
+  w.PutI64(meta.write_micros);
+  w.PutI64(meta.load_micros);
+  w.PutI64(meta.compute_micros);
+  w.PutI64(meta.iteration);
+  w.PutU64(meta.fingerprint);
+  w.PutU64(payload_len);
+  w.PutU32(static_cast<uint32_t>(meta.node_name.size()));
+  w.PutU8(kRecordPut);
+  return w.TakeData();
+}
+
+// Closes a file descriptor when it goes out of scope.
+class FdCloser {
+ public:
+  explicit FdCloser(int fd) : fd_(fd) {}
+  ~FdCloser() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+    }
+  }
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+
+ private:
+  const int fd_;
+};
+
+// Transfers every byte of `iov` with (p)readv/writev, resuming after
+// short transfers and EINTR. `offset` < 0 writes at the file position.
+Status TransferAll(int fd, std::vector<iovec> iov, int64_t offset,
+                   bool is_read) {
+  size_t first = 0;
+  while (first < iov.size()) {
+    int count = static_cast<int>(iov.size() - first);
+    ssize_t n = is_read ? ::preadv(fd, &iov[first], count, offset)
+                        : ::writev(fd, &iov[first], count);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return Status::IOError(n == 0 ? "unexpected end of segment file"
+                                    : std::strerror(errno));
+    }
+    if (offset >= 0) {
+      offset += n;
+    }
+    size_t done = static_cast<size_t>(n);
+    while (first < iov.size() && done >= iov[first].iov_len) {
+      done -= iov[first].iov_len;
+      ++first;
+    }
+    if (done > 0) {
+      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + done;
+      iov[first].iov_len -= done;
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -125,7 +251,12 @@ Result<std::vector<StoreEntry>> DiskBackend::Recover() {
   // record written after the tear would be unreachable on the next replay
   // (which stops at the tear), silently losing an acknowledged write.
   // Leaving active_segment_ at 0 forces the next Write onto a fresh file.
-  active_segment_ = (ids.empty() || !last_clean) ? 0 : ids.back();
+  // A v1 segment is sealed too: appends are v2 records, and one file
+  // holds one format.
+  active_segment_ = (ids.empty() || !last_clean ||
+                     segments_[ids.back()].format != kSegmentV2)
+                        ? 0
+                        : ids.back();
   std::vector<StoreEntry> out;
   out.reserve(meta_.size());
   for (const auto& [sig, entry] : meta_) {
@@ -147,11 +278,24 @@ Status DiskBackend::ReplaySegment(uint64_t id, bool* clean_out) {
   seg.file_bytes = static_cast<int64_t>(data.size());
   seg.live_bytes = 0;
   *clean_out = true;
+  // A v2 file opens with its header; anything else is a v1 file, whose
+  // first bytes are a record length. (They cannot collide: a v1 record as
+  // long as the magic is a PUT, whose type byte 1 never reads as version
+  // 2.) An empty file gets the v2 header with its first append.
   size_t pos = 0;
+  seg.format = kSegmentV1;
+  if (data.empty()) {
+    seg.format = kSegmentV2;
+  } else if (data.size() >= static_cast<size_t>(kSegmentHeaderBytes) &&
+             LoadLe32(data.data()) == kSegmentMagic &&
+             LoadLe32(data.data() + 4) == kSegmentV2) {
+    seg.format = kSegmentV2;
+    pos = kSegmentHeaderBytes;
+  }
+  const size_t trailer = TrailerBytes(seg.format);
   while (pos + 4 <= data.size()) {
-    ByteReader len_reader(std::string_view(data.data() + pos, 4));
-    uint32_t body_len = len_reader.GetU32().value();
-    size_t frame = 4 + static_cast<size_t>(body_len) + 8;
+    uint32_t body_len = LoadLe32(data.data() + pos);
+    size_t frame = 4 + static_cast<size_t>(body_len) + trailer;
     if (pos + frame > data.size()) {
       // Torn tail from a crash mid-append: keep everything before it.
       HELIX_LOG(Warning) << "segment " << id << " ends in a torn record at "
@@ -159,19 +303,13 @@ Status DiskBackend::ReplaySegment(uint64_t id, bool* clean_out) {
       *clean_out = false;
       break;
     }
-    std::string_view body(data.data() + pos + 4, body_len);
-    ByteReader sum_reader(
-        std::string_view(data.data() + pos + 4 + body_len, 8));
-    if (sum_reader.GetU64().value() != FnvHash64(body.data(), body.size())) {
-      HELIX_LOG(Warning) << "segment " << id << " record at " << pos
-                         << " fails its checksum; dropping the tail";
-      *clean_out = false;
-      break;
-    }
-    auto rec = ParseBody(body);
+    auto rec = VerifyAndParse(
+        std::string_view(data.data() + pos + 4, body_len),
+        std::string_view(data.data() + pos + 4 + body_len, trailer),
+        seg.format);
     if (!rec.ok()) {
       HELIX_LOG(Warning) << "segment " << id << " record at " << pos
-                         << " unparseable; dropping the tail: "
+                         << " fails verification; dropping the tail: "
                          << rec.status().ToString();
       *clean_out = false;
       break;
@@ -190,8 +328,9 @@ Status DiskBackend::ReplaySegment(uint64_t id, bool* clean_out) {
       loc.offset = static_cast<int64_t>(pos) + 4;
       loc.length = body_len;
       loc.record_bytes = static_cast<int64_t>(frame);
+      loc.format = seg.format;
       index_[sig] = loc;
-      meta_[sig] = rec.value().meta;
+      meta_[sig] = std::move(rec.value().meta);
       seg.live_bytes += loc.record_bytes;
     }
     pos += frame;
@@ -206,30 +345,67 @@ Status DiskBackend::ReplaySegment(uint64_t id, bool* clean_out) {
 }
 
 Status DiskBackend::AppendRecordLocked(uint64_t segment_id,
-                                       const std::string& body) {
-  ByteWriter frame;
-  frame.PutU32(static_cast<uint32_t>(body.size()));
-  frame.PutRaw(body.data(), body.size());
-  frame.PutU64(FnvHash64(body.data(), body.size()));
-
-  std::ofstream out(SegmentPath(segment_id),
-                    std::ios::binary | std::ios::app);
-  if (!out) {
-    return Status::IOError("cannot open segment for append: " +
-                           SegmentPath(segment_id));
+                                       const ByteSpan* body, size_t pieces,
+                                       Location* loc) {
+  Segment& seg = segments_[segment_id];
+  uint64_t body_len = 0;
+  for (size_t i = 0; i < pieces; ++i) {
+    body_len += body[i].len;
   }
-  out.write(frame.data().data(),
-            static_cast<std::streamsize>(frame.size()));
-  out.flush();
-  if (!out) {
+  // Header (file header first on a fresh segment) and CRC trailer go out
+  // with the borrowed body pieces in one gathered write: the payload is
+  // never copied into a record buffer.
+  ByteWriter head;
+  if (seg.file_bytes == 0) {
+    head.PutU32(kSegmentMagic);
+    head.PutU32(kSegmentV2);
+  }
+  head.PutU32(static_cast<uint32_t>(body_len));
+  ByteWriter trailer;
+  trailer.PutU32(dataflow::simd::Crc32c(body, pieces));
+  std::vector<iovec> iov;
+  iov.reserve(pieces + 2);
+  iov.push_back({const_cast<char*>(head.data().data()), head.size()});
+  for (size_t i = 0; i < pieces; ++i) {
+    iov.push_back({const_cast<char*>(body[i].data), body[i].len});
+  }
+  iov.push_back({const_cast<char*>(trailer.data().data()), trailer.size()});
+  int64_t total = static_cast<int64_t>(head.size() + body_len + 4);
+
+  const std::string path = SegmentPath(segment_id);
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                  0644);
+  if (fd < 0) {
+    return Status::IOError("cannot open segment for append: " + path);
+  }
+  FdCloser closer(fd);
+  Status written = TransferAll(fd, std::move(iov), -1, /*is_read=*/false);
+  if (!written.ok()) {
     // The file may now end in a torn record; never append after it again
     // (replay would stop at the tear and lose later good records).
-    segments_[segment_id].file_bytes += static_cast<int64_t>(frame.size());
+    seg.file_bytes += total;
     active_segment_ = 0;
-    return Status::IOError("segment append failed: " +
-                           SegmentPath(segment_id));
+    return Status::IOError("segment append failed: " + path + ": " +
+                           written.message());
   }
-  segments_[segment_id].file_bytes += static_cast<int64_t>(frame.size());
+  loc->segment = segment_id;
+  loc->offset = seg.file_bytes + static_cast<int64_t>(head.size());
+  loc->length = static_cast<int64_t>(body_len);
+  loc->record_bytes = 4 + static_cast<int64_t>(body_len) + 4;
+  loc->format = kSegmentV2;
+  seg.file_bytes += total;
+  return Status::OK();
+}
+
+Status DiskBackend::AppendPutLocked(const StoreEntry& meta,
+                                    std::string_view payload) {
+  std::string tail = BuildPutTail(meta, payload.size());
+  ByteSpan body[] = {{payload.data(), payload.size()},
+                     {tail.data(), tail.size()}};
+  Location loc;
+  HELIX_RETURN_IF_ERROR(AppendRecordLocked(active_segment_, body, 2, &loc));
+  index_[meta.signature] = loc;
+  segments_[loc.segment].live_bytes += loc.record_bytes;
   return Status::OK();
 }
 
@@ -256,28 +432,27 @@ Status DiskBackend::DropSegmentIfDeadLocked(uint64_t id) {
 }
 
 Status DiskBackend::Write(const StoreEntry& meta, std::string_view payload) {
+  // The record length prefix is a u32: refuse before appending anything,
+  // or the wrapped length would fail replay there and seal the segment,
+  // silently dropping every later acknowledged record.
+  uint64_t body_len = payload.size() + meta.node_name.size() + kPutFooterBytes;
+  if (body_len > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(StrFormat(
+        "a %llu-byte record exceeds the 4 GiB segment record limit",
+        static_cast<unsigned long long>(body_len)));
+  }
   std::lock_guard<std::mutex> lock(mu_);
   HELIX_RETURN_IF_ERROR(RollIfNeededLocked());
-  uint64_t target = active_segment_;
-  std::string body = BuildPutBody(meta, payload);
-  int64_t offset = segments_[target].file_bytes + 4;
-  HELIX_RETURN_IF_ERROR(AppendRecordLocked(target, body));
-
-  auto prev = index_.find(meta.signature);
-  if (prev != index_.end()) {
-    uint64_t prev_segment = prev->second.segment;
-    segments_[prev_segment].live_bytes -= prev->second.record_bytes;
-    index_.erase(prev);
-    HELIX_RETURN_IF_ERROR(DropSegmentIfDeadLocked(prev_segment));
+  std::optional<Location> prev;
+  if (auto it = index_.find(meta.signature); it != index_.end()) {
+    prev = it->second;
   }
-  Location loc;
-  loc.segment = target;
-  loc.offset = offset;
-  loc.length = static_cast<int64_t>(body.size());
-  loc.record_bytes = static_cast<int64_t>(body.size()) + kFrameOverhead;
-  index_[meta.signature] = loc;
+  HELIX_RETURN_IF_ERROR(AppendPutLocked(meta, payload));
+  if (prev.has_value()) {
+    segments_[prev->segment].live_bytes -= prev->record_bytes;
+    HELIX_RETURN_IF_ERROR(DropSegmentIfDeadLocked(prev->segment));
+  }
   meta_[meta.signature] = meta;
-  segments_[target].live_bytes += loc.record_bytes;
   return MaybeCompactLocked();
 }
 
@@ -312,27 +487,41 @@ Result<std::string> DiskBackend::Read(uint64_t signature) {
 
 Result<std::string> DiskBackend::ReadAt(uint64_t signature,
                                         const Location& loc) const {
-  std::ifstream in(SegmentPath(loc.segment), std::ios::binary);
-  if (!in) {
-    return Status::Corruption("segment file unreadable: " +
-                              SegmentPath(loc.segment));
+  // One preadv: the length prefix into a small buffer, body and trailer
+  // into the string that is returned.
+  const std::string path = SegmentPath(loc.segment);
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::Corruption("segment file unreadable: " + path);
   }
-  std::string buf(static_cast<size_t>(loc.length) + 8, '\0');
-  in.seekg(loc.offset);
-  in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-  if (!in || in.gcount() != static_cast<std::streamsize>(buf.size())) {
-    return Status::Corruption("segment record truncated on read");
+  FdCloser closer(fd);
+  const size_t trailer = TrailerBytes(loc.format);
+  std::string buf(static_cast<size_t>(loc.length) + trailer, '\0');
+  char prefix[4] = {};
+  Status read = TransferAll(
+      fd, {{prefix, sizeof(prefix)}, {buf.data(), buf.size()}},
+      loc.offset - 4, /*is_read=*/true);
+  if (!read.ok()) {
+    return Status::Corruption("segment record truncated on read: " +
+                              read.message());
+  }
+  if (LoadLe32(prefix) != static_cast<uint64_t>(loc.length)) {
+    return Status::Corruption("segment record length prefix mismatch");
   }
   std::string_view body(buf.data(), static_cast<size_t>(loc.length));
-  ByteReader sum_reader(std::string_view(buf.data() + loc.length, 8));
-  if (sum_reader.GetU64().value() != FnvHash64(body.data(), body.size())) {
-    return Status::Corruption("segment record checksum mismatch");
-  }
-  HELIX_ASSIGN_OR_RETURN(ParsedRecord rec, ParseBody(body));
+  HELIX_ASSIGN_OR_RETURN(
+      ParsedRecord rec,
+      VerifyAndParse(body, std::string_view(buf).substr(body.size()),
+                     loc.format));
   if (rec.type != kRecordPut || rec.meta.signature != signature) {
     return Status::Corruption("segment record does not match signature");
   }
-  return std::move(rec.payload);
+  if (loc.format == kSegmentV1) {
+    return std::string(rec.payload);  // legacy layout: payload is last
+  }
+  // A v2 body leads with the payload: drop the rest in place, no copy.
+  buf.resize(rec.payload.size());
+  return buf;
 }
 
 Status DiskBackend::Delete(uint64_t signature) {
@@ -349,8 +538,12 @@ Status DiskBackend::Delete(uint64_t signature) {
   // after the index update so even on append failure the in-memory state
   // is consistent (the entry can at worst resurrect on restart).
   HELIX_RETURN_IF_ERROR(RollIfNeededLocked());
-  Status appended =
-      AppendRecordLocked(active_segment_, BuildTombstoneBody(signature));
+  ByteWriter tombstone;
+  tombstone.PutU64(signature);
+  tombstone.PutU8(kRecordTombstone);
+  ByteSpan body{tombstone.data().data(), tombstone.size()};
+  Location ignored;
+  Status appended = AppendRecordLocked(active_segment_, &body, 1, &ignored);
   HELIX_RETURN_IF_ERROR(DropSegmentIfDeadLocked(owner));
   HELIX_RETURN_IF_ERROR(MaybeCompactLocked());
   return appended;
@@ -390,8 +583,9 @@ Status DiskBackend::MaybeCompactLocked() {
 Status DiskBackend::CompactLocked() {
   // Stream live records into fresh segments one OLD segment at a time —
   // each old file is read exactly once and only one is in memory at any
-  // moment — then drop every old file. A record that fails verification
-  // here is dropped (same degrade-to-recompute contract as Read).
+  // moment — then drop every old file. Records of either format are
+  // rewritten as v2. A record that fails verification here is dropped
+  // (same degrade-to-recompute contract as Read).
   std::map<uint64_t, std::vector<std::pair<int64_t, uint64_t>>> by_segment;
   for (const auto& [sig, loc] : index_) {
     by_segment[loc.segment].emplace_back(loc.offset, sig);
@@ -418,18 +612,21 @@ Status DiskBackend::CompactLocked() {
       }
       continue;
     }
+    std::string_view bytes = file.value();
     std::sort(records.begin(), records.end());  // sequential old-file order
     for (const auto& [offset, sig] : records) {
       const Location& loc = old_index[sig];
-      if (static_cast<int64_t>(file.value().size()) < offset + loc.length) {
-        HELIX_LOG(Warning) << "compaction drops truncated record for "
-                           << HashToHex(sig);
-        meta_.erase(sig);
-        continue;
+      size_t trailer = TrailerBytes(loc.format);
+      Result<ParsedRecord> rec = Status::Corruption("truncated record");
+      if (bytes.size() >= static_cast<size_t>(offset + loc.length) + trailer) {
+        rec = VerifyAndParse(
+            bytes.substr(static_cast<size_t>(offset),
+                         static_cast<size_t>(loc.length)),
+            bytes.substr(static_cast<size_t>(offset + loc.length), trailer),
+            loc.format);
       }
-      auto rec = ParseBody(std::string_view(file.value().data() + offset,
-                                            static_cast<size_t>(loc.length)));
       if (!rec.ok() || rec.value().type != kRecordPut) {
+        // Verified here, before the rewrite gives it a fresh checksum.
         HELIX_LOG(Warning) << "compaction drops corrupt record for "
                            << HashToHex(sig);
         meta_.erase(sig);
@@ -441,16 +638,8 @@ Status DiskBackend::CompactLocked() {
         segments_[next];
         active_segment_ = next;
       }
-      std::string body = BuildPutBody(rec.value().meta, rec.value().payload);
-      Location new_loc;
-      new_loc.segment = active_segment_;
-      new_loc.offset = segments_[active_segment_].file_bytes + 4;
-      new_loc.length = static_cast<int64_t>(body.size());
-      new_loc.record_bytes =
-          static_cast<int64_t>(body.size()) + kFrameOverhead;
-      HELIX_RETURN_IF_ERROR(AppendRecordLocked(active_segment_, body));
-      index_[sig] = new_loc;
-      segments_[active_segment_].live_bytes += new_loc.record_bytes;
+      HELIX_RETURN_IF_ERROR(
+          AppendPutLocked(rec.value().meta, rec.value().payload));
     }
   }
   for (uint64_t id : old_ids) {
@@ -464,7 +653,11 @@ int64_t DiskBackend::DeadBytesLocked() const {
   int64_t dead = 0;
   for (const auto& [id, seg] : segments_) {
     (void)id;
-    dead += seg.file_bytes - seg.live_bytes;
+    // A v2 file header belongs to no record and is never dead.
+    int64_t header = (seg.format == kSegmentV2 && seg.file_bytes > 0)
+                         ? kSegmentHeaderBytes
+                         : 0;
+    dead += seg.file_bytes - header - seg.live_bytes;
   }
   return dead;
 }

@@ -6,10 +6,27 @@
 //
 // Each segment is a sequence of length-prefixed, checksummed records: a
 // PUT record carries a StoreEntry's metadata plus the payload bytes; a
-// TOMBSTONE records a deletion. Nothing is ever rewritten in place — Write
-// and Delete only append to the newest ("active") segment, which rolls to
-// a fresh file past a size threshold, so a crash can at worst tear the
-// final record of the final segment.
+// TOMBSTONE records a deletion. Two segment formats exist:
+//
+//   v2 (written): an 8-byte file header (u32 magic "HLXS", u32 version 2),
+//     then records [u32 body_len][body][u32 CRC32C(body)]. A PUT body is
+//     the payload, then the node name, then a fixed footer (signature,
+//     six metadata fields, payload length, name length, type byte last);
+//     a TOMBSTONE body is the signature and the type byte.
+//   v1 (still read; compaction rewrites it as v2): no file header;
+//     records [u32 body_len][body][u64 FNV-64(body)], body = type,
+//     signature, then for a PUT the metadata and length-prefixed payload.
+//
+// Write streams one CRC over the borrowed payload while sending header,
+// payload and trailer in one writev. Read lands the payload at offset 0
+// of the string it returns with one preadv and checks the CRC once; the
+// store then decodes the envelope without re-hashing it, so on load the
+// record checksum is the only hash over a stored payload's bytes.
+//
+// Nothing is ever rewritten in place — Write and Delete only append to the
+// newest ("active") segment, which rolls to a fresh file past a size
+// threshold, so a crash can at worst tear the final record of the final
+// segment.
 //
 // Open replays every segment in order to rebuild the signature -> location
 // index (last record wins, tombstones erase). Replay stops at the first
@@ -30,6 +47,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/spans.h"
 #include "storage/backend.h"
 
 namespace helix {
@@ -53,9 +71,11 @@ struct DiskBackendOptions {
 /// Ownership: owns its directory contents; destroying the backend closes
 /// the active segment but deletes nothing.
 /// Failure modes: Read returns NotFound for unknown signatures and
-/// Corruption when the stored record fails its checksum; Write/Delete
-/// return IOError when the filesystem does. A failed append never
-/// corrupts existing data (the torn record is dropped on next open).
+/// Corruption when the stored record fails its checksum; Write returns
+/// InvalidArgument for a record of 4 GiB or more (its length prefix is a
+/// u32); Write/Delete return IOError when the filesystem does. A failed
+/// append never corrupts existing data (the torn record is dropped on
+/// next open).
 class DiskBackend final : public StorageBackend {
  public:
   /// Opens (creating if needed) a backend rooted at `dir`. The returned
@@ -95,10 +115,12 @@ class DiskBackend final : public StorageBackend {
     int64_t offset = 0;    // byte offset of the record body in the file
     int64_t length = 0;    // record body length
     int64_t record_bytes = 0;  // full footprint incl. framing (accounting)
+    int format = 2;            // segment format: 1 (FNV-64) or 2 (CRC32C)
   };
   struct Segment {
-    int64_t file_bytes = 0;  // total bytes appended
+    int64_t file_bytes = 0;  // total bytes appended, file header included
     int64_t live_bytes = 0;  // bytes of records still referenced
+    int format = 2;          // 1 = legacy, never appended to again
   };
 
   DiskBackend(std::string dir, const DiskBackendOptions& options)
@@ -109,7 +131,12 @@ class DiskBackend final : public StorageBackend {
   // without mu_ (segments are append-only; Read retries stale locations).
   Result<std::string> ReadAt(uint64_t signature, const Location& loc) const;
   // *Locked methods require mu_.
-  Status AppendRecordLocked(uint64_t segment_id, const std::string& body);
+  // Appends one v2 record whose body is the concatenation of `pieces`
+  // spans (borrowed, not copied) and reports where it landed.
+  Status AppendRecordLocked(uint64_t segment_id, const ByteSpan* body,
+                            size_t pieces, Location* loc);
+  // Appends a PUT record to the active segment and indexes it.
+  Status AppendPutLocked(const StoreEntry& meta, std::string_view payload);
   Status RollIfNeededLocked();
   Status DropSegmentIfDeadLocked(uint64_t id);
   Status CompactLocked();

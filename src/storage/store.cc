@@ -25,6 +25,14 @@ constexpr int64_t kFixedIoOverheadMicros = 200;
 // Transfers below this size are dominated by the fixed overhead and would
 // bias the learned bandwidth; they are excluded from the estimator.
 constexpr int64_t kMinObservableBytes = 64 * 1024;
+
+// Phase durations come from the store's clock, so virtual-clock runs keep
+// producing identical telemetry.
+void ObservePhase(obs::Histogram* histogram, int64_t micros) {
+  if (histogram != nullptr) {
+    histogram->Observe(micros);
+  }
+}
 }  // namespace
 
 const char* StorageBackendKindToString(StorageBackendKind kind) {
@@ -86,6 +94,14 @@ Result<std::unique_ptr<IntermediateStore>> IntermediateStore::Open(
     store->bytes_written_total_ =
         options.metrics->GetCounter("store.bytes_written");
     store->bytes_gauge_ = options.metrics->GetGauge("store.bytes");
+    store->get_read_micros_ =
+        options.metrics->GetHistogram("store.get.read_micros");
+    store->get_decode_micros_ =
+        options.metrics->GetHistogram("store.get.decode_micros");
+    store->put_serialize_micros_ =
+        options.metrics->GetHistogram("store.put.serialize_micros");
+    store->put_write_micros_ =
+        options.metrics->GetHistogram("store.put.write_micros");
   }
 
   // Rebuild the index from whatever the backend recovered. No locks
@@ -171,21 +187,36 @@ Result<dataflow::DataCollection> IntermediateStore::Get(
   }
   ScopedTimer timer(options_.clock);
   auto payload = backend_->Read(signature);
+  const int64_t read_micros = timer.ElapsedMicros();
+  ObservePhase(get_read_micros_, read_micros);
   if (!payload.ok()) {
     // Payload vanished or failed verification: self-heal by evicting.
-    HELIX_LOG(Warning) << "store entry unreadable, evicting "
-                       << HashToHex(signature) << ": "
-                       << payload.status().ToString();
+    // NotFound means a concurrent eviction or Remove took the entry after
+    // the index probe above — an ordinary miss, reported as one so a
+    // FetchOutput caller sees NotFound rather than Corruption.
+    bool vanished = payload.status().IsNotFound();
+    if (!vanished) {
+      HELIX_LOG(Warning) << "store entry unreadable, evicting "
+                         << HashToHex(signature) << ": "
+                         << payload.status().ToString();
+    }
     (void)EvictOne(signature);
     if (shard.misses != nullptr) {
       shard.misses->Add(1);  // the caller ends up recomputing: a miss
       misses_total_->Add(1);
     }
+    if (vanished) {
+      return Status::NotFound(
+          StrFormat("stored result %s was evicted concurrently",
+                    HashToHex(signature).c_str()));
+    }
     return Status::Corruption("store entry unreadable: " +
                               payload.status().ToString());
   }
-  auto data =
-      dataflow::DataCollection::DeserializeFromString(payload.value());
+  // The backend already verified these bytes against its own checksum
+  // (a disk record's CRC32C), or they never left the process (memory):
+  // decode without hashing them a second time.
+  auto data = dataflow::DataCollection::DeserializeVerified(payload.value());
   if (!data.ok()) {
     HELIX_LOG(Warning) << "store entry corrupt, evicting "
                        << HashToHex(signature) << ": "
@@ -198,6 +229,7 @@ Result<dataflow::DataCollection> IntermediateStore::Get(
     return data.status();
   }
   int64_t elapsed = timer.ElapsedMicros();
+  ObservePhase(get_decode_micros_, elapsed - read_micros);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(signature);
@@ -251,7 +283,9 @@ Status IntermediateStore::Put(uint64_t signature,
   // work so concurrent Puts serialize their payloads in parallel. The
   // envelope is built once into a size-reserved buffer and moved (never
   // copied) into the backend below.
+  ScopedTimer serialize_timer(options_.clock);
   std::string serialized = data.SerializeToString();
+  ObservePhase(put_serialize_micros_, serialize_timer.ElapsedMicros());
   int64_t size = static_cast<int64_t>(serialized.size());
   if (size > options_.budget_bytes) {
     return Status::ResourceExhausted(StrFormat(
@@ -293,11 +327,12 @@ Status IntermediateStore::Put(uint64_t signature,
 
   ScopedTimer timer(options_.clock);
   Status written = backend_->Write(entry, std::move(serialized));
+  int64_t elapsed = timer.ElapsedMicros();
+  ObservePhase(put_write_micros_, elapsed);
   if (!written.ok()) {
     total_bytes_.fetch_sub(size, std::memory_order_relaxed);  // unreserve
     return written;
   }
-  int64_t elapsed = timer.ElapsedMicros();
   entry.write_micros = elapsed;
 
   {

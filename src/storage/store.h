@@ -42,6 +42,7 @@ namespace helix {
 namespace obs {
 class Counter;
 class Gauge;
+class Histogram;
 class MetricsRegistry;
 }  // namespace obs
 
@@ -83,8 +84,12 @@ struct StoreOptions {
   int64_t segment_max_bytes = 64LL << 20;
   /// Optional telemetry. When set, the store registers aggregate counters
   /// (`store.hits/misses/evictions/bytes_read/bytes_written`), the
-  /// resident-bytes gauge `store.bytes`, and per-shard counters
-  /// (`store.shard.<i>.hits` etc.). Must outlive the store.
+  /// resident-bytes gauge `store.bytes`, per-shard counters
+  /// (`store.shard.<i>.hits` etc.), and phase histograms splitting a Get
+  /// into `store.get.read_micros` (backend read and verify) and
+  /// `store.get.decode_micros`, and a Put into
+  /// `store.put.serialize_micros` and `store.put.write_micros`. Must
+  /// outlive the store.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -127,8 +132,10 @@ class IntermediateStore {
   /// Copy of the entry metadata, or nullopt. Safe under concurrency.
   std::optional<StoreEntry> GetEntry(uint64_t signature) const;
 
-  /// Reads and verifies the stored result. On corruption the entry is
-  /// evicted and Corruption is returned (NotFound if never stored).
+  /// Reads and verifies the stored result: the backend checks its record
+  /// checksum and the envelope decodes without re-hashing the same bytes.
+  /// On corruption the entry is evicted and Corruption is returned;
+  /// NotFound if never stored or evicted concurrently.
   /// `load_micros_out` (optional) receives the measured read time.
   Result<dataflow::DataCollection> Get(uint64_t signature,
                                        int64_t* load_micros_out = nullptr);
@@ -250,6 +257,10 @@ class IntermediateStore {
   obs::Counter* bytes_read_total_ = nullptr;
   obs::Counter* bytes_written_total_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;
+  obs::Histogram* get_read_micros_ = nullptr;
+  obs::Histogram* get_decode_micros_ = nullptr;
+  obs::Histogram* put_serialize_micros_ = nullptr;
+  obs::Histogram* put_write_micros_ = nullptr;
 
   // Observed throughput for load-cost estimation. Reads (load +
   // deserialize) and writes (serialize + flush) have very different

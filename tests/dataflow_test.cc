@@ -247,7 +247,7 @@ TEST(ExamplesDataTest, DeserializeRejectsUnsortedIndices) {
   w.PutI64(0);
   w.PutBool(false);
   ByteReader r(w.data());
-  EXPECT_TRUE(ExamplesData::Deserialize(&r).status().IsCorruption());
+  EXPECT_TRUE(ExamplesData::Deserialize(&r, 2).status().IsCorruption());
 }
 
 // --- Payload round trips through the envelope ----------------------------------------

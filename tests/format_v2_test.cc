@@ -1,9 +1,10 @@
-// Format-v2 (columnar) serialization coverage: per-column round trips
-// including nulls and empty tables, v1 -> v2 read compatibility against
-// checked-in v1 golden bytes (an envelope and a whole disk-store segment
-// written by the pre-columnar build), and a property test that row-built
-// and column-built tables are indistinguishable (fingerprints and wire
-// bytes).
+// Envelope format coverage: per-column round trips including nulls and
+// empty tables; read compatibility against checked-in golden bytes of
+// every older format (v1 envelope and disk-store segment, v2 plain table,
+// v2 per-row examples) and byte-exact v3 goldens for the current writer;
+// a property test that row-built and column-built tables are
+// indistinguishable (fingerprints and wire bytes); and a fault sweep
+// (every truncation, every byte flip) through both envelope decoders.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,8 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "dataflow/data_collection.h"
+#include "dataflow/simd.h"
+#include "storage/disk_backend.h"
 #include "storage/store.h"
 
 namespace helix {
@@ -120,6 +123,54 @@ TEST(FormatV2Test, V1DiskStoreWrittenBeforeTheChangeStillLoads) {
   (void)RemoveDirRecursively(dir.value());
 }
 
+TEST(FormatV2Test, V1SegmentIsSealedThenCompactedToV2) {
+  auto dir = MakeTempDir("helix-v1compact");
+  ASSERT_TRUE(dir.ok());
+  ASSERT_TRUE(WriteStringToFile(JoinPath(dir.value(), "seg-000001.log"),
+                                FromHex(kV1GoldenSegmentHex))
+                  .ok());
+  auto backend = storage::DiskBackend::Open(dir.value(),
+                                            storage::DiskBackendOptions());
+  ASSERT_TRUE(backend.ok());
+  ASSERT_TRUE(backend.value()->Recover().ok());
+  auto v1_payload = backend.value()->Read(kV1GoldenSignature);
+  ASSERT_TRUE(v1_payload.ok()) << v1_payload.status().ToString();
+
+  // New records never land in the v1 file: one file holds one format.
+  storage::StoreEntry meta;
+  meta.signature = 7;
+  meta.node_name = "new";
+  meta.size_bytes = 3;
+  ASSERT_TRUE(backend.value()->Write(meta, "new").ok());
+  EXPECT_EQ(backend.value()->NumSegments(), 2u);
+  auto v1_file = ReadFileToString(JoinPath(dir.value(), "seg-000001.log"));
+  ASSERT_TRUE(v1_file.ok());
+  EXPECT_EQ(v1_file.value(), FromHex(kV1GoldenSegmentHex));
+
+  // Compaction verifies the v1 record's FNV-64 and rewrites it as v2.
+  ASSERT_TRUE(backend.value()->Compact().ok());
+  backend.value().reset();
+  auto files = ListFiles(dir.value());
+  ASSERT_TRUE(files.ok());
+  ASSERT_EQ(files.value().size(), 1u);
+  auto v2_file = ReadFileToString(JoinPath(dir.value(), files.value()[0]));
+  ASSERT_TRUE(v2_file.ok());
+  EXPECT_EQ(v2_file.value().substr(0, 4), "HLXS");
+
+  storage::StoreOptions opts;
+  auto store = storage::IntermediateStore::Open(dir.value(), opts);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_EQ(store.value()->NumEntries(), 2u);
+  auto loaded = store.value()->Get(kV1GoldenSignature);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().Fingerprint(), kV1GoldenStoreFingerprint);
+  auto entry = store.value()->GetEntry(kV1GoldenSignature);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->node_name, "golden_node");
+  EXPECT_EQ(entry->fingerprint, kV1GoldenStoreFingerprint);
+  (void)RemoveDirRecursively(dir.value());
+}
+
 // --- per-column round trips --------------------------------------------------
 
 TEST(FormatV2Test, PerColumnRoundTripWithNulls) {
@@ -203,18 +254,24 @@ TEST(FormatV2Test, MixedColumnRoundTrip) {
   EXPECT_EQ(restored.value().Fingerprint(), original.Fingerprint());
 }
 
+// Replaces a v3 envelope's 4-byte CRC32C trailer with the checksum of
+// its (edited) body, so only the decoder's structural checks can object.
+std::string ResealV3(const std::string& bytes) {
+  ByteWriter fixed;
+  fixed.PutRaw(bytes.data(), bytes.size() - 4);
+  fixed.PutU32(simd::Crc32c(fixed.data().data(), fixed.data().size()));
+  return fixed.data();
+}
+
 TEST(FormatV2Test, FutureVersionRejected) {
   auto table = std::make_shared<TableData>(Schema::AllStrings({"a"}));
   ASSERT_TRUE(table->AppendRow({Value("x")}).ok());
   std::string bytes = DataCollection::FromTable(table).SerializeToString();
-  // Patch the version field (bytes 4..7, little-endian) to 9 and fix up
-  // the trailing checksum so only the version check can reject it.
-  bytes[4] = 9;
-  ByteWriter fixed;
-  fixed.PutRaw(bytes.data(), bytes.size() - 8);
-  uint64_t checksum = FnvHash64(fixed.data().data(), fixed.data().size());
-  fixed.PutU64(checksum);
-  auto result = DataCollection::DeserializeFromString(fixed.data());
+  // Patch the version field (bytes 4..7, little-endian) to the next,
+  // unreleased version and fix up the trailing checksum so only the
+  // version check can reject it.
+  bytes[4] = 4;
+  auto result = DataCollection::DeserializeFromString(ResealV3(bytes));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCorruption());
   EXPECT_NE(result.status().ToString().find("format version"),
@@ -356,6 +413,18 @@ constexpr char kV2GoldenPlainHex[] =
     "0000000e00000000000000c6db2588346654c2";
 constexpr uint64_t kV2GoldenPlainFingerprint = 0x132f14db53fe3c81ULL;
 
+// The same table as the current (v3) writer emits it: the v2 body under
+// version 3 and a 4-byte CRC32C trailer.
+constexpr char kV3GoldenPlainHex[] =
+    "484c58440300000001040000000000000002000000000000006964010500000000"
+    "00000073636f7265020400000000000000666c61670304000000000000006e616d"
+    "65040500000000000000010117feffffffffffffff05000000000000000c000000"
+    "0000000000000000000000001a000000000000000200000000000000f0bf000000"
+    "000000e0bf0000000000000000000000000000e03f000000000000f03f03011b01"
+    "0000000104010f0e00000000000000616c70686162657461616c70686100000000"
+    "00000000050000000000000009000000000000000e000000000000000e00000000"
+    "0000000e000000000000005ad9789a";
+
 TEST(FormatV2Test, V2PlainGoldenEnvelopeStillLoadsAndReserializes) {
   std::string hex;
   for (char c : std::string_view(kV2GoldenPlainHex)) {
@@ -373,8 +442,13 @@ TEST(FormatV2Test, V2PlainGoldenEnvelopeStillLoadsAndReserializes) {
   EXPECT_EQ(t->at(0, 3).AsString(), "alpha");
   // The string column must still deserialize as plain storage...
   EXPECT_EQ(t->column(3)->storage(), Column::Storage::kString);
-  // ...and the current writer must reproduce the golden bytes exactly.
-  EXPECT_EQ(restored.value().SerializeToString(), bytes);
+  // ...and the current writer must reproduce the v3 golden bytes exactly,
+  // which load to the same table.
+  std::string v3 = FromHex(kV3GoldenPlainHex);
+  EXPECT_EQ(restored.value().SerializeToString(), v3);
+  auto again = DataCollection::DeserializeFromString(v3);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value().Fingerprint(), kV2GoldenPlainFingerprint);
 }
 
 // --- dictionary-encoded string columns ---------------------------------------
@@ -452,17 +526,14 @@ TEST(FormatV2Test, DictionaryCodeOutOfRangeRejected) {
   DataCollection original = DataCollection::FromTable(MakeDictTable());
   std::string bytes = original.SerializeToString();
   // The dict column's row codes are the last body bytes before the
-  // 8-byte envelope checksum; stamp the final code with an impossible
+  // 4-byte envelope checksum; stamp the final code with an impossible
   // value and re-fix the checksum so only the code validation can
   // object.
-  size_t last_code = bytes.size() - 8 - sizeof(uint32_t);
+  size_t last_code = bytes.size() - 4 - sizeof(uint32_t);
   for (size_t i = 0; i < sizeof(uint32_t); ++i) {
     bytes[last_code + i] = static_cast<char>(0xFF);
   }
-  ByteWriter fixed;
-  fixed.PutRaw(bytes.data(), bytes.size() - 8);
-  fixed.PutU64(FnvHash64(fixed.data().data(), fixed.data().size()));
-  auto result = DataCollection::DeserializeFromString(fixed.data());
+  auto result = DataCollection::DeserializeFromString(ResealV3(bytes));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCorruption());
   EXPECT_NE(result.status().ToString().find("code out of range"),
@@ -521,11 +592,11 @@ TEST(FormatV2Test, SerializeToSpansIsByteIdenticalToString) {
 
 // --- examples golden: envelope bytes written by the per-row layout ----------
 
-// Four examples over a 3-name dictionary, serialized before examples were
-// stored as CSR arrays: an empty row, a -0.0 value, an index past the
-// dictionary with a subnormal value, a negative id, and both splits. The
-// CSR layout is in-memory only, so it must read these bytes, reproduce
-// them exactly, and keep the fingerprint and SizeBytes.
+// Four examples over a 3-name dictionary, serialized (envelope v2) before
+// examples were stored as CSR arrays: an empty row, a -0.0 value, an
+// index past the dictionary with a subnormal value, a negative id, and
+// both splits. They must still load with the same fingerprint and
+// SizeBytes, and the v3 writer must emit the v3 golden for them.
 constexpr char kExamplesGoldenHex[] =
     "484c58440200000003030000000000000002000000000000006630020000000000"
     "000066310200000000000000663204000000000000000000000000000000000000"
@@ -538,13 +609,34 @@ constexpr char kExamplesGoldenHex[] =
 constexpr uint64_t kExamplesGoldenFingerprint = 0x87fa8bc623eeb37eULL;
 constexpr int64_t kExamplesGoldenSizeBytes = 486;
 
+// The same four examples as the v3 writer emits them: one block per CSR
+// array (offsets, i32 indices, values, labels, ids, split flags) and a
+// CRC32C trailer — 295 bytes against the per-row form's 340.
+constexpr char kExamplesV3GoldenHex[] =
+    "484c58440300000003030000000000000002000000000000006630020000000000"
+    "000066310200000000000000663204000000000000000000000000000000000000"
+    "000000000002000000000000000400000000000000050000000000000000000000"
+    "02000000010000000500000000000000000000000000f83f000000000000008000"
+    "000000000002c0069b0f78335a0000000000000000000000000000000000000000"
+    "00000000f03f000000000000f03f00000000000000000000000000000000070000"
+    "0000000000fdffffffffffffff2a0000000000000000010001bdd018bd";
+
 TEST(FormatV2Test, ExamplesGoldenEnvelopeLoadsAndReserializes) {
   std::string bytes = FromHex(kExamplesGoldenHex);
   auto restored = DataCollection::DeserializeFromString(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value().Fingerprint(), kExamplesGoldenFingerprint);
   EXPECT_EQ(restored.value().SizeBytes(), kExamplesGoldenSizeBytes);
-  EXPECT_EQ(restored.value().SerializeToString(), bytes);
+  std::string v3 = FromHex(kExamplesV3GoldenHex);
+  EXPECT_EQ(restored.value().SerializeToString(), v3);
+  auto reloaded = DataCollection::DeserializeFromString(v3);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded.value().Fingerprint(), kExamplesGoldenFingerprint);
+  EXPECT_EQ(reloaded.value().SizeBytes(), kExamplesGoldenSizeBytes);
+  // The span path borrows the CSR blocks and flattens to the same bytes.
+  SpanWriter spans;
+  restored.value().SerializeToSpans(&spans);
+  EXPECT_EQ(spans.Flatten(), v3);
   const ExamplesData* e = restored.value().AsExamples().value();
   ASSERT_EQ(e->num_examples(), 4);
   EXPECT_EQ(e->features(0).num_entries(), 0);
@@ -567,30 +659,39 @@ TEST(FormatV2Test, ExamplesGoldenEnvelopeLoadsAndReserializes) {
     rebuilt.AddRow(row.view(), e->label(i), e->id(i), e->is_test(i));
   }
   auto shared = std::make_shared<ExamplesData>(rebuilt);
-  EXPECT_EQ(DataCollection::FromExamples(shared).SerializeToString(), bytes);
+  EXPECT_EQ(DataCollection::FromExamples(shared).SerializeToString(), v3);
 }
 
 // Seals `body` (magic, version, kind, payload) into an envelope with a
-// valid checksum, so only the payload's own checks can reject it.
-std::string SealEnvelope(const ByteWriter& body) {
+// valid trailer for `version` (FNV-64 before v3, CRC32C from v3), so only
+// the payload's own checks can reject it.
+std::string SealEnvelope(const ByteWriter& body, uint32_t version) {
   ByteWriter checksum;
-  checksum.PutU64(FnvHash64(body.data().data(), body.data().size()));
+  if (version >= 3) {
+    checksum.PutU32(simd::Crc32c(body.data().data(), body.data().size()));
+  } else {
+    checksum.PutU64(FnvHash64(body.data().data(), body.data().size()));
+  }
   return body.data() + checksum.data();
 }
 
 TEST(FormatV2Test, ImplausibleExampleCountIsCorruptionNotBadAlloc) {
-  ByteWriter body;
-  body.PutU32(0x44584C48);  // "HLXD"
-  body.PutU32(2);
-  body.PutU8(static_cast<uint8_t>(PayloadKind::kExamples));
-  FeatureDict().Serialize(&body);
-  body.PutU64(1ULL << 32);
-  auto got = DataCollection::DeserializeFromString(SealEnvelope(body));
-  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  for (uint32_t version : {2u, 3u}) {
+    ByteWriter body;
+    body.PutU32(0x44584C48);  // "HLXD"
+    body.PutU32(version);
+    body.PutU8(static_cast<uint8_t>(PayloadKind::kExamples));
+    FeatureDict().Serialize(&body);
+    body.PutU64(1ULL << 32);
+    auto got =
+        DataCollection::DeserializeFromString(SealEnvelope(body, version));
+    EXPECT_TRUE(got.status().IsCorruption())
+        << "v" << version << ": " << got.status().ToString();
+  }
 }
 
 TEST(FormatV2Test, ImplausibleTableRowCountIsCorruptionNotBadAlloc) {
-  for (uint32_t version : {1u, 2u}) {
+  for (uint32_t version : {1u, 2u, 3u}) {
     for (ValueType type : {ValueType::kInt, ValueType::kString}) {
       ByteWriter body;
       body.PutU32(0x44584C48);
@@ -605,9 +706,154 @@ TEST(FormatV2Test, ImplausibleTableRowCountIsCorruptionNotBadAlloc) {
                                           : Column::Storage::kString));
       body.PutU8(0);
       body.PutU64(0);  // empty string arena
-      auto got = DataCollection::DeserializeFromString(SealEnvelope(body));
+      auto got =
+          DataCollection::DeserializeFromString(SealEnvelope(body, version));
       EXPECT_TRUE(got.status().IsCorruption())
           << "v" << version << ": " << got.status().ToString();
+    }
+  }
+}
+
+// --- examples v3: block decoder validation ----------------------------------
+
+// A v3 examples envelope over an empty dictionary with the given blocks,
+// sealed with a valid CRC so only the block checks can object.
+struct ExamplesBlocks {
+  std::vector<int64_t> offsets = {0, 2, 3};
+  std::vector<int32_t> indices = {1, 4, 0};
+  std::vector<double> values = {0.5, -1.0, 2.0};
+  std::vector<double> labels = {1.0, 0.0};
+  std::vector<int64_t> ids = {10, 11};
+  std::vector<uint8_t> is_test = {0, 1};
+  std::string extra;  // bytes appended after the payload
+
+  std::string Seal() const {
+    ByteWriter body;
+    body.PutU32(0x44584C48);
+    body.PutU32(3);
+    body.PutU8(static_cast<uint8_t>(PayloadKind::kExamples));
+    FeatureDict().Serialize(&body);
+    body.PutU64(labels.size());
+    for (int64_t o : offsets) body.PutI64(o);
+    for (int32_t i : indices) body.PutU32(static_cast<uint32_t>(i));
+    for (double v : values) body.PutDouble(v);
+    for (double l : labels) body.PutDouble(l);
+    for (int64_t id : ids) body.PutI64(id);
+    for (uint8_t t : is_test) body.PutU8(t);
+    body.PutRaw(extra.data(), extra.size());
+    return SealEnvelope(body, 3);
+  }
+};
+
+TEST(FormatV3Test, ExamplesBlocksRoundTripHandBuiltBytes) {
+  auto got = DataCollection::DeserializeFromString(ExamplesBlocks().Seal());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const ExamplesData* e = got.value().AsExamples().value();
+  ASSERT_EQ(e->num_examples(), 2);
+  EXPECT_EQ(e->num_nonzeros(), 3);
+  EXPECT_DOUBLE_EQ(e->features(0).Get(4), -1.0);
+  EXPECT_EQ(e->id(1), 11);
+  EXPECT_TRUE(e->is_test(1));
+}
+
+TEST(FormatV3Test, ExamplesBlockInvariantsAreChecked) {
+  std::vector<std::pair<const char*, ExamplesBlocks>> cases;
+  ExamplesBlocks b;
+  b.offsets = {1, 2, 3};
+  cases.emplace_back("offsets start past 0", b);
+  b = ExamplesBlocks();
+  b.offsets = {0, 4, 3};  // row 0 would run past the 3 entries
+  b.indices = {0, 1, 2};
+  cases.emplace_back("offsets decrease", b);
+  b = ExamplesBlocks();
+  b.offsets = {0, 2, 1000};
+  cases.emplace_back("offsets end past the entries present", b);
+  b = ExamplesBlocks();
+  b.indices = {4, 1, 0};
+  cases.emplace_back("indices decrease within a row", b);
+  b = ExamplesBlocks();
+  b.indices = {4, 4, 0};
+  cases.emplace_back("duplicate index within a row", b);
+  b = ExamplesBlocks();
+  b.indices = {1, 4, -7};
+  cases.emplace_back("negative index", b);
+  b = ExamplesBlocks();
+  b.is_test = {0, 2};
+  cases.emplace_back("split flag out of range", b);
+  b = ExamplesBlocks();
+  b.extra = "x";
+  cases.emplace_back("bytes after the payload", b);
+  for (const auto& [what, blocks] : cases) {
+    auto got = DataCollection::DeserializeFromString(blocks.Seal());
+    EXPECT_TRUE(got.status().IsCorruption())
+        << what << ": " << got.status().ToString();
+    // The container-verified decoder runs the same structural checks.
+    EXPECT_TRUE(
+        DataCollection::DeserializeVerified(blocks.Seal()).status()
+            .IsCorruption())
+        << what;
+  }
+  // An index row boundary is not an ordering constraint: row 1 may
+  // start below row 0's last index (the baseline case does).
+  EXPECT_TRUE(DataCollection::DeserializeFromString(ExamplesBlocks().Seal())
+                  .ok());
+}
+
+// --- fault sweep: every truncation and byte flip ------------------------------
+
+std::vector<std::pair<const char*, std::string>> SweepEnvelopes() {
+  auto table = std::make_shared<TableData>(Schema({
+      {"i", ValueType::kInt},
+      {"d", ValueType::kDouble},
+      {"s", ValueType::kString},
+  }));
+  for (int64_t r = 0; r < 6; ++r) {
+    EXPECT_TRUE(table
+                    ->AppendRow({r == 3 ? Value::Null() : Value(r),
+                                 Value(0.25 * static_cast<double>(r)),
+                                 Value(StrFormat("row%lld",
+                                                 static_cast<long long>(r)))})
+                    .ok());
+  }
+  return {
+      {"table", DataCollection::FromTable(table).SerializeToString()},
+      {"examples", FromHex(kExamplesV3GoldenHex)},
+  };
+}
+
+TEST(FormatV3Test, EveryTruncationFailsVerificationAndNeverCrashes) {
+  for (const auto& [what, bytes] : SweepEnvelopes()) {
+    ASSERT_TRUE(DataCollection::DeserializeFromString(bytes).ok()) << what;
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      std::string_view cut = std::string_view(bytes).substr(0, len);
+      auto verified = DataCollection::DeserializeFromString(cut);
+      EXPECT_TRUE(verified.status().IsCorruption())
+          << what << " truncated to " << len << ": "
+          << verified.status().ToString();
+      // No checksum to fall back on: the structural checks alone must
+      // fail closed (the sanitizer lanes check for over-reads and
+      // allocations the bytes cannot back).
+      auto trusted = DataCollection::DeserializeVerified(cut);
+      EXPECT_FALSE(trusted.ok()) << what << " truncated to " << len;
+    }
+  }
+}
+
+TEST(FormatV3Test, EverySingleByteFlipFailsVerificationAndNeverCrashes) {
+  for (const auto& [what, bytes] : SweepEnvelopes()) {
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+        std::string flipped = bytes;
+        flipped[i] = static_cast<char>(flipped[i] ^ mask);
+        // CRC32C detects every error confined to one byte.
+        auto verified = DataCollection::DeserializeFromString(flipped);
+        EXPECT_TRUE(verified.status().IsCorruption())
+            << what << " byte " << i << " ^ " << static_cast<int>(mask);
+        // Without the hash, a flip in a value may decode to another valid
+        // payload; it must never crash or over-allocate.
+        auto trusted = DataCollection::DeserializeVerified(flipped);
+        (void)trusted;
+      }
     }
   }
 }

@@ -33,6 +33,8 @@
 #include "common/spans.h"
 #include "core/materialization.h"
 #include "core/session.h"
+#include "core/std_ops.h"
+#include "dataflow/simd.h"
 #include "net/app_specs.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -1228,6 +1230,117 @@ TEST_F(NetTest, FetchOutputZeroCopyMatchesIterationFingerprints) {
   EXPECT_TRUE(missing.status().IsNotFound())
       << missing.status().ToString();
   EXPECT_NE(missing.status().message().find("remote: "), std::string::npos);
+  (*server)->Stop();
+}
+
+// The client verifies a FetchOutput reply exactly once: the frame CRC
+// covers the envelope, so decoding it hashes nothing more.
+TEST(FetchOutputDecodeTest, ClientDecodeRunsOneChecksum) {
+  auto table = std::make_shared<dataflow::TableData>(
+      dataflow::Schema::AllStrings({"v"}));
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(table->AppendRow({dataflow::Value("row")}).ok());
+  }
+  dataflow::DataCollection data = dataflow::DataCollection::FromTable(table);
+  SpanWriter spans;
+  EncodeFetchOutputReplyToSpans(data, &spans);
+  Frame reply;
+  reply.opcode = static_cast<uint8_t>(Opcode::kReply);
+  reply.request_id = 5;
+  reply.payload = spans.Flatten();
+
+  auto listener = TcpListener::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok());
+  std::thread server([&]() {
+    auto conn = (*listener)->Accept();
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(WriteFrame(conn->get(), reply).ok());
+  });
+  auto conn = Connect("127.0.0.1", (*listener)->port());
+  ASSERT_TRUE(conn.ok());
+  server.join();
+
+  auto checksums = []() {
+    return dataflow::simd::InvocationCount(dataflow::simd::Kernel::kCrc32c,
+                                           dataflow::simd::Crc32cIsa());
+  };
+  uint64_t before = checksums();
+  auto frame = ReadFrame(conn->get(), kDefaultMaxPayloadBytes);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  auto decoded = DecodeFetchOutputReply(frame->payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(checksums(), before + 1);
+  EXPECT_EQ(decoded->Fingerprint(), data.Fingerprint());
+  // The contiguous decoder (the server's read path) agrees.
+  before = checksums();
+  auto again = DecodeFrame(EncodeFrame(reply));
+  ASSERT_TRUE(again.ok());
+  ASSERT_TRUE(DecodeFetchOutputReply(again->payload).ok());
+  EXPECT_EQ(checksums(), before + 2);  // EncodeFrame's + DecodeFrame's
+  (*listener)->Close();
+}
+
+// A FetchOutput reply past the server's frame payload limit would make the
+// client reject the frame and drop the connection, failing every call in
+// flight there. The server answers that one call with ResourceExhausted
+// instead, and the connection keeps serving.
+TEST_F(NetTest, OversizedFetchOutputReplyIsResourceExhausted) {
+  ServerOptions options;
+  options.service.workspace_dir = JoinPath(dir_, "limit");
+  options.service.num_threads = 2;
+  options.service.mat_policy =
+      std::make_shared<core::AlwaysMaterializePolicy>();
+  options.max_payload_bytes = 16 * 1024;
+  auto resolver = [](const core::WorkflowSpec&) -> Result<core::Workflow> {
+    core::Workflow wf("big-and-small");
+    // 8192 distinct int64 values: a 64 KiB column body.
+    core::NodeRef big = wf.Add(core::ops::Reducer(
+        "big", core::Phase::kDataPreprocessing, 1,
+        [](const std::vector<const dataflow::DataCollection*>&)
+            -> Result<dataflow::DataCollection> {
+          auto table = std::make_shared<dataflow::TableData>(
+              dataflow::Schema({{"v", dataflow::ValueType::kInt}}));
+          for (int64_t i = 0; i < 8192; ++i) {
+            HELIX_RETURN_IF_ERROR(table->AppendRow({dataflow::Value(i)}));
+          }
+          return dataflow::DataCollection::FromTable(std::move(table));
+        }));
+    core::NodeRef small = wf.Add(core::ops::Synthetic(
+        "small", core::Phase::kDataPreprocessing, 2, core::SyntheticCosts{}));
+    wf.MarkOutput(big);
+    wf.MarkOutput(small);
+    return wf;
+  };
+  auto server = HelixServer::Start(options, resolver);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = HelixClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+  auto session = (*client)->OpenSession("limited");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  core::WorkflowSpec spec;
+  spec.app = "big";
+  auto result = (*client)->RunIteration(session.value(), spec, "iter-0",
+                                        ChangeCategory::kInitial);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  uint64_t big_sig = 0;
+  uint64_t small_sig = 0;
+  for (const RemoteOutput& output : result->outputs) {
+    (output.name == "big" ? big_sig : small_sig) = output.signature;
+  }
+  ASSERT_NE(big_sig, 0u);
+  ASSERT_NE(small_sig, 0u);
+
+  auto big = (*client)->FetchOutput(big_sig);
+  ASSERT_FALSE(big.ok());
+  EXPECT_TRUE(big.status().IsResourceExhausted()) << big.status().ToString();
+  // Same client, same connection: the next call succeeds.
+  auto small = (*client)->FetchOutput(small_sig);
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  for (const RemoteOutput& output : result->outputs) {
+    if (output.name == "small") {
+      EXPECT_EQ(small->Fingerprint(), output.fingerprint);
+    }
+  }
   (*server)->Stop();
 }
 

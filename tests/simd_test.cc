@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -329,6 +330,100 @@ TEST(SimdTest, InvocationCountersAdvance) {
   SelectGreaterThan(values.data(), 100, 0.5, &sel);
   EXPECT_EQ(InvocationCount(Kernel::kSelectGreaterThan, isa), before + 1);
   EXPECT_EQ(sel.size(), 100u);
+}
+
+// --- CRC32C -------------------------------------------------------------------
+
+TEST(SimdTest, Crc32cIsaIsConsistent) {
+  Isa isa = Crc32cIsa();
+  EXPECT_EQ(isa, Crc32cIsa()) << "CRC probe must be stable";
+  EXPECT_TRUE(isa == Isa::kScalar || isa == Isa::kSse42) << IsaName(isa);
+#ifdef HELIX_FORCE_SCALAR
+  EXPECT_EQ(isa, Isa::kScalar);
+#endif
+}
+
+// RFC 3720 appendix B.4 test vectors plus the standard check value.
+TEST(SimdTest, Crc32cMatchesPublishedVectors) {
+  const std::string check = "123456789";
+  const std::vector<uint8_t> zeros(32, 0x00);
+  const std::vector<uint8_t> ones(32, 0xFF);
+  std::vector<uint8_t> ascending(32);
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<uint8_t>(i);
+  }
+  for (bool dispatched : {true, false}) {
+    auto crc = [&](const void* data, size_t len) {
+      return dispatched ? Crc32c(data, len) : scalar::Crc32c(data, len);
+    };
+    EXPECT_EQ(crc(check.data(), check.size()), 0xE3069283u) << dispatched;
+    EXPECT_EQ(crc(zeros.data(), zeros.size()), 0x8A9136AAu) << dispatched;
+    EXPECT_EQ(crc(ones.data(), ones.size()), 0x62A8AB43u) << dispatched;
+    EXPECT_EQ(crc(ascending.data(), ascending.size()), 0x46DD794Eu)
+        << dispatched;
+    EXPECT_EQ(crc(nullptr, 0), 0u) << dispatched;
+  }
+}
+
+TEST(SimdTest, Crc32cMatchesScalarAtEveryLengthAndAlignment) {
+  Rng rng(7);
+  std::vector<uint8_t> buf(67 + 16);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  for (size_t start = 0; start < 16; ++start) {
+    for (size_t len = 0; len <= 67; ++len) {
+      const uint8_t* p = buf.data() + start;
+      ASSERT_EQ(Crc32c(p, len), scalar::Crc32c(p, len))
+          << "start=" << start << " len=" << len;
+      ASSERT_EQ(Crc32c(p, len, 0xDEADBEEFu),
+                scalar::Crc32c(p, len, 0xDEADBEEFu))
+          << "start=" << start << " len=" << len << " (continued)";
+    }
+  }
+  // One long buffer through the 8-byte main loops of every path.
+  std::vector<uint8_t> big(1 << 16);
+  for (uint8_t& b : big) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  EXPECT_EQ(Crc32c(big.data(), big.size()),
+            scalar::Crc32c(big.data(), big.size()));
+}
+
+TEST(SimdTest, Crc32cContinuesAcrossSplitsAndSpans) {
+  Rng rng(11);
+  std::vector<uint8_t> buf(300);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  const uint32_t whole = scalar::Crc32c(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); split += 7) {
+    uint32_t a = Crc32c(buf.data(), split);
+    EXPECT_EQ(Crc32c(buf.data() + split, buf.size() - split, a), whole)
+        << "split=" << split;
+    EXPECT_EQ(scalar::Crc32c(buf.data() + split, buf.size() - split,
+                             scalar::Crc32c(buf.data(), split)),
+              whole)
+        << "split=" << split;
+    const char* p = reinterpret_cast<const char*>(buf.data());
+    ByteSpan spans[] = {{p, split}, {p + split, 0}, {p + split,
+                                                      buf.size() - split}};
+    EXPECT_EQ(Crc32c(spans, 3), whole) << "split=" << split;
+  }
+}
+
+TEST(SimdTest, Crc32cCountsOneInvocationPerChecksum) {
+  Isa isa = Crc32cIsa();
+  std::string data(100, 'x');
+  uint64_t before = InvocationCount(Kernel::kCrc32c, isa);
+  (void)Crc32c(data.data(), data.size());
+  EXPECT_EQ(InvocationCount(Kernel::kCrc32c, isa), before + 1);
+  ByteSpan spans[] = {{data.data(), 40}, {data.data() + 40, 60}};
+  (void)Crc32c(spans, 2);
+  EXPECT_EQ(InvocationCount(Kernel::kCrc32c, isa), before + 2);
+  // The scalar reference is uncounted.
+  (void)scalar::Crc32c(data.data(), data.size());
+  EXPECT_EQ(InvocationCount(Kernel::kCrc32c, isa), before + 2);
 }
 
 }  // namespace

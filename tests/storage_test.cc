@@ -3,6 +3,7 @@
 // the append-only disk backend's crash recovery, and the cost statistics
 // registry.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <atomic>
 #include <thread>
@@ -10,6 +11,8 @@
 #include "common/file_util.h"
 #include "common/hash.h"
 #include "dataflow/data_collection.h"
+#include "dataflow/simd.h"
+#include "obs/metrics.h"
 #include "storage/cost_stats.h"
 #include "storage/disk_backend.h"
 #include "storage/eviction.h"
@@ -23,6 +26,9 @@ using dataflow::DataCollection;
 using dataflow::Schema;
 using dataflow::TableData;
 using dataflow::Value;
+using dataflow::simd::Crc32cIsa;
+using dataflow::simd::InvocationCount;
+using dataflow::simd::Kernel;
 
 DataCollection MakeCollection(const std::string& content, int rows = 1) {
   auto table = std::make_shared<TableData>(Schema::AllStrings({"v"}));
@@ -509,6 +515,69 @@ TEST_F(StoreTest, CorruptEntryEvictedOnGet) {
   EXPECT_FALSE(store->Has(0xC0));
 }
 
+TEST_F(StoreTest, EveryRecordByteFlipIsCorruptionAndEvicts) {
+  DataCollection data = MakeCollection("sweep", 3);
+  std::string original;
+  {
+    auto store = OpenStore();
+    ASSERT_TRUE(store->Put(0xC1, "node", data, 0).ok());
+    auto bytes = ReadFileToString(FirstSegmentPath(dir_));
+    ASSERT_TRUE(bytes.ok());
+    original = bytes.value();
+  }
+  // Bytes 0..7 are the segment file header, which no Get reads; every
+  // byte after it belongs to the record: length prefix, payload, node
+  // name, metadata footer, CRC trailer.
+  const size_t kFileHeader = 8;
+  ASSERT_GT(original.size(), kFileHeader + 4 + 4);
+  for (size_t i = kFileHeader; i < original.size(); ++i) {
+    ASSERT_TRUE(WriteStringToFile(FirstSegmentPath(dir_), original).ok());
+    auto store = OpenStore();
+    ASSERT_TRUE(store->Has(0xC1));
+    std::string flipped = original;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0x20);
+    ASSERT_TRUE(WriteStringToFile(FirstSegmentPath(dir_), flipped).ok());
+    auto got = store->Get(0xC1);
+    EXPECT_TRUE(got.status().IsCorruption())
+        << "byte " << i << ": " << got.status().ToString();
+    EXPECT_FALSE(store->Has(0xC1)) << "byte " << i << " not evicted";
+  }
+}
+
+TEST_F(StoreTest, DiskGetRunsOneChecksumAndRecordsPhases) {
+  obs::MetricsRegistry metrics;
+  StoreOptions options;
+  options.metrics = &metrics;
+  auto store = OpenStore(options);
+  DataCollection data = MakeCollection("verify once", 50);
+  ASSERT_TRUE(store->Put(0xC2, "node", data, 0).ok());
+  // The backend's record CRC is the only hash over the loaded bytes: the
+  // envelope decodes without re-hashing its trailer.
+  uint64_t before = InvocationCount(Kernel::kCrc32c, Crc32cIsa());
+  auto got = store->Get(0xC2);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(InvocationCount(Kernel::kCrc32c, Crc32cIsa()), before + 1);
+  EXPECT_EQ(got.value().Fingerprint(), data.Fingerprint());
+  for (const char* name :
+       {"store.get.read_micros", "store.get.decode_micros",
+        "store.put.serialize_micros", "store.put.write_micros"}) {
+    EXPECT_EQ(metrics.GetHistogram(name)->Count(), 1) << name;
+  }
+}
+
+TEST_F(StoreTest, MemoryGetRunsNoChecksum) {
+  StoreOptions options;
+  options.backend = StorageBackendKind::kMemory;
+  auto store = OpenStore(options);
+  DataCollection data = MakeCollection("in process", 20);
+  ASSERT_TRUE(store->Put(0xC3, "node", data, 0).ok());
+  uint64_t before = InvocationCount(Kernel::kCrc32c, Crc32cIsa());
+  auto got = store->Get(0xC3);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(InvocationCount(Kernel::kCrc32c, Crc32cIsa()), before);
+  EXPECT_EQ(got.value().Fingerprint(), data.Fingerprint());
+}
+
 TEST_F(StoreTest, MemoryBackendRoundTripAndForgetsOnReopen) {
   StoreOptions options;
   options.backend = StorageBackendKind::kMemory;
@@ -833,6 +902,46 @@ TEST_F(DiskBackendTest, CompactionReclaimsDeadSpaceAndKeepsLive) {
   auto reopened = OpenBackend(options);
   EXPECT_EQ(reopened->NumIndexed(), 2u);
   EXPECT_TRUE(reopened->Read(19).ok());
+}
+
+TEST_F(DiskBackendTest, SegmentsStartWithTheV2Header) {
+  auto backend = OpenBackend();
+  ASSERT_TRUE(backend->Write(Meta(1, "abc"), "abc").ok());
+  auto bytes = ReadFileToString(FirstSegmentPath(dir_));
+  ASSERT_TRUE(bytes.ok());
+  // "HLXS", version 2, then the first record's u32 length prefix.
+  ASSERT_GE(bytes.value().size(), 12u);
+  EXPECT_EQ(bytes.value().substr(0, 8), std::string("HLXS\x02\0\0\0", 8));
+  // Header accounting: the header is neither live nor dead.
+  EXPECT_EQ(backend->DeadBytes(), 0);
+}
+
+TEST_F(DiskBackendTest, RecordOfFourGibibytesIsRefusedBeforeAppending) {
+  // A payload whose record would not fit the u32 length prefix. The pages
+  // are reserved, never touched: the length check must run first.
+  const size_t kHuge = (size_t{4} << 30) + 1;
+  void* mapping = ::mmap(nullptr, kHuge, PROT_READ,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (mapping == MAP_FAILED) {
+    GTEST_SKIP() << "cannot reserve 4 GiB of address space";
+  }
+  auto backend = OpenBackend();
+  ASSERT_TRUE(backend->Write(Meta(1, "small"), "small").ok());
+  std::string_view huge(static_cast<const char*>(mapping), kHuge);
+  StoreEntry meta = Meta(2, "");
+  meta.size_bytes = static_cast<int64_t>(kHuge);
+  Status refused = backend->Write(meta, huge);
+  ::munmap(mapping, kHuge);
+  EXPECT_TRUE(refused.IsInvalidArgument()) << refused.ToString();
+  EXPECT_EQ(backend->NumIndexed(), 1u);
+  // Nothing was appended: a later write and a reopen see every record.
+  ASSERT_TRUE(backend->Write(Meta(3, "after"), "after").ok());
+  backend.reset();
+  auto reopened = OpenBackend();
+  EXPECT_EQ(reopened->NumIndexed(), 2u);
+  auto read = reopened->Read(3);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), "after");
 }
 
 // --- CostStatsRegistry ------------------------------------------------------

@@ -61,6 +61,14 @@ def check_metrics(path, require_server):
            counters.get("store.bytes_written", 0) > 0,
            "metrics: store saw neither hits nor writes")
     expect("store.bytes" in gauges, "metrics: store.bytes gauge missing")
+    # Store phase timings: a Get splits into backend read (with its one
+    # checksum) and envelope decode, a Put into serialize and write.
+    for phase in ("get.read", "get.decode", "put.serialize", "put.write"):
+        expect("store.%s_micros" % phase in histograms,
+               "metrics: store.%s_micros histogram missing" % phase)
+    expect(histograms.get("store.put.write_micros", {}).get("count", 0) > 0
+           or counters.get("store.bytes_written", 0) == 0,
+           "metrics: store.put.write_micros not populated by the writes")
 
     # The executor ran iterations.
     expect(counters.get("executor.iterations", 0) > 0,
