@@ -270,81 +270,60 @@ Operator CsvScanner(const std::string& name,
       -> Result<DataCollection> {
     HELIX_ASSIGN_OR_RETURN(const TableData* in, InputTable(inputs, 0));
     int content_col = in->schema().IndexOf("content");
-    int line_col = in->schema().IndexOf("line");
     int split_col = in->schema().IndexOf(kSplitColumn);
-    if ((content_col < 0 && line_col < 0) || split_col < 0) {
+    if (content_col < 0 || split_col < 0) {
       return Status::InvalidArgument(
-          "CSVScanner expects (__split, content) or (__split, line) input");
+          "CSVScanner expects (__split, content) input");
     }
     std::vector<std::string> out_columns = {kSplitColumn};
     out_columns.insert(out_columns.end(), columns.begin(), columns.end());
     // One typed builder per parsed column.
     std::vector<ColumnBuilder> builders(
         columns.size(), ColumnBuilder(dataflow::ValueType::kString));
-    for (ColumnBuilder& b : builders) {
-      b.Reserve(in->num_rows());
-    }
+    // One row per source file: split lines in place off the contiguous
+    // content, tagging each parsed row with its file's split value. Empty
+    // lines are skipped.
+    ColumnBuilder split_out_b(dataflow::ValueType::kString);
+    std::shared_ptr<const Column> content = in->column(content_col);
+    std::shared_ptr<const Column> split_in = in->column(split_col);
     std::string scratch;
+    std::string split_scratch;
     int64_t row_id = 0;
-    auto parse_line = [&](std::string_view line) -> Status {
-      auto fields = ParseCsvLine(line);
-      if (!fields.ok()) {
-        return fields.status().WithContext(
-            StrFormat("CSV parse error at row %lld",
-                      static_cast<long long>(row_id)));
-      }
-      if (fields.value().size() != columns.size()) {
-        return Status::InvalidArgument(StrFormat(
-            "row %lld has %zu fields, expected %zu",
-            static_cast<long long>(row_id), fields.value().size(),
-            columns.size()));
-      }
-      for (size_t c = 0; c < columns.size(); ++c) {
-        builders[c].AppendString(Trim(fields.value()[c]));
-      }
-      ++row_id;
-      return Status::OK();
-    };
-    std::shared_ptr<const Column> out_split;
-    if (content_col >= 0) {
-      // Blob input (one row per source file): split lines in place off
-      // the contiguous content, tagging each parsed row with its file's
-      // split value. Empty lines are skipped, matching the retired
-      // line-per-row source exactly.
-      ColumnBuilder split_out_b(dataflow::ValueType::kString);
-      std::shared_ptr<const Column> content = in->column(content_col);
-      std::shared_ptr<const Column> split_in = in->column(split_col);
-      std::string split_scratch;
-      for (int64_t r = 0; r < in->num_rows(); ++r) {
-        std::string_view blob = StringAt(*content, r, &scratch);
-        std::string split_tag(StringAt(*split_in, r, &split_scratch));
-        size_t pos = 0;
-        while (pos <= blob.size()) {
-          size_t eol = blob.find('\n', pos);
-          std::string_view line =
-              blob.substr(pos, eol == std::string_view::npos ? blob.size() - pos
-                                                             : eol - pos);
-          pos = eol == std::string_view::npos ? blob.size() + 1 : eol + 1;
-          if (line.empty()) {
-            continue;
-          }
-          HELIX_RETURN_IF_ERROR(parse_line(line));
-          split_out_b.AppendString(split_tag);
+    for (int64_t r = 0; r < in->num_rows(); ++r) {
+      std::string_view blob = StringAt(*content, r, &scratch);
+      std::string split_tag(StringAt(*split_in, r, &split_scratch));
+      size_t pos = 0;
+      while (pos <= blob.size()) {
+        size_t eol = blob.find('\n', pos);
+        std::string_view line =
+            blob.substr(pos, eol == std::string_view::npos ? blob.size() - pos
+                                                           : eol - pos);
+        pos = eol == std::string_view::npos ? blob.size() + 1 : eol + 1;
+        if (line.empty()) {
+          continue;
         }
+        auto fields = ParseCsvLine(line);
+        if (!fields.ok()) {
+          return fields.status().WithContext(
+              StrFormat("CSV parse error at row %lld",
+                        static_cast<long long>(row_id)));
+        }
+        if (fields.value().size() != columns.size()) {
+          return Status::InvalidArgument(StrFormat(
+              "row %lld has %zu fields, expected %zu",
+              static_cast<long long>(row_id), fields.value().size(),
+              columns.size()));
+        }
+        for (size_t c = 0; c < columns.size(); ++c) {
+          builders[c].AppendString(Trim(fields.value()[c]));
+        }
+        split_out_b.AppendString(split_tag);
+        ++row_id;
       }
-      out_split = split_out_b.Finish();
-    } else {
-      // Legacy line-per-row input: the split column passes through
-      // zero-copy.
-      std::shared_ptr<const Column> lines = in->column(line_col);
-      for (int64_t r = 0; r < in->num_rows(); ++r) {
-        HELIX_RETURN_IF_ERROR(parse_line(StringAt(*lines, r, &scratch)));
-      }
-      out_split = in->column(split_col);
     }
     std::vector<std::shared_ptr<const Column>> out_cols;
     out_cols.reserve(columns.size() + 1);
-    out_cols.push_back(std::move(out_split));
+    out_cols.push_back(split_out_b.Finish());
     for (ColumnBuilder& b : builders) {
       out_cols.push_back(b.Finish());
     }

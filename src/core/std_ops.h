@@ -30,12 +30,14 @@ extern const char kSplitColumn[];
 // ---------------------------------------------------------------------------
 
 /// `data refers_to new FileSource(train=..., test=...)`: reads both files
-/// and produces a table (__split, line) with one row per input line.
+/// and produces a table (__split, content) with one row per file, holding
+/// the whole file as one string.
 Operator FileSource(const std::string& name, const std::string& train_path,
                     const std::string& test_path);
 
-/// `data is_read_into rows using CSVScanner(columns)`: parses the `line`
-/// column as CSV into (__split, columns...).
+/// `data is_read_into rows using CSVScanner(columns)`: splits each
+/// `content` blob into lines and parses every non-empty line as CSV into
+/// (__split, columns...), tagging it with its file's split value.
 Operator CsvScanner(const std::string& name,
                     const std::vector<std::string>& columns);
 

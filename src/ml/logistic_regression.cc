@@ -69,6 +69,8 @@ Result<std::shared_ptr<dataflow::ModelData>> TrainLogisticRegression(
   Rng rng(opts.seed);
   double final_loss = 0.0;
   const simd::ScaleFn scale = simd::ResolveScale();
+  const size_t n = train_idx.size();
+  const size_t* order = train_idx.data();
 
   for (int epoch = 0; epoch < opts.epochs; ++epoch) {
     rng.Shuffle(&train_idx);
@@ -81,7 +83,32 @@ Result<std::shared_ptr<dataflow::ModelData>> TrainLogisticRegression(
     if (shrink < 0.0) {
       shrink = 0.0;
     }
-    for (size_t i : train_idx) {
+    for (size_t pos = 0; pos < n; ++pos) {
+      // The shuffled order starts each visit with dependent cache misses:
+      // the offset, then the row's slice, plus the label. Request the
+      // offset and label two visits ahead, and the first and last entries
+      // of the next visit's slice, whose offset is already on its way (a
+      // census row's five values straddle two cache lines half the time).
+      // Prefetches change no value. They stay inline: GCC 12 deletes calls
+      // to a function that only prefetches, as free of side effects.
+      if (pos + 2 < n) {
+        __builtin_prefetch(offsets + order[pos + 2]);
+        __builtin_prefetch(labels + order[pos + 2]);
+      }
+      if (pos + 1 < n) {
+        const size_t next = order[pos + 1];
+        const int64_t next_begin = offsets[next];
+        const int64_t next_end = offsets[next + 1];
+        // Skipping empty rows also keeps pointer arithmetic off the null
+        // index/value arrays of a set with no stored entries.
+        if (next_end > next_begin) {
+          __builtin_prefetch(indices + next_begin);
+          __builtin_prefetch(values + next_begin);
+          __builtin_prefetch(indices + next_end - 1);
+          __builtin_prefetch(values + next_end - 1);
+        }
+      }
+      const size_t i = order[pos];
       const int64_t begin = offsets[i];
       const int64_t end = offsets[i + 1];
       // Indices are increasing, so the entries inside the live weights

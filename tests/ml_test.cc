@@ -588,16 +588,63 @@ void ExpectSameModel(const std::shared_ptr<dataflow::ModelData>& want,
   EXPECT_EQ(got.value()->Fingerprint(), want->Fingerprint()) << what;
 }
 
-TEST(BitIdentityTest, CsrTrainersMatchPerExampleTrainersAcrossSeeds) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng(seed * 7919);
-    int num_features = static_cast<int>(rng.NextInt(0, 24));
-    std::vector<PlainRow> rows = DifferentialRows(seed, num_features);
-    auto data = ToExamples(rows, num_features);
-    std::string tag = "seed " + std::to_string(seed);
+// Hand-built inputs for the edges of logistic regression's row
+// lookahead: one to three training rows (no more than the lookahead
+// distance), empty rows, a set with no stored entries at all (null
+// index/value arrays), and the longest row last in the CSR, past the
+// dictionary.
+std::vector<std::pair<std::string, std::vector<PlainRow>>> LookaheadEdgeRows(
+    int num_features) {
+  auto row = [](std::vector<std::pair<int32_t, double>> features,
+                double label, int64_t id, bool is_test) {
+    return PlainRow{std::move(features), label, id, is_test};
+  };
+  std::vector<std::pair<std::string, std::vector<PlainRow>>> cases;
+  cases.push_back({"one row", {row({{0, 1.0}, {2, -0.5}}, 1.0, 0, false)}});
+  cases.push_back({"two rows",
+                   {row({{1, 2.5}}, 0.0, 0, false),
+                    row({{0, -1.0}, {3, 1.0}}, 1.0, 1, false)}});
+  // Three training rows among test rows: the lookahead walks the
+  // training order, not the CSR.
+  cases.push_back({"three of five rows",
+                   {row({{0, 1.0}}, 1.0, 0, true),
+                    row({{1, -0.0}, {2, 3.75}}, 0.0, 1, false),
+                    row({}, 1.0, 2, false),
+                    row({{0, 2.0}, {5, -1.0}}, 1.0, 3, true),
+                    row({{2, 1.0}, {3, -2.5}}, 0.0, 4, false)}});
+  cases.push_back({"all rows empty",
+                   {row({}, 1.0, 0, false), row({}, 0.0, 1, false),
+                    row({}, 1.0, 2, true), row({}, 0.0, 3, false)}});
+  cases.push_back({"one empty row", {row({}, 1.0, 0, false)}});
+  std::vector<PlainRow> sparse;
+  for (int i = 0; i < 9; ++i) {
+    std::vector<std::pair<int32_t, double>> f;
+    if (i % 3 == 1) {
+      f = {{i % 4, i % 2 == 0 ? 1.0 : -1.5}};
+    }
+    sparse.push_back(row(std::move(f), i % 2 == 0 ? 1.0 : 0.0, i, false));
+  }
+  cases.push_back({"mostly empty rows, empty last", sparse});
+  std::vector<PlainRow> longest_last;
+  for (int i = 0; i < 6; ++i) {
+    longest_last.push_back(
+        row({{i % 3, 1.0}}, i % 2 == 0 ? 1.0 : 0.0, i, i == 2));
+  }
+  std::vector<std::pair<int32_t, double>> longest;
+  for (int32_t j = 0; j < num_features + 6; ++j) {
+    longest.emplace_back(j, j % 2 == 0 ? 0.5 : -2.0);
+  }
+  longest_last.push_back(row(std::move(longest), 1.0, 6, false));
+  cases.push_back({"longest row last", longest_last});
+  return cases;
+}
 
+TEST(BitIdentityTest, CsrTrainersMatchPerExampleTrainersAcrossSeeds) {
+  auto check = [](const std::vector<PlainRow>& rows, int num_features,
+                  int epochs, uint64_t seed, const std::string& tag) {
+    auto data = ToExamples(rows, num_features);
     LogisticRegressionOptions lr;
-    lr.epochs = static_cast<int>(rng.NextInt(1, 6));
+    lr.epochs = epochs;
     lr.seed = seed;
     for (double reg : {0.0, 0.1, 25.0}) {
       lr.reg_param = reg;
@@ -607,7 +654,7 @@ TEST(BitIdentityTest, CsrTrainersMatchPerExampleTrainersAcrossSeeds) {
           tag + " lr reg " + std::to_string(reg));
     }
     PerceptronOptions perceptron;
-    perceptron.epochs = lr.epochs;
+    perceptron.epochs = epochs;
     perceptron.seed = seed;
     for (double margin : {0.0, 0.75, -0.5}) {
       perceptron.margin = margin;
@@ -621,6 +668,22 @@ TEST(BitIdentityTest, CsrTrainersMatchPerExampleTrainersAcrossSeeds) {
     nb.smoothing = 0.5;
     ExpectSameModel(per_example::TrainNaiveBayes(rows, num_features, nb),
                     TrainNaiveBayes(*data, nb), tag + " nb");
+  };
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed * 7919);
+    int num_features = static_cast<int>(rng.NextInt(0, 24));
+    std::vector<PlainRow> rows = DifferentialRows(seed, num_features);
+    int epochs = static_cast<int>(rng.NextInt(1, 6));
+    check(rows, num_features, epochs, seed, "seed " + std::to_string(seed));
+  }
+  for (int num_features : {0, 4}) {
+    for (const auto& [name, rows] : LookaheadEdgeRows(num_features)) {
+      for (uint64_t seed : {1, 2, 3}) {
+        check(rows, num_features, 3, seed,
+              name + " features " + std::to_string(num_features) +
+                  " seed " + std::to_string(seed));
+      }
+    }
   }
 }
 
