@@ -103,19 +103,18 @@ struct ExecState {
   runtime::AsyncMaterializer* materializer = nullptr;
 
   // --- Memory planning (budget mode; see core/memory_planner.h) ---------
-  // Non-null iff a memory budget is active this iteration.
-  const MemoryPlan* mem_plan = nullptr;
+  // True iff a memory budget is active this iteration.
+  bool budgeted = false;
   // 1 once the node produced a result this iteration; an empty slot for a
-  // produced node means memory planning dropped it and EnsureAvailable
-  // must re-produce (vs. first production, which is the base plan's cost).
+  // produced node means it was dropped after its last use, and a later
+  // demand (only the load-failure fallback makes one) must re-produce it.
   // char, not bool: parallel-mode workers write their own element.
   std::vector<char> produced_once;
   // Plan-time loadability (store held the signature when planning ran):
-  // re-production of a dropped node reloads instead of recomputing, which
-  // is what the plan's cost model assumed.
-  std::vector<char> mem_loadable;
-  // Measured cost of budget-forced re-productions (reloads + recomputes
-  // of dropped intermediates) and their count.
+  // re-production of a dropped node reloads instead of recomputing.
+  std::vector<char> loadable;
+  // Measured cost of re-productions of dropped intermediates (reloads +
+  // recomputes) and their count.
   std::atomic<int64_t> extra_micros{0};
   std::atomic<int> extra_productions{0};
 
@@ -290,15 +289,15 @@ Status EnsureAvailable(ExecState* st, int node) {
   if (!st->results[s].empty()) {
     return Status::OK();
   }
-  if (st->mem_plan != nullptr && st->produced_once[s]) {
-    // Re-production of an intermediate that memory planning deliberately
-    // dropped. Reload when the store held it at plan time (the cost the
-    // plan budgeted), else recompute — the recursion re-produces dropped
-    // parents the same way. The price is accounted as recompute overhead,
-    // never hidden in the base node cost.
+  if (st->budgeted && st->produced_once[s]) {
+    // Re-production of an intermediate dropped after its last planned use:
+    // a failed planned load fell back to recomputing a child of it. Reload
+    // when the store held it at plan time, else recompute — the recursion
+    // re-produces dropped parents the same way. The price is accounted as
+    // recompute overhead, never hidden in the base node cost.
     NodeExecution& record = st->records[s];
     Status status;
-    if (st->mem_loadable[s]) {
+    if (st->loadable[s]) {
       status = LoadNodeFromStore(st, node);
       if (!status.ok()) {
         HELIX_LOG(Warning) << "re-load of dropped " << record.name
@@ -574,19 +573,12 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
   mem_problem.is_output.assign(static_cast<size_t>(n), false);
   mem_problem.output_bytes.assign(static_cast<size_t>(n), 0);
   mem_problem.transient_bytes.assign(static_cast<size_t>(n), 0);
-  mem_problem.compute_micros.assign(static_cast<size_t>(n), 0);
-  mem_problem.load_micros.assign(static_cast<size_t>(n), 0);
-  mem_problem.loadable.assign(static_cast<size_t>(n), false);
   mem_problem.budget_bytes = options.memory_budget_bytes;
   mem_problem.requested_width = ResolveParallelism(options, n);
   for (int i = 0; i < n; ++i) {
     size_t s = static_cast<size_t>(i);
-    const NodeCosts& c = problem.costs[s];
     mem_problem.states[s] = plan.state(i);
     mem_problem.is_output[s] = dag.is_output(i);
-    mem_problem.compute_micros[s] = c.compute_micros;
-    mem_problem.load_micros[s] = c.load_micros;
-    mem_problem.loadable[s] = c.loadable;
 
     // Output-size estimate: measured store entry (GetEntry, not Has — the
     // probe must not count toward hit/miss metrics) > exact stats history
@@ -621,17 +613,6 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
     }
   }
   HELIX_ASSIGN_OR_RETURN(MemoryPlan mem_plan, PlanMemory(mem_problem));
-  if (mem_plan.enabled && options.store != nullptr) {
-    // Couple the memory plan to eviction: a signature the planner is
-    // willing to drop and re-produce is cheap to lose from the store too.
-    std::vector<uint64_t> flagged;
-    for (int i = 0; i < n; ++i) {
-      if (mem_plan.flagged(i)) {
-        flagged.push_back(dag.cumulative_signature(i));
-      }
-    }
-    options.store->SetRecomputeHints(std::move(flagged));
-  }
   int64_t planning_micros = plan_timer.ElapsedMicros();
 
   // --- 4. Execute ---------------------------------------------------------
@@ -644,15 +625,11 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
       static_cast<size_t>(n));
   st.records.resize(static_cast<size_t>(n));
   st.produced_once.assign(static_cast<size_t>(n), 0);
-  st.mem_loadable.assign(static_cast<size_t>(n), 0);
-  if (mem_plan.enabled) {
-    st.mem_plan = &mem_plan;
-    for (int i = 0; i < n; ++i) {
-      st.mem_loadable[static_cast<size_t>(i)] =
-          mem_problem.loadable[static_cast<size_t>(i)] ? 1 : 0;
-    }
-  }
+  st.loadable.assign(static_cast<size_t>(n), 0);
+  st.budgeted = mem_plan.enabled;
   for (int i = 0; i < n; ++i) {
+    st.loadable[static_cast<size_t>(i)] =
+        problem.costs[static_cast<size_t>(i)].loadable ? 1 : 0;
     st.compute_estimate[static_cast<size_t>(i)] =
         problem.costs[static_cast<size_t>(i)].compute_micros;
     st.measured_compute[static_cast<size_t>(i)].store(
@@ -665,8 +642,7 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
     record.sliced = !slice.IsLive(i);
   }
 
-  // Budget mode narrows the worker count to the plan's width-aware bound
-  // (1 whenever any recompute flag is set).
+  // Budget mode narrows the worker count to the plan's width-aware bound.
   const int parallelism =
       mem_plan.enabled
           ? std::min(ResolveParallelism(options, n), mem_plan.max_width)
@@ -686,10 +662,9 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
   Status exec_status;
   if (parallelism <= 1 && mem_plan.enabled) {
     // Budget-mode sequential strategy: the planner's order with the exact
-    // release rule MemorySimulator modeled — after each step, drop every
-    // resident non-output whose computing consumers all ran, plus every
-    // flagged node other than the one just produced. EnsureAvailable
-    // re-produces dropped results on later demand.
+    // release rule the planner simulated — after each step, drop every
+    // resident non-output whose computing consumers all ran. The scan also
+    // re-drops results that a load-failure fallback re-produced.
     std::vector<int> remaining_uses(static_cast<size_t>(n), 0);
     for (int i = 0; i < n; ++i) {
       if (plan.state(i) != NodeState::kCompute) {
@@ -719,7 +694,7 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
             dag.is_output(i)) {
           continue;
         }
-        if (remaining_uses[s] == 0 || (mem_plan.flagged(i) && i != j)) {
+        if (remaining_uses[s] == 0) {
           st.results[s] = dataflow::DataCollection();
           st.records[s].dropped = true;
           st.SubResident(st.records[s].output_bytes);
@@ -775,11 +750,10 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
     runtime::ThreadPool pool(parallelism);
     runtime::ParallelDagScheduler scheduler(&sched_dag, std::move(active));
     if (mem_plan.enabled) {
-      // Drop-after-last-use in parallel mode (flags force width 1, so only
-      // the last-use rule applies here): the scheduler reports a node once
-      // all its dependents finished; by then no in-flight task can read
-      // the slot, and the fallback path — the one reader that may arrive
-      // later — takes fallback_mu, which also guards this write.
+      // Drop-after-last-use in parallel mode: the scheduler reports a node
+      // once all its dependents finished; by then no in-flight task can
+      // read the slot, and the fallback path — the one reader that may
+      // arrive later — takes fallback_mu, which also guards this write.
       scheduler.SetOnLastDependentDone([&st, &dag](int node) {
         if (dag.is_output(node)) {
           return;
@@ -822,7 +796,6 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
   report.peak_resident_bytes =
       st.peak_resident_bytes.load(std::memory_order_relaxed);
   report.memory_feasible = mem_plan.feasible;
-  report.planned_recompute_extra_micros = mem_plan.recompute_extra_micros;
   report.recompute_extra_micros =
       st.extra_micros.load(std::memory_order_relaxed);
   report.num_recomputed_extra =

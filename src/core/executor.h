@@ -80,11 +80,11 @@ struct ExecutionOptions {
   /// RAM budget for this iteration's resident intermediates; 0 disables
   /// memory planning (legacy behavior: every produced result stays
   /// resident until the iteration ends). When set, the executor plans an
-  /// execution order, drops intermediates after their last use, and — if
-  /// that alone does not fit — flags nodes for drop-and-recompute (see
-  /// core/memory_planner.h) so the planned peak stays under budget. The
-  /// budget is a planning target over *estimated* sizes, not an enforced
-  /// allocator limit; an infeasible plan executes best-effort.
+  /// execution order, drops intermediates after their last use, and
+  /// narrows the parallel width until the planned peak fits (see
+  /// core/memory_planner.h). The budget is a planning target over
+  /// *estimated* sizes, not an enforced allocator limit; a plan that does
+  /// not fit even sequentially executes best-effort.
   int64_t memory_budget_bytes = 0;
   /// Size estimate for nodes whose output was never measured (no store
   /// entry, no stats history). Mirrors default_compute_estimate_micros.
@@ -156,13 +156,13 @@ struct NodeExecution {
   int64_t output_bytes = 0;      // serialized size (computed/loaded nodes)
   bool materialized = false;     // written to the store this iteration
   int64_t materialize_micros = 0;
-  /// Memory planning dropped this node's result at least once (budget
-  /// mode only); its span is tagged `dropped`.
+  /// Memory planning dropped this node's result after its last use at
+  /// least once (budget mode only); its span is tagged `dropped`.
   bool dropped = false;
   /// Times this node was re-produced (reloaded or recomputed) after a
-  /// drop; the re-production costs are summed into
-  /// ExecutionReport::recompute_extra_micros, and cost_micros reflects
-  /// the most recent production.
+  /// drop, which only a load-failure fallback demands; the re-production
+  /// costs are summed into ExecutionReport::recompute_extra_micros, and
+  /// cost_micros reflects the most recent production.
   int recomputes = 0;
 };
 
@@ -196,7 +196,7 @@ struct ExecutionReport {
   // --- Memory planning (see core/memory_planner.h) ------------------------
   /// Planned peak resident bytes of this iteration. With
   /// memory_budget_bytes unset this is the keep-everything estimate; with
-  /// it set, the peak the chosen plan stays under.
+  /// it set, the drop-after-last-use estimate at the chosen width.
   int64_t planned_peak_bytes = 0;
   /// Keep-everything peak estimate (what the legacy executor would hold).
   int64_t unbudgeted_peak_bytes = 0;
@@ -210,11 +210,9 @@ struct ExecutionReport {
   /// True iff the memory plan fit the budget (trivially true when memory
   /// planning is off). An infeasible plan still executed best-effort.
   bool memory_feasible = true;
-  /// Planned cost of budget-forced re-productions.
-  int64_t planned_recompute_extra_micros = 0;
-  /// Measured cost of budget-forced re-productions actually performed
-  /// (reloads + recomputes of dropped intermediates) — the runtime price
-  /// paid for fitting the budget, reported, never hidden.
+  /// Measured cost of re-productions actually performed (reloads +
+  /// recomputes of intermediates dropped after their last planned use and
+  /// demanded again by a load-failure fallback) — reported, never hidden.
   int64_t recompute_extra_micros = 0;
   /// Nodes whose result was dropped at least once.
   int num_dropped = 0;

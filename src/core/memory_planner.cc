@@ -1,111 +1,54 @@
 #include "core/memory_planner.h"
 
 #include <algorithm>
-#include <functional>
 
 namespace helix {
 namespace core {
 
 namespace {
 
-// Simulates the executor's budget-mode semantics over a fixed order: a
-// node is produced per its planned state (first production is the base
-// plan's cost, not overhead), dropped per the release rule, and
-// re-produced on demand — by reload when the store holds it, else by
-// recursively re-producing its active parents. The executor's sequential
-// budget loop implements exactly this rule, so the simulated peak is the
-// planned peak of the real run.
-class MemorySimulator {
- public:
-  MemorySimulator(const MemoryProblem& problem, std::vector<bool> active,
-                  std::vector<int> uses)
-      : p_(problem), active_(std::move(active)), uses_(std::move(uses)) {}
-
-  struct Outcome {
-    int64_t peak_bytes = 0;
-    int64_t extra_micros = 0;
-    int num_recomputes = 0;
-  };
-
-  // `release` off reproduces the legacy keep-everything executor (used to
-  // measure the unbudgeted peak); `flags` marks drop-after-every-use
-  // nodes.
-  Outcome Run(const std::vector<int>& order, const std::vector<bool>& flags,
-              bool release) const {
-    const size_t n = static_cast<size_t>(p_.dag->num_nodes());
-    std::vector<bool> resident(n, false);
-    std::vector<bool> produced(n, false);
-    std::vector<int> remaining_uses = uses_;
-    Outcome out;
-    int64_t resident_bytes = 0;
-
-    auto add = [&](int i) {
-      size_t s = static_cast<size_t>(i);
-      resident[s] = true;
-      resident_bytes += p_.output_bytes[s];
-      out.peak_bytes = std::max(out.peak_bytes,
-                                resident_bytes + p_.transient_bytes[s]);
-    };
-    std::function<void(int)> acquire = [&](int i) {
-      size_t s = static_cast<size_t>(i);
-      if (resident[s]) {
-        return;
-      }
-      bool reproduce = produced[s];
-      bool by_load = reproduce ? p_.loadable[s]
-                               : p_.states[s] == NodeState::kLoad;
-      if (by_load) {
-        add(i);
-        if (reproduce) {
-          out.extra_micros += p_.load_micros[s];
-          ++out.num_recomputes;
-        }
-      } else {
-        for (graph::NodeId parent : p_.dag->Parents(i)) {
-          if (active_[static_cast<size_t>(parent)]) {
-            acquire(parent);
-          }
-        }
-        add(i);
-        if (reproduce) {
-          out.extra_micros += p_.compute_micros[s];
-          ++out.num_recomputes;
-        }
-      }
-      produced[s] = true;
-    };
-
-    for (int j : order) {
-      acquire(j);
-      if (!release) {
-        continue;
-      }
-      if (p_.states[static_cast<size_t>(j)] == NodeState::kCompute) {
-        for (graph::NodeId parent : p_.dag->Parents(j)) {
-          if (active_[static_cast<size_t>(parent)]) {
-            --remaining_uses[static_cast<size_t>(parent)];
-          }
-        }
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (!resident[i] || !active_[i] || p_.is_output[i]) {
-          continue;
-        }
-        if (remaining_uses[i] == 0 ||
-            (flags[i] && static_cast<int>(i) != j)) {
-          resident[i] = false;
-          resident_bytes -= p_.output_bytes[i];
+// Simulates the executor's budget-mode semantics over a fixed order: each
+// node is produced per its planned state and, when `release` is set,
+// dropped once every active consumer that computes from it has run. The
+// order is topological over the active nodes, so a computing node's
+// parents are always still resident when it runs and nothing is ever
+// re-produced. The executor's sequential budget loop implements exactly
+// this rule, so the simulated peak is the planned peak of the real run.
+// `release` off reproduces the legacy keep-everything executor (used to
+// measure the unbudgeted peak).
+int64_t SimulatePeak(const MemoryProblem& p, const std::vector<bool>& active,
+                     const std::vector<int>& uses,
+                     const std::vector<int>& order, bool release) {
+  const size_t n = static_cast<size_t>(p.dag->num_nodes());
+  std::vector<bool> resident(n, false);
+  std::vector<int> remaining_uses = uses;
+  int64_t resident_bytes = 0;
+  int64_t peak_bytes = 0;
+  for (int j : order) {
+    size_t js = static_cast<size_t>(j);
+    resident[js] = true;
+    resident_bytes += p.output_bytes[js];
+    peak_bytes =
+        std::max(peak_bytes, resident_bytes + p.transient_bytes[js]);
+    if (!release) {
+      continue;
+    }
+    if (p.states[js] == NodeState::kCompute) {
+      for (graph::NodeId parent : p.dag->Parents(j)) {
+        if (active[static_cast<size_t>(parent)]) {
+          --remaining_uses[static_cast<size_t>(parent)];
         }
       }
     }
-    return out;
+    for (size_t i = 0; i < n; ++i) {
+      if (resident[i] && !p.is_output[i] && remaining_uses[i] == 0) {
+        resident[i] = false;
+        resident_bytes -= p.output_bytes[i];
+      }
+    }
   }
-
- private:
-  const MemoryProblem& p_;
-  std::vector<bool> active_;
-  std::vector<int> uses_;
-};
+  return peak_bytes;
+}
 
 // Memory-aware topological order over the active nodes: among ready nodes
 // always pick the one whose execution grows the resident set least (its
@@ -182,9 +125,8 @@ Result<MemoryPlan> PlanMemory(const MemoryProblem& problem) {
   }
   const size_t n = static_cast<size_t>(problem.dag->num_nodes());
   if (problem.states.size() != n || problem.is_output.size() != n ||
-      problem.output_bytes.size() != n || problem.transient_bytes.size() != n ||
-      problem.compute_micros.size() != n || problem.load_micros.size() != n ||
-      problem.loadable.size() != n) {
+      problem.output_bytes.size() != n ||
+      problem.transient_bytes.size() != n) {
     return Status::InvalidArgument(
         "memory problem vectors must match dag size");
   }
@@ -209,99 +151,39 @@ Result<MemoryPlan> PlanMemory(const MemoryProblem& problem) {
   }
 
   MemoryPlan plan;
-  plan.recompute_flags.assign(n, false);
   plan.order = PlanOrder(problem, active, uses);
-  plan.max_width = std::max(1, problem.requested_width);
-
-  MemorySimulator sim(problem, active, uses);
   plan.unbudgeted_peak_bytes =
-      sim.Run(plan.order, plan.recompute_flags, /*release=*/false).peak_bytes;
-  MemorySimulator::Outcome drop_only =
-      sim.Run(plan.order, plan.recompute_flags, /*release=*/true);
-  plan.drop_only_peak_bytes = drop_only.peak_bytes;
-
+      SimulatePeak(problem, active, uses, plan.order, /*release=*/false);
   if (problem.budget_bytes <= 0) {
-    plan.enabled = false;
     plan.planned_peak_bytes = plan.unbudgeted_peak_bytes;
+    plan.max_width = std::max(1, problem.requested_width);
     return plan;
   }
   plan.enabled = true;
 
-  if (drop_only.peak_bytes <= problem.budget_bytes) {
-    // Releasing after last use suffices; widen back toward the requested
-    // parallelism as far as the budget allows. Each extra concurrent node
-    // holds at most one more working set (its output plus transient), so
-    // the width-aware bound is the sequential peak plus (W-1) of the
-    // largest single-node footprint.
-    int64_t max_footprint = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (active[i]) {
-        max_footprint =
-            std::max(max_footprint,
-                     problem.output_bytes[i] + problem.transient_bytes[i]);
-      }
+  // Widen toward the requested parallelism as far as the budget allows.
+  // Each extra concurrent node holds at most one more working set (its
+  // output plus transient), so the width-aware bound is the sequential
+  // peak plus (W-1) of the largest single-node footprint. When even the
+  // sequential peak does not fit, the plan is width 1 and infeasible: the
+  // executor runs it best-effort.
+  const int64_t sequential_peak =
+      SimulatePeak(problem, active, uses, plan.order, /*release=*/true);
+  int64_t max_footprint = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (active[i]) {
+      max_footprint =
+          std::max(max_footprint,
+                   problem.output_bytes[i] + problem.transient_bytes[i]);
     }
-    int width = plan.max_width;
-    while (width > 1 &&
-           drop_only.peak_bytes + (width - 1) * max_footprint >
-               problem.budget_bytes) {
-      --width;
-    }
-    plan.max_width = width;
-    plan.planned_peak_bytes =
-        drop_only.peak_bytes + (width - 1) * max_footprint;
-    plan.feasible = plan.planned_peak_bytes <= problem.budget_bytes;
-    return plan;
   }
-
-  // Drop-after-last-use alone does not fit: deliberately sacrifice
-  // residency. Greedily flag the node that frees the most peak bytes per
-  // micro of re-production cost (loadable/materialized nodes re-acquire at
-  // their load cost, so they are preferred victims) until the plan fits or
-  // no flag helps. Flagged re-production needs the simulated sequential
-  // order, so parallel width collapses to 1.
-  plan.max_width = 1;
-  MemorySimulator::Outcome current = drop_only;
-  for (;;) {
-    if (current.peak_bytes <= problem.budget_bytes) {
-      break;
-    }
-    int best = -1;
-    int64_t best_reduction = 0;
-    double best_ratio = 0.0;
-    for (size_t c = 0; c < n; ++c) {
-      if (!active[c] || problem.is_output[c] || uses[c] < 1 ||
-          plan.recompute_flags[c]) {
-        continue;
-      }
-      std::vector<bool> trial = plan.recompute_flags;
-      trial[c] = true;
-      MemorySimulator::Outcome o = sim.Run(plan.order, trial, true);
-      int64_t reduction = current.peak_bytes - o.peak_bytes;
-      if (reduction <= 0) {
-        continue;
-      }
-      int64_t cost = std::max<int64_t>(1, o.extra_micros -
-                                              current.extra_micros);
-      double ratio = static_cast<double>(reduction) /
-                     static_cast<double>(cost);
-      if (best == -1 || ratio > best_ratio) {
-        best = static_cast<int>(c);
-        best_ratio = ratio;
-        best_reduction = reduction;
-      }
-    }
-    (void)best_reduction;
-    if (best == -1) {
-      break;  // no flag reduces the peak: best-effort plan
-    }
-    plan.recompute_flags[static_cast<size_t>(best)] = true;
-    current = sim.Run(plan.order, plan.recompute_flags, true);
+  int width = std::max(1, problem.requested_width);
+  while (width > 1 && sequential_peak + (width - 1) * max_footprint >
+                          problem.budget_bytes) {
+    --width;
   }
-
-  plan.planned_peak_bytes = current.peak_bytes;
-  plan.recompute_extra_micros = current.extra_micros;
-  plan.num_recomputes = current.num_recomputes;
+  plan.max_width = width;
+  plan.planned_peak_bytes = sequential_peak + (width - 1) * max_footprint;
   plan.feasible = plan.planned_peak_bytes <= problem.budget_bytes;
   return plan;
 }

@@ -1,4 +1,4 @@
-// RAM-budget planning: drop-after-last-use + deliberate recomputation.
+// RAM-budget planning: drop-after-last-use under a width bound.
 //
 // The min-cut recomputation planner (core/recompute.h) decides *where*
 // results come from (load vs compute vs prune) to minimize time; it says
@@ -7,22 +7,20 @@
 // resident bytes were unplanned — a workflow whose intermediates sum past
 // RAM could not run on one box no matter what the store budget was.
 //
-// This pass adds the missing dimension, the classic checkpoint/recompute
-// trade (cf. Chen et al., "Training Deep Nets with Sublinear Memory
-// Cost"): given per-node memory estimates and a byte budget, it fixes an
-// execution order and a set of `recompute_flags` — intermediates
-// deliberately dropped after each use and re-produced on later demand — so
-// that the *planned* peak resident bytes of the iteration stay under
-// budget. Planning runs entirely on the cost model (a SimGrid-style
-// simulation of the executor's own release rule), so a plan can be
-// validated deterministically before any real allocation happens.
+// This pass adds the missing dimension with one rule: given per-node
+// memory estimates and a byte budget, it fixes an execution order that
+// grows the resident set least, releases every intermediate right after
+// its last computing consumer ran, and narrows the parallel width until
+// the planned peak resident bytes fit the budget. Planning runs entirely
+// on the cost model (a simulation of the executor's own release rule), so
+// a plan can be validated deterministically before any real allocation
+// happens. A budget that drop-after-last-use cannot meet even sequentially
+// yields an infeasible width-1 plan that the executor runs best-effort.
 //
-// Interaction with the min-cut plan: a node the store already holds
-// (loadable) re-acquires at its load cost instead of its recompute cost,
-// so materialized entries are the planner's preferred victims; the
-// executor in turn tells the store which signatures were flagged, and the
-// store halves their eviction retention scores (storage/eviction.h) — an
-// entry the memory planner is happy to re-produce is cheap to lose.
+// Deliberate drop-and-recompute of long-lived intermediates (the classic
+// checkpoint/recompute trade) is not planned: on the census pipeline it
+// never lowered the measured peak (docs/ARCHITECTURE.md, "Memory
+// planning").
 #ifndef HELIX_CORE_MEMORY_PLANNER_H_
 #define HELIX_CORE_MEMORY_PLANNER_H_
 
@@ -52,12 +50,6 @@ struct MemoryProblem {
   /// (`run_mem` beyond inputs+output): the serialization/deserialization
   /// buffer for store traffic is the dominant term today.
   std::vector<int64_t> transient_bytes;
-  /// Re-production costs, mirroring the recompute problem's view.
-  std::vector<int64_t> compute_micros;
-  std::vector<int64_t> load_micros;
-  /// True iff the store held this signature at planning time — the node
-  /// re-acquires at load cost rather than recompute cost.
-  std::vector<bool> loadable;
   /// Planned peak must stay at or under this; <= 0 disables budget
   /// planning (the plan still reports the unbudgeted peak estimate).
   int64_t budget_bytes = 0;
@@ -66,8 +58,8 @@ struct MemoryProblem {
   int requested_width = 1;
 };
 
-/// Output of PlanMemory. The executor follows `order` (sequential mode),
-/// releases per the drop rule, and re-produces flagged nodes on demand.
+/// Output of PlanMemory. The executor follows `order` (sequential mode) and
+/// releases each intermediate after its last use.
 struct MemoryPlan {
   /// True iff budget planning was requested (budget_bytes > 0).
   bool enabled = false;
@@ -79,26 +71,15 @@ struct MemoryPlan {
   /// chosen to minimize resident growth (greedy smallest-footprint-first,
   /// deterministic tie-break on node id).
   std::vector<int> order;
-  /// Nodes to drop after *every* use and re-produce on later demand.
-  std::vector<bool> recompute_flags;
-  /// Peak resident bytes under this plan (width-aware when max_width > 1).
+  /// Peak resident bytes under this plan: drop-after-last-use, plus one
+  /// more working set per extra parallel worker when max_width > 1. With
+  /// the budget disabled, the keep-everything peak.
   int64_t planned_peak_bytes = 0;
   /// Peak of the legacy keep-everything executor, for comparison curves.
   int64_t unbudgeted_peak_bytes = 0;
-  /// Peak with drop-after-last-use alone (no recompute flags).
-  int64_t drop_only_peak_bytes = 0;
-  /// Planned cost of the extra re-productions the flags cause.
-  int64_t recompute_extra_micros = 0;
-  /// Planned number of extra re-productions (loads or recomputes).
-  int num_recomputes = 0;
-  /// Parallel width the executor may use. 1 whenever any recompute flag is
-  /// set: on-demand re-production needs the deterministic sequential
-  /// release order the simulation modeled.
+  /// Parallel width the executor may use: the requested width, narrowed
+  /// until the planned peak fits (1 when even sequential does not fit).
   int max_width = 1;
-
-  bool flagged(int node) const {
-    return recompute_flags[static_cast<size_t>(node)];
-  }
 };
 
 /// Plans memory for one iteration. Deterministic: identical inputs yield

@@ -58,7 +58,8 @@ struct SessionOptions {
   bool enable_cse = true;
   int64_t default_compute_estimate_micros = 1000000;
   /// RAM budget for resident intermediates per iteration, forwarded to
-  /// ExecutionOptions::memory_budget_bytes (0 = memory planning off).
+  /// ExecutionOptions::memory_budget_bytes (0 = memory planning off): drop
+  /// after last use under a width bound, see core/memory_planner.h.
   int64_t memory_budget_bytes = 0;
   /// Size estimate for never-measured outputs, forwarded to
   /// ExecutionOptions::default_mem_estimate_bytes.

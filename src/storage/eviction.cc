@@ -28,8 +28,7 @@ EvictionPlan PlanEviction(const std::vector<EvictionCandidate>& candidates,
   std::vector<Scored> scored;
   scored.reserve(candidates.size());
   for (const EvictionCandidate& c : candidates) {
-    double s = c.score_scale *
-               RetentionScore(c.entry, c.est_load_micros,
+    double s = RetentionScore(c.entry, c.est_load_micros,
                               default_compute_micros);
     if (s < incoming_score) {
       scored.push_back({s, &c});

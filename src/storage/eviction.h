@@ -31,11 +31,6 @@ namespace storage {
 struct EvictionCandidate {
   StoreEntry entry;
   int64_t est_load_micros = 0;
-  /// Multiplier on the retention score (in [0, 1] in practice). The store
-  /// halves the score of entries the memory planner flagged for
-  /// drop-and-recompute: an entry the executor is happy to re-produce is
-  /// cheap to lose from the store too.
-  double score_scale = 1.0;
 };
 
 /// Result of planning one eviction round.

@@ -402,16 +402,6 @@ Status IntermediateStore::EvictForLocked(int64_t bytes_needed,
       }
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(hints_mu_);
-    if (!recompute_hints_.empty()) {
-      for (EvictionCandidate& c : candidates) {
-        if (recompute_hints_.count(c.entry.signature) > 0) {
-          c.score_scale = 0.5;
-        }
-      }
-    }
-  }
   EvictionPlan plan =
       PlanEviction(candidates, bytes_needed, incoming_score,
                    options_.default_compute_estimate_micros);
@@ -429,12 +419,6 @@ Status IntermediateStore::EvictForLocked(int64_t bytes_needed,
     }
   }
   return Status::OK();
-}
-
-void IntermediateStore::SetRecomputeHints(std::vector<uint64_t> signatures) {
-  std::lock_guard<std::mutex> lock(hints_mu_);
-  recompute_hints_.clear();
-  recompute_hints_.insert(signatures.begin(), signatures.end());
 }
 
 int64_t IntermediateStore::EvictOne(uint64_t signature) {

@@ -29,7 +29,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
@@ -184,13 +183,6 @@ class IntermediateStore {
     return num_evictions_.load(std::memory_order_relaxed);
   }
 
-  /// Replaces the set of signatures the memory planner flagged for
-  /// drop-and-recompute this iteration. Hinted entries score at half their
-  /// retention value in eviction planning — the executor has already
-  /// decided it can afford to re-produce them. Called by the executor once
-  /// per planned iteration; an empty set clears the coupling.
-  void SetRecomputeHints(std::vector<uint64_t> signatures);
-
   /// Entries ordered by signature (deterministic iteration for reporting).
   std::vector<StoreEntry> Entries() const;
 
@@ -237,11 +229,6 @@ class IntermediateStore {
   StoreOptions options_;
   std::unique_ptr<StorageBackend> backend_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Memory-planner recompute hints (leaf lock; taken inside budget_mu_
-  // during eviction planning and from SetRecomputeHints callers).
-  mutable std::mutex hints_mu_;
-  std::unordered_set<uint64_t> recompute_hints_;
 
   // Budget accounting. total_bytes_ is authoritative and updated under
   // budget_mu_ for admission (reserve/unreserve) but read lock-free.

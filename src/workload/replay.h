@@ -40,7 +40,8 @@ struct ReplayOptions {
       storage::StorageBackendKind::kMemory;
   int64_t storage_budget_bytes = 1LL << 30;
   /// RAM budget for each session's in-flight intermediates (planned peak;
-  /// the executor drops and recomputes to stay under it). 0 = unbudgeted.
+  /// the executor drops results after their last use and narrows its
+  /// width to stay under it). 0 = unbudgeted.
   int64_t memory_budget_bytes = 0;
   /// Shared pool width (0 = hardware concurrency).
   int threads = 0;

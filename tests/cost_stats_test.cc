@@ -179,10 +179,13 @@ TEST_F(CostStatsFailureTest, ConcurrentRecordAndReadIsSafe) {
 //     r = 2*l_tail - (c_tail + sum of ancestor compute costs)
 // where the ancestors (source, slow) are *not* recomputed this iteration
 // — their costs come from the registry (measured) or the default
-// estimate. Measured: ancestors ~60ms -> r < 0 -> materialize. With the
-// stats file deleted and a tiny default estimate: ancestors ~micros ->
-// r > 0 -> skip. Same workflow, same measured behavior at t+1; only the
-// iteration-t statistics differ.
+// estimate. tail declares l_tail = 25ms, so 2*l_tail = 50ms sits between
+// the cheap side and slow's 60ms: measured: ancestors >= 60ms -> r < 0 ->
+// materialize. With the stats file deleted and a tiny default estimate:
+// ancestors ~micros -> r > 0 -> skip, as long as tail itself computes in
+// under 50ms — true even under a sanitizer, where wall-clock costs of
+// source and tail grow. Same workflow, same measured behavior at t+1; only
+// the iteration-t statistics differ.
 TEST_F(CostStatsFailureTest, MeasuredStatsFlipNextIterationMaterialization) {
   auto build = [](int tail_tag) {
     core::Workflow wf("flip");
@@ -207,10 +210,13 @@ TEST_F(CostStatsFailureTest, MeasuredStatsFlipNextIterationMaterialization) {
             })
             .SetSyntheticCosts(core::SyntheticCosts{-1, 5, -1}),
         {source});
-    auto tail = wf.Add(core::ops::Synthetic("tail", core::Phase::kPostprocessing,
-                                            tail_tag, core::SyntheticCosts{},
-                                            /*payload_bytes=*/512),
-                       {slow});
+    // Declared load cost (used as l_tail by the materialization rule);
+    // compute cost stays measured.
+    auto tail = wf.Add(
+        core::ops::Synthetic("tail", core::Phase::kPostprocessing, tail_tag,
+                             core::SyntheticCosts{-1, 25000, -1},
+                             /*payload_bytes=*/512),
+        {slow});
     wf.MarkOutput(tail);
     return wf;
   };
@@ -235,10 +241,12 @@ TEST_F(CostStatsFailureTest, MeasuredStatsFlipNextIterationMaterialization) {
   }
 
   // Iteration t+1 with iteration t's statistics: the edited tail is
-  // materialized (its ancestors are known-expensive).
+  // materialized (its ancestors are known-expensive). The default estimate
+  // is as tiny as below, so only the reloaded measurement can justify it.
   {
     core::SessionOptions options;
     options.workspace_dir = dir_;
+    options.default_compute_estimate_micros = 10;
     auto session = core::Session::Open(options);
     ASSERT_TRUE(session.ok());
     auto v1 = (*session)->RunIteration(build(101), "edit tail",

@@ -1,11 +1,13 @@
-// Memory-budget planning tests: the planner's drop/recompute decisions on
-// hand-built problems, the executor's budget-mode semantics (drops,
-// on-demand re-production, overhead accounting), and the 10-seed
-// determinism property — outputs are bit-identical whether the budget is
-// infinite, tight, or pathological.
+// Memory-budget planning tests: the planner's order, peak and width on
+// hand-built problems, the executor's budget-mode semantics (drops after
+// last use, re-production of a dropped parent by the load-failure
+// fallback, overhead accounting), and the 10-seed determinism property —
+// outputs are bit-identical whether the budget is infinite, tight, or
+// pathological.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "graph/dag.h"
 #include "obs/metrics.h"
 #include "storage/cost_stats.h"
+#include "storage/disk_backend.h"
 #include "storage/store.h"
 
 namespace helix {
@@ -48,9 +51,6 @@ MemoryProblem ChainProblem(graph::Dag* dag) {
   p.is_output = {false, false, false, true};
   p.output_bytes.assign(4, 100);
   p.transient_bytes.assign(4, 0);
-  p.compute_micros.assign(4, 1000);
-  p.load_micros.assign(4, 100);
-  p.loadable.assign(4, false);
   return p;
 }
 
@@ -67,7 +67,7 @@ TEST(MemoryPlannerTest, NoBudgetReportsUnbudgetedPeak) {
   EXPECT_EQ(plan->order.size(), 4u);
 }
 
-TEST(MemoryPlannerTest, DropAfterLastUseFitsWithoutFlags) {
+TEST(MemoryPlannerTest, DropAfterLastUseFitsBudget) {
   graph::Dag dag;
   MemoryProblem p = ChainProblem(&dag);
   p.budget_bytes = 250;
@@ -75,16 +75,12 @@ TEST(MemoryPlannerTest, DropAfterLastUseFitsWithoutFlags) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_TRUE(plan->enabled);
   EXPECT_TRUE(plan->feasible);
-  EXPECT_EQ(plan->drop_only_peak_bytes, 200);
   EXPECT_EQ(plan->planned_peak_bytes, 200);
-  EXPECT_EQ(plan->num_recomputes, 0);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(plan->flagged(i)) << "node " << i;
-  }
+  EXPECT_EQ(plan->unbudgeted_peak_bytes, 400);
 }
 
 TEST(MemoryPlannerTest, ChainPairPeakIsIrreducible) {
-  // No flag can shrink a chain below parent+child: the plan is best-effort
+  // Nothing shrinks a chain below parent+child: the plan is best-effort
   // and honestly reports infeasible rather than thrashing.
   graph::Dag dag;
   MemoryProblem p = ChainProblem(&dag);
@@ -98,8 +94,7 @@ TEST(MemoryPlannerTest, ChainPairPeakIsIrreducible) {
 
 // A(100) -> B(100) -> C(100) -> D(10, output), with A also feeding D: A is
 // pinned across the whole chain by its late use, so drop-after-last-use
-// peaks at A+B+C = 300. Flagging A (drop after each use, recompute at D)
-// brings the peak to 210.
+// peaks at A+B+C = 300.
 MemoryProblem LateUseProblem(graph::Dag* dag) {
   dag->AddNodes(4);
   EXPECT_TRUE(dag->AddEdge(0, 1).ok());
@@ -112,13 +107,12 @@ MemoryProblem LateUseProblem(graph::Dag* dag) {
   p.is_output = {false, false, false, true};
   p.output_bytes = {100, 100, 100, 10};
   p.transient_bytes.assign(4, 0);
-  p.compute_micros.assign(4, 1000);
-  p.load_micros.assign(4, 100);
-  p.loadable.assign(4, false);
   return p;
 }
 
-TEST(MemoryPlannerTest, FlagsLongLivedNodeWhenDropOnlyInsufficient) {
+TEST(MemoryPlannerTest, DropOnlyMissIsSequentialAndInfeasible) {
+  // The late use pins A past the budget: the plan reports the drop-only
+  // estimate, collapses to width 1, and is run best-effort.
   graph::Dag dag;
   MemoryProblem p = LateUseProblem(&dag);
   p.budget_bytes = 250;
@@ -126,25 +120,10 @@ TEST(MemoryPlannerTest, FlagsLongLivedNodeWhenDropOnlyInsufficient) {
   auto plan = PlanMemory(p);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_TRUE(plan->enabled);
-  EXPECT_TRUE(plan->feasible);
-  EXPECT_GT(plan->drop_only_peak_bytes, p.budget_bytes);
-  EXPECT_LE(plan->planned_peak_bytes, p.budget_bytes);
-  EXPECT_TRUE(plan->flagged(0));
-  EXPECT_GE(plan->num_recomputes, 1);
-  EXPECT_GT(plan->recompute_extra_micros, 0);
-  // On-demand re-production needs the simulated sequential order.
+  EXPECT_FALSE(plan->feasible);
+  EXPECT_EQ(plan->planned_peak_bytes, 300);
+  EXPECT_EQ(plan->unbudgeted_peak_bytes, 310);
   EXPECT_EQ(plan->max_width, 1);
-}
-
-TEST(MemoryPlannerTest, LoadableVictimReacquiresAtLoadCost) {
-  graph::Dag dag;
-  MemoryProblem p = LateUseProblem(&dag);
-  p.budget_bytes = 250;
-  p.loadable[0] = true;  // the store holds A: re-acquire is a cheap load
-  auto plan = PlanMemory(p);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ASSERT_TRUE(plan->flagged(0));
-  EXPECT_EQ(plan->recompute_extra_micros, p.load_micros[0]);
 }
 
 TEST(MemoryPlannerTest, WidthNarrowsToFitConcurrentWorkingSets) {
@@ -169,7 +148,7 @@ TEST(MemoryPlannerTest, DeterministicPlans) {
     auto b = PlanMemory(p);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a->order, b->order);
-    EXPECT_EQ(a->recompute_flags, b->recompute_flags);
+    EXPECT_EQ(a->max_width, b->max_width);
     EXPECT_EQ(a->planned_peak_bytes, b->planned_peak_bytes);
   }
 }
@@ -210,7 +189,7 @@ std::map<std::string, uint64_t> Fingerprints(const ExecutionReport& report) {
 class MemoryExecutorTest : public ::testing::Test {
  protected:
   // Store-less execution: stats carry size history, nothing is loadable,
-  // so budget pressure exercises the drop + recompute path.
+  // so budget pressure exercises the drop-after-last-use path.
   ExecutionOptions Options(int64_t iteration, int64_t budget) {
     ExecutionOptions options;
     options.clock = &clock_;
@@ -257,25 +236,86 @@ TEST_F(MemoryExecutorTest, BudgetedRunMatchesUnbudgetedBitForBit) {
   EXPECT_LT(budgeted.peak_resident_bytes, unbudgeted.peak_resident_bytes);
 }
 
+// a -> p -> {q, x} -> eval(output). Only the post-processing nodes (x and
+// eval) are materialized, so after editing q a warm run computes a, p and q
+// and loads x: p's one computing use is q, and it is dropped right after.
+// q is unpadded and tiny, so running it frees p's bytes and the planner's
+// order runs q before x.
+Workflow FallbackWorkflow(int64_t q_tag) {
+  Workflow wf("fallback");
+  SyntheticCosts costs{1000, 100, 0};
+  NodeRef a = wf.Add(ops::Synthetic("a", Phase::kDataPreprocessing, 11, costs,
+                                    /*payload_bytes=*/100 << 10));
+  NodeRef p = wf.Add(ops::Synthetic("p", Phase::kDataPreprocessing, 22, costs,
+                                    /*payload_bytes=*/100 << 10),
+                     {a});
+  NodeRef q = wf.Add(ops::Synthetic("q", Phase::kMachineLearning, q_tag, costs),
+                     {p});
+  NodeRef x = wf.Add(ops::Synthetic("x", Phase::kPostprocessing, 33, costs,
+                                    /*payload_bytes=*/100 << 10),
+                     {p});
+  NodeRef eval = wf.Add(ops::Synthetic("eval", Phase::kPostprocessing, 44,
+                                       costs, /*payload_bytes=*/10 << 10),
+                        {q, x});
+  wf.MarkOutput(eval);
+  return wf;
+}
+
 TEST_F(MemoryExecutorTest, RecomputeOverheadIsReportedNotHidden) {
-  Workflow wf = LateUseWorkflow(0);
-  Run(wf, Options(0, 0));
-  ExecutionReport unbudgeted = Run(wf, Options(1, 0));
-  // Tight enough to force a recompute flag on the late-use node: under
-  // half the drop-only peak (3 resident 100K results + the output).
-  int64_t budget = unbudgeted.unbudgeted_peak_bytes / 2;
-  ExecutionReport budgeted = Run(wf, Options(2, budget));
-  EXPECT_EQ(Fingerprints(budgeted), Fingerprints(unbudgeted));
-  if (budgeted.num_recomputed_extra > 0) {
-    EXPECT_GT(budgeted.recompute_extra_micros, 0);
-    EXPECT_GT(budgeted.planned_recompute_extra_micros, 0);
+  auto dir = MakeTempDir("helix-memory-fallback");
+  ASSERT_TRUE(dir.ok());
+  storage::StoreOptions store_options;
+  store_options.clock = &clock_;
+  PhaseFilterPolicy policy(std::make_shared<AlwaysMaterializePolicy>(),
+                           {Phase::kPostprocessing});
+  uint64_t x_sig = 0;
+  {
+    auto store = storage::IntermediateStore::Open(dir.value(), store_options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ExecutionOptions options = Options(0, 0);
+    options.store = store.value().get();
+    options.mat_policy = &policy;
+    ExecutionReport cold = Run(FallbackWorkflow(1), options);
+    ASSERT_TRUE(cold.FindNode("x")->materialized);
+    ASSERT_FALSE(cold.FindNode("p")->materialized);
+    x_sig = cold.FindNode("x")->signature;
+    auto entry = store.value()->GetEntry(x_sig);
+    ASSERT_TRUE(entry.has_value());
+    store.value().reset();
+    // Tamper x's payload: a well-formed segment record whose bytes no
+    // longer decode, so the reopened store still advertises x as loadable.
+    auto backend =
+        storage::DiskBackend::Open(dir.value(), storage::DiskBackendOptions());
+    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+    ASSERT_TRUE(backend.value()->Recover().ok());
+    ASSERT_TRUE(backend.value()->Write(*entry, "not an envelope").ok());
   }
+  auto store = storage::IntermediateStore::Open(dir.value(), store_options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  Workflow edited = FallbackWorkflow(2);
+  ExecutionReport unbudgeted = Run(edited, Options(1, 0));
+  ExecutionOptions options = Options(2, unbudgeted.unbudgeted_peak_bytes / 2);
+  options.store = store.value().get();
+  ExecutionReport budgeted = Run(edited, options);
+
+  EXPECT_EQ(Fingerprints(budgeted), Fingerprints(unbudgeted));
+  // x's planned load failed and fell back to computing x, whose parent p
+  // had already been dropped after q, its last computing use.
+  EXPECT_EQ(budgeted.FindNode("x")->state, NodeState::kCompute);
+  const NodeExecution* p = budgeted.FindNode("p");
+  EXPECT_TRUE(p->dropped);
+  EXPECT_GT(p->recomputes, 0);
+  EXPECT_GT(budgeted.num_recomputed_extra, 0);
+  EXPECT_GT(budgeted.recompute_extra_micros, 0);
   // A re-produced node carries its drop in the report.
   for (const NodeExecution& node : budgeted.nodes) {
     if (node.recomputes > 0) {
       EXPECT_TRUE(node.dropped) << node.name;
     }
   }
+  store.value().reset();
+  (void)RemoveDirRecursively(dir.value());
 }
 
 TEST_F(MemoryExecutorTest, GaugesTrackPlannedPeakAndOverhead) {

@@ -29,6 +29,15 @@ constexpr int kNumSeeds = 30;
 constexpr int64_t kLengths[] = {0, 1, 3, 4, 5, 7, 8, 15, 16, 17,
                                 31, 63, 64, 65, 257, 1021, 4096, 4099};
 
+// Bit-for-bit equality of two double buffers. Empty buffers are equal
+// without a memcmp: an empty vector's data() may be null, and memcmp's
+// pointers must be valid even for a zero length.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 TEST(SimdTest, ActiveIsaIsConsistent) {
   Isa isa = ActiveIsa();
   EXPECT_EQ(isa, ActiveIsa()) << "ISA probe must be stable";
@@ -133,8 +142,7 @@ TEST(SimdTest, GathersMatchScalar) {
       std::vector<double> got_f64(sel.size()), want_f64(sel.size());
       GatherF64(src_f64.data(), sel.data(), m, got_f64.data());
       scalar::GatherF64(src_f64.data(), sel.data(), m, want_f64.data());
-      ASSERT_EQ(0, std::memcmp(got_f64.data(), want_f64.data(),
-                               sel.size() * sizeof(double)))
+      ASSERT_TRUE(SameBits(got_f64, want_f64))
           << "seed=" << seed << " n=" << n;
 
       std::vector<uint32_t> got_u32(sel.size()), want_u32(sel.size());
@@ -213,8 +221,7 @@ TEST(SimdTest, ExpandCodesMatchesScalar) {
           want(static_cast<size_t>(n));
       ExpandCodes(codes.data(), n, per_code.data(), got.data());
       scalar::ExpandCodes(codes.data(), n, per_code.data(), want.data());
-      ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
-                               static_cast<size_t>(n) * sizeof(double)))
+      ASSERT_TRUE(SameBits(got, want))
           << "seed=" << seed << " n=" << n;
     }
   }
@@ -234,14 +241,12 @@ TEST(SimdTest, StandardizeMatchesScalarBitForBit) {
           want(static_cast<size_t>(n));
       Standardize(src.data(), n, mean, stddev, got.data());
       scalar::Standardize(src.data(), n, mean, stddev, want.data());
-      ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
-                               static_cast<size_t>(n) * sizeof(double)))
+      ASSERT_TRUE(SameBits(got, want))
           << "seed=" << seed << " n=" << n;
       // In-place form (out == src), used by AssembleExamples.
       std::vector<double> in_place = src;
       Standardize(in_place.data(), n, mean, stddev, in_place.data());
-      ASSERT_EQ(0, std::memcmp(in_place.data(), want.data(),
-                               static_cast<size_t>(n) * sizeof(double)))
+      ASSERT_TRUE(SameBits(in_place, want))
           << "in-place, seed=" << seed << " n=" << n;
     }
   }
@@ -303,8 +308,7 @@ TEST(SimdTest, ScaleMatchesScalarBitForBitAtEveryLength) {
       std::vector<double> want = src;
       ResolveScale()(got.data() + offset, n, s);
       scalar::Scale(want.data() + offset, n, s);
-      ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
-                               got.size() * sizeof(double)))
+      ASSERT_TRUE(SameBits(got, want))
           << "seed=" << seed << " n=" << n << " s=" << s;
     }
   }

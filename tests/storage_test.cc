@@ -240,30 +240,6 @@ TEST_F(StoreTest, RefreshedEqualScoresKeepDeterministicTieOrder) {
   EXPECT_EQ(store->NumEvictions(), 1);
 }
 
-// Entries the memory planner flagged for drop-and-recompute score at half
-// value: the executor is happy to re-produce them, so the store should be
-// happy to lose them first.
-TEST_F(StoreTest, RecomputeHintsHalveRetentionScores) {
-  DataCollection data = MakeCollection(std::string(1000, 'a'));
-  int64_t size = SerializedSize(data);
-  auto store = OpenStore(/*budget=*/2 * size + size / 2);
-  // Identical residents: without hints the tie order would evict the
-  // smaller signature (1) first.
-  ASSERT_TRUE(store->Put(1, "a", data, 0, nullptr,
-                         /*compute_micros=*/10000000).ok());
-  ASSERT_TRUE(store->Put(2, "b", data, 0, nullptr,
-                         /*compute_micros=*/10000000).ok());
-  store->SetRecomputeHints({2});
-  // The newcomer scores between the hinted (halved) and full resident
-  // scores: only the hinted entry is an eligible victim.
-  ASSERT_TRUE(store->Put(3, "mid", data, 1, nullptr,
-                         /*compute_micros=*/6000000).ok());
-  EXPECT_TRUE(store->Has(1));
-  EXPECT_FALSE(store->Has(2));
-  EXPECT_TRUE(store->Has(3));
-  EXPECT_EQ(store->NumEvictions(), 1);
-}
-
 // The documented tie order for equal retention scores: older iteration
 // first, then smaller signature — a total order, so the victim sequence
 // is deterministic regardless of the order candidates are enumerated in.

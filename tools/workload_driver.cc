@@ -109,7 +109,8 @@ struct DriverConfig {
   int64_t docs = 80;
   int64_t budget_mb = 1024;
   /// Per-iteration RAM budget for in-flight intermediates (0 = off): the
-  /// executor plans drops/recomputes to keep its resident peak under it.
+  /// executor drops results after their last use and narrows its width to
+  /// keep its planned resident peak under it.
   int64_t memory_budget_mb = 0;
   uint64_t seed = 1;
   std::string remote_host;  // empty = in-process
