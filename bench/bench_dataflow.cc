@@ -10,10 +10,11 @@
 //               education/occupation into sparse vectors (the
 //               AssembleExamples featurization scan).
 //
-// The "row" variant drives the row-compatibility API (TableData::at, one
-// materialized Value per cell — what the retired row store's operators
-// paid per cell, plus nothing the columnar engine can skip for them). The
-// "col" variant reads typed columns the way the operators now do:
+// The "row" variant is a reference loop that materializes one Value per
+// cell (Column::GetValue) and appends output cells through the generic
+// ColumnBuilder::Append — what the retired row store's operators paid per
+// cell, plus nothing the columnar engine can skip for them. The "col"
+// variant reads typed columns the way the operators now do:
 // dictionary-encoded string columns are processed per distinct entry and
 // broadcast per row through the SIMD kernels; plain string columns fall
 // back to arena views. Outputs are cross-checked between the two
@@ -74,25 +75,46 @@ const Column& Col(const TableData& t, const char* name) {
   return *col.value();
 }
 
+// String cell `r` of a kString column, in either of its two layouts.
+std::string_view StringCell(const Column& col, int64_t r) {
+  if (col.storage() == Column::Storage::kDictString) {
+    return static_cast<const DictionaryColumn&>(col).view(r);
+  }
+  return static_cast<const StringColumn&>(col).view(r);
+}
+
 // --- filter: hours_per_week > 40 ---------------------------------------------
 
 int64_t FilterRowLoop(const TableData& t, int hours_col) {
-  // Row path: materialize each cell, parse, and deep-copy survivors row
-  // by row — how every operator in the row store moved data.
-  auto out = std::make_shared<TableData>(t.schema());
+  // Reference path: materialize each cell, parse, and copy survivors cell
+  // by cell — how every operator in the row store moved data.
+  int cols = t.schema().num_fields();
+  std::vector<const Column*> in;
+  std::vector<ColumnBuilder> out;
+  for (int c = 0; c < cols; ++c) {
+    in.push_back(t.column(c).get());
+    out.emplace_back(t.schema().field(c).type);
+  }
+  const Column& hours_in = *in[static_cast<size_t>(hours_col)];
   for (int64_t r = 0; r < t.num_rows(); ++r) {
     double hours = 0;
-    if (!ParseDouble(t.at(r, hours_col).AsString(), &hours) || hours <= 40) {
+    if (!ParseDouble(hours_in.GetValue(r).AsString(), &hours) ||
+        hours <= 40) {
       continue;
     }
-    dataflow::Row row;
-    row.reserve(static_cast<size_t>(t.schema().num_fields()));
-    for (int c = 0; c < t.schema().num_fields(); ++c) {
-      row.push_back(t.at(r, c));
+    for (int c = 0; c < cols; ++c) {
+      CheckOk(out[static_cast<size_t>(c)].Append(
+                  in[static_cast<size_t>(c)]->GetValue(r)),
+              "filter append");
     }
-    CheckOk(out->AppendRow(std::move(row)), "filter append");
   }
-  return out->num_rows();
+  std::vector<std::shared_ptr<const Column>> sealed;
+  for (ColumnBuilder& b : out) {
+    sealed.push_back(b.Finish());
+  }
+  auto table = TableData::FromColumns(t.schema(), std::move(sealed));
+  CheckOk(table.status(), "filter table");
+  return table.value()->num_rows();
 }
 
 int64_t FilterColumnar(const TableData& t, const Column& hours) {
@@ -134,27 +156,28 @@ constexpr int kBins = 10;
 
 uint64_t DeriveRowLoop(const TableData& t, int age_col) {
   std::vector<double> parsed(static_cast<size_t>(t.num_rows()));
+  const Column& age = *t.column(age_col);
   double lo = 0;
   double hi = 0;
   for (int64_t r = 0; r < t.num_rows(); ++r) {
     double x = 0;
-    ParseDouble(t.at(r, age_col).AsString(), &x);
+    ParseDouble(age.GetValue(r).AsString(), &x);
     parsed[static_cast<size_t>(r)] = x;
     lo = r == 0 ? x : std::min(lo, x);
     hi = r == 0 ? x : std::max(hi, x);
   }
   double width = std::max((hi - lo) / kBins, 1e-9);
-  auto out = std::make_shared<TableData>(
-      dataflow::Schema::AllStrings({"bucket"}));
-  out->Reserve(t.num_rows());
+  ColumnBuilder bucket(dataflow::ValueType::kString);
+  bucket.Reserve(t.num_rows());
   uint64_t check = 0;
   for (int64_t r = 0; r < t.num_rows(); ++r) {
     int b = std::clamp(
         static_cast<int>((parsed[static_cast<size_t>(r)] - lo) / width), 0,
         kBins - 1);
-    CheckOk(out->AppendRow({Value(StrFormat("b%d", b))}), "derive append");
+    CheckOk(bucket.Append(Value(StrFormat("b%d", b))), "derive append");
     check += static_cast<uint64_t>(b);
   }
+  bucket.Finish();
   return check;
 }
 
@@ -236,6 +259,14 @@ double FeaturizeRowLoop(const TableData& t,
                         const std::vector<int>& numeric_idx,
                         const std::vector<int>& onehot_idx) {
   FeatureDict dict;
+  std::vector<const Column*> numeric;
+  for (int c : numeric_idx) {
+    numeric.push_back(t.column(c).get());
+  }
+  std::vector<const Column*> onehot;
+  for (int c : onehot_idx) {
+    onehot.push_back(t.column(c).get());
+  }
   // Pass 1: means/stddevs off display strings, like the row-wise scan.
   std::vector<double> mean(numeric_idx.size(), 0);
   std::vector<double> stddev(numeric_idx.size(), 1);
@@ -245,7 +276,7 @@ double FeaturizeRowLoop(const TableData& t,
     double sum_sq = 0;
     for (int64_t r = 0; r < t.num_rows(); ++r) {
       double x = 0;
-      ParseDouble(t.at(r, numeric_idx[f]).ToDisplayString(), &x);
+      ParseDouble(numeric[f]->GetValue(r).ToDisplayString(), &x);
       sum += x;
       sum_sq += x * x;
     }
@@ -260,13 +291,14 @@ double FeaturizeRowLoop(const TableData& t,
     SparseVector features;
     for (size_t f = 0; f < numeric_idx.size(); ++f) {
       double x = 0;
-      ParseDouble(t.at(r, numeric_idx[f]).ToDisplayString(), &x);
+      ParseDouble(numeric[f]->GetValue(r).ToDisplayString(), &x);
       features.Set(index[f], (x - mean[f]) / stddev[f]);
     }
-    for (int c : onehot_idx) {
-      features.Set(dict.Intern(t.schema().field(c).name + "=" +
-                               t.at(r, c).ToDisplayString()),
-                   1.0);
+    for (size_t f = 0; f < onehot_idx.size(); ++f) {
+      features.Set(
+          dict.Intern(t.schema().field(onehot_idx[f]).name + "=" +
+                      onehot[f]->GetValue(r).ToDisplayString()),
+          1.0);
     }
     check += features.Get(index[0]);
   }
@@ -348,7 +380,9 @@ double FeaturizeColumnar(const TableData& t,
       }
     }
   }
-  int target_idx = t.schema().IndexOf("target");
+  const Column& edu = *t.column(onehot_idx[0]);
+  const Column& occ = *t.column(onehot_idx[1]);
+  const Column& target = Col(t, "target");
   double check = 0;
   std::string feature_name;
   for (int64_t r = 0; r < n; ++r) {
@@ -379,11 +413,11 @@ double FeaturizeColumnar(const TableData& t,
       // The census app's income examples also carry the eduXocc cross,
       // which brings the weight vector to a few hundred features.
       feature_name.assign("eduXocc=");
-      feature_name += t.at(r, onehot_idx[0]).ToDisplayString();
+      feature_name += StringCell(edu, r);
       feature_name += " x ";
-      feature_name += t.at(r, onehot_idx[1]).ToDisplayString();
+      feature_name += StringCell(occ, r);
       features.Set(dict.Intern(feature_name), 1.0);
-      bool over_50k = t.at(r, target_idx).ToDisplayString() == ">50K";
+      bool over_50k = StringCell(target, r) == ">50K";
       out->AddRow(features.view(), over_50k ? 1.0 : 0.0, r,
                   /*is_test=*/r % 5 == 4);
     }

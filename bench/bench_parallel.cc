@@ -38,7 +38,6 @@ using core::Workflow;
 using dataflow::DataCollection;
 using dataflow::Schema;
 using dataflow::TableData;
-using dataflow::Value;
 
 constexpr int kLanes = 4;
 constexpr int kDepth = 4;
@@ -47,9 +46,11 @@ constexpr int kBlockingMillis = 40;     // modeled I/O wait per node
 const int kThreadCounts[] = {1, 2, 4, 8};
 
 DataCollection MakeRow(const std::string& content) {
-  auto table = std::make_shared<TableData>(Schema::AllStrings({"v"}));
-  CheckOk(table->AppendRow({Value(content)}), "append row");
-  return DataCollection::FromTable(table);
+  dataflow::ColumnBuilder v(dataflow::ValueType::kString);
+  v.AppendString(content);
+  auto table = TableData::FromColumns(Schema::AllStrings({"v"}), {v.Finish()});
+  CheckOk(table.status(), "one-row table");
+  return DataCollection::FromTable(table.value());
 }
 
 // One lane operator: hash a buffer for a while (CPU), block as if reading

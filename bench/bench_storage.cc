@@ -30,22 +30,27 @@ using dataflow::DataCollection;
 using dataflow::ExamplesData;
 using dataflow::Schema;
 using dataflow::TableData;
-using dataflow::Value;
 
 DataCollection MakeTable(int64_t rows, uint64_t seed) {
   Rng rng(seed);
-  auto table = std::make_shared<TableData>(
-      Schema::AllStrings({"a", "b", "c", "d"}));
-  table->Reserve(rows);
-  for (int64_t i = 0; i < rows; ++i) {
-    (void)table->AppendRow({Value(StrFormat("row-%lld", (long long)i)),
-                            Value(StrFormat("val-%llu", (unsigned long long)
-                                            rng.NextBelow(1000))),
-                            Value(StrFormat("%llu", (unsigned long long)
-                                            rng.NextU64())),
-                            Value(std::string(24, 'x'))});
+  std::vector<dataflow::ColumnBuilder> cols(
+      4, dataflow::ColumnBuilder(dataflow::ValueType::kString));
+  for (dataflow::ColumnBuilder& b : cols) {
+    b.Reserve(rows);
   }
-  return DataCollection::FromTable(std::move(table));
+  for (int64_t i = 0; i < rows; ++i) {
+    cols[0].AppendString(StrFormat("row-%lld", (long long)i));
+    cols[1].AppendString(
+        StrFormat("val-%llu", (unsigned long long)rng.NextBelow(1000)));
+    cols[2].AppendString(
+        StrFormat("%llu", (unsigned long long)rng.NextU64()));
+    cols[3].AppendString(std::string(24, 'x'));
+  }
+  auto table = TableData::FromColumns(
+      Schema::AllStrings({"a", "b", "c", "d"}),
+      {cols[0].Finish(), cols[1].Finish(), cols[2].Finish(),
+       cols[3].Finish()});
+  return DataCollection::FromTable(std::move(table).value());
 }
 
 DataCollection MakeExamples(int64_t n, uint64_t seed) {

@@ -74,6 +74,10 @@ int ResolveParallelism(const ExecutionOptions& options, int num_nodes) {
 
 namespace {
 
+// Memory-planning size estimate for an output never measured (no store
+// entry, no stats history).
+constexpr int64_t kDefaultMemEstimateBytes = 4LL << 20;
+
 // Mutable execution context shared by the sequential loop, the parallel
 // scheduler's workers, and the fallback path.
 //
@@ -582,7 +586,7 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
 
     // Output-size estimate: measured store entry (GetEntry, not Has — the
     // probe must not count toward hit/miss metrics) > exact stats history
-    // > same-name history > configured default.
+    // > same-name history > kDefaultMemEstimateBytes.
     uint64_t sig = dag.cumulative_signature(i);
     int64_t bytes = -1;
     if (options.store != nullptr) {
@@ -603,7 +607,7 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
       }
     }
     if (bytes < 0) {
-      bytes = options.default_mem_estimate_bytes;
+      bytes = kDefaultMemEstimateBytes;
     }
     mem_problem.output_bytes[s] = bytes;
     // Loads hold a deserialization buffer while they run — the dominant

@@ -86,9 +86,6 @@ struct ExecutionOptions {
   /// *estimated* sizes, not an enforced allocator limit; a plan that does
   /// not fit even sequentially executes best-effort.
   int64_t memory_budget_bytes = 0;
-  /// Size estimate for nodes whose output was never measured (no store
-  /// entry, no stats history). Mirrors default_compute_estimate_micros.
-  int64_t default_mem_estimate_bytes = 4LL << 20;
   /// Verify loaded results' fingerprints against recorded ones when
   /// available (defense against silent store corruption).
   bool paranoid_checks = false;

@@ -96,7 +96,6 @@ Result<IterationResult> Session::RunIteration(const Workflow& workflow,
   exec.default_compute_estimate_micros =
       options_.default_compute_estimate_micros;
   exec.memory_budget_bytes = options_.memory_budget_bytes;
-  exec.default_mem_estimate_bytes = options_.default_mem_estimate_bytes;
   exec.paranoid_checks = options_.paranoid_checks;
   exec.max_parallelism = options_.max_parallelism;
   exec.metrics = options_.metrics;

@@ -61,9 +61,6 @@ struct SessionOptions {
   /// ExecutionOptions::memory_budget_bytes (0 = memory planning off): drop
   /// after last use under a width bound, see core/memory_planner.h.
   int64_t memory_budget_bytes = 0;
-  /// Size estimate for never-measured outputs, forwarded to
-  /// ExecutionOptions::default_mem_estimate_bytes.
-  int64_t default_mem_estimate_bytes = 4LL << 20;
   bool paranoid_checks = false;
   /// DAG-level execution parallelism, forwarded to the executor:
   /// 0 = one worker per hardware thread, 1 = sequential legacy behavior,

@@ -29,7 +29,6 @@ using dataflow::ExamplesData;
 using dataflow::Int64Column;
 using dataflow::MetricsData;
 using dataflow::ModelData;
-using dataflow::Row;
 using dataflow::Schema;
 using dataflow::StringColumn;
 using dataflow::TableData;
@@ -166,15 +165,6 @@ bool TryParseNumericColumn(const Column& col, std::vector<double>* out) {
       const auto& c = static_cast<const StringColumn&>(col);
       for (int64_t r = 0; r < n; ++r) {
         if (!ParseDouble(c.view(r), &(*out)[static_cast<size_t>(r)])) {
-          return false;
-        }
-      }
-      return true;
-    }
-    case Column::Storage::kMixed: {
-      for (int64_t r = 0; r < n; ++r) {
-        if (!ParseDouble(col.GetValue(r).ToDisplayString(),
-                         &(*out)[static_cast<size_t>(r)])) {
           return false;
         }
       }
@@ -347,11 +337,13 @@ Operator FieldExtractor(const std::string& name, const std::string& field) {
       return Status::InvalidArgument("no column named " + field);
     }
     // Pure projection: both output columns are shared with the input,
-    // zero-copy — the row store deep-copied every cell here.
+    // zero-copy, and keep their field types.
     HELIX_ASSIGN_OR_RETURN(
         auto table,
-        TableData::FromColumns(Schema::AllStrings({kSplitColumn, field}),
-                               {in->column(split_col), in->column(col)}));
+        TableData::FromColumns(
+            Schema({in->schema().field(split_col),
+                    {field, in->schema().field(col).type}}),
+            {in->column(split_col), in->column(col)}));
     return DataCollection::FromTable(std::move(table));
   };
   return Operator(name, "FieldExtractor", params, Phase::kDataPreprocessing,
@@ -1091,31 +1083,39 @@ Operator Synthetic(const std::string& name, Phase phase, int64_t tag,
       -> Result<DataCollection> {
     // Output depends on the tag and on all inputs, so upstream edits
     // change this node's fingerprint (needed by plan-invariance tests).
-    auto table = std::make_shared<TableData>(
-        Schema({{"v", dataflow::ValueType::kInt}}));
-    HELIX_RETURN_IF_ERROR(table->AppendRow({Value(tag)}));
+    ColumnBuilder v_b(dataflow::ValueType::kInt);
+    v_b.AppendInt(tag);
     for (const DataCollection* in : inputs) {
-      HELIX_RETURN_IF_ERROR(table->AppendRow(
-          {Value(static_cast<int64_t>(in->Fingerprint()))}));
+      v_b.AppendInt(static_cast<int64_t>(in->Fingerprint()));
     }
+    HELIX_ASSIGN_OR_RETURN(
+        auto table,
+        TableData::FromColumns(Schema({{"v", dataflow::ValueType::kInt}}),
+                               {v_b.Finish()}));
     if (payload_bytes > 0) {
       // Pad with deterministic filler rows (~1 KiB each) so the serialized
       // size approximates the declared payload.
-      auto padded = std::make_shared<TableData>(
-          Schema({{"v", dataflow::ValueType::kInt},
-                  {"pad", dataflow::ValueType::kString}}));
-      HELIX_RETURN_IF_ERROR(
-          padded->AppendRow({Value(table->Fingerprint() != 0
-                                       ? static_cast<int64_t>(
-                                             table->Fingerprint())
-                                       : tag),
-                             Value(std::string())}));
       int64_t rows = payload_bytes / 1024;
-      padded->Reserve(rows + 1);
+      ColumnBuilder padded_v_b(dataflow::ValueType::kInt);
+      ColumnBuilder pad_b(dataflow::ValueType::kString);
+      padded_v_b.Reserve(rows + 1);
+      pad_b.Reserve(rows + 1);
+      uint64_t fingerprint = table->Fingerprint();
+      padded_v_b.AppendInt(fingerprint != 0
+                               ? static_cast<int64_t>(fingerprint)
+                               : tag);
+      pad_b.AppendString("");
+      const std::string filler(1024, 'p');
       for (int64_t i = 0; i < rows; ++i) {
-        HELIX_RETURN_IF_ERROR(padded->AppendRow(
-            {Value(i), Value(std::string(1024, 'p'))}));
+        padded_v_b.AppendInt(i);
+        pad_b.AppendString(filler);
       }
+      HELIX_ASSIGN_OR_RETURN(
+          auto padded,
+          TableData::FromColumns(
+              Schema({{"v", dataflow::ValueType::kInt},
+                      {"pad", dataflow::ValueType::kString}}),
+              {padded_v_b.Finish(), pad_b.Finish()}));
       return DataCollection::FromTable(std::move(padded));
     }
     return DataCollection::FromTable(std::move(table));

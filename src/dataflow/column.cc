@@ -1,6 +1,7 @@
 #include "dataflow/column.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/hash.h"
 #include "common/strings.h"
@@ -328,49 +329,6 @@ void DictionaryColumn::SerializeBodyToSpans(SpanWriter* s) const {
 #endif
 }
 
-// --- MixedColumn -------------------------------------------------------------
-
-MixedColumn::MixedColumn(std::vector<Value> values)
-    : Column(static_cast<int64_t>(values.size()), {}, 0),
-      values_(std::move(values)) {
-  for (const Value& v : values_) {
-    if (v.is_null()) {
-      ++null_count_;
-    }
-  }
-}
-
-Value MixedColumn::GetValue(int64_t i) const { return value(i); }
-
-uint64_t MixedColumn::CellHash(int64_t i) const { return value(i).Hash(); }
-
-int64_t MixedColumn::SizeBytes() const {
-  int64_t bytes = 32;
-  for (const Value& v : values_) {
-    bytes += 16;
-    if (v.type() == ValueType::kString) {
-      bytes += static_cast<int64_t>(v.AsString().size());
-    }
-  }
-  return bytes;
-}
-
-std::shared_ptr<const Column> MixedColumn::Gather(
-    const SelectionVector& sel) const {
-  std::vector<Value> out;
-  out.reserve(sel.size());
-  for (int64_t i : sel) {
-    out.push_back(values_[static_cast<size_t>(i)]);
-  }
-  return std::make_shared<MixedColumn>(std::move(out));
-}
-
-void MixedColumn::SerializeBody(ByteWriter* w) const {
-  for (const Value& v : values_) {
-    v.Serialize(w);
-  }
-}
-
 // --- Deserialization ---------------------------------------------------------
 
 Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
@@ -449,17 +407,6 @@ Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
           std::move(arena), std::move(offsets), std::move(validity),
           null_count));
     }
-    case Storage::kMixed: {
-      std::vector<Value> values;
-      // Every cell carries at least its one-byte type tag.
-      values.reserve(std::min(n, r->remaining()));
-      for (size_t i = 0; i < n; ++i) {
-        HELIX_ASSIGN_OR_RETURN(Value v, Value::Deserialize(r));
-        values.push_back(std::move(v));
-      }
-      return std::shared_ptr<const Column>(
-          std::make_shared<MixedColumn>(std::move(values)));
-    }
     case Storage::kDictString: {
       HELIX_ASSIGN_OR_RETURN(uint64_t num_entries, r->GetU64());
       // D+1 offsets must fit in what's left before anything is allocated.
@@ -528,7 +475,8 @@ Column::Storage StorageForDeclared(ValueType t) {
     case ValueType::kNull:
       break;
   }
-  return Column::Storage::kMixed;
+  assert(false && "a kNull field has no column layout");
+  return Column::Storage::kString;
 }
 
 }  // namespace
@@ -566,9 +514,6 @@ void ColumnBuilder::Reserve(int64_t n) {
         offsets_.reserve(sn + 1);
       }
       break;
-    case Column::Storage::kMixed:
-      values_.reserve(sn);
-      break;
     case Column::Storage::kDictString:
       break;  // builders never sit on this storage; Finish() selects it
   }
@@ -603,25 +548,6 @@ void ColumnBuilder::MarkNull() {
   // Bit already zero == null.
   ++null_count_;
   ++length_;
-}
-
-void ColumnBuilder::PromoteToMixed() {
-  std::vector<Value> promoted;
-  promoted.reserve(static_cast<size_t>(length_));
-  for (int64_t i = 0; i < length_; ++i) {
-    promoted.push_back(ValueAt(i));
-  }
-  values_ = std::move(promoted);
-  ints_.clear();
-  doubles_.clear();
-  bools_.clear();
-  arena_.clear();
-  offsets_.clear();
-  validity_.clear();
-  codes_.clear();
-  slots_.clear();
-  dict_mode_ = false;
-  storage_ = Column::Storage::kMixed;
 }
 
 // --- dictionary-mode string interning ---------------------------------------
@@ -717,61 +643,36 @@ void ColumnBuilder::AppendStringCell(std::string_view v) {
   offsets_.push_back(arena_.size());
 }
 
-void ColumnBuilder::Append(const Value& v) {
-  if (mixed()) {
-    values_.push_back(v);
-    if (v.is_null()) {
-      ++null_count_;
-    }
-    ++length_;
-    return;
+Status ColumnBuilder::Append(const Value& v) {
+  if (v.is_null()) {
+    AppendNull();
+    return Status::OK();
+  }
+  if (v.type() != declared_type_) {
+    return Status::InvalidArgument(
+        StrFormat("%s cell in a %s column", ValueTypeToString(v.type()),
+                  ValueTypeToString(declared_type_)));
   }
   switch (v.type()) {
-    case ValueType::kNull:
-      AppendNull();
-      return;
     case ValueType::kInt:
-      if (storage_ == Column::Storage::kInt64) {
-        ints_.push_back(v.AsInt());
-        MarkValid();
-        return;
-      }
+      AppendInt(v.AsInt());
       break;
     case ValueType::kDouble:
-      if (storage_ == Column::Storage::kDouble) {
-        doubles_.push_back(v.AsDouble());
-        MarkValid();
-        return;
-      }
+      AppendDouble(v.AsDouble());
       break;
     case ValueType::kBool:
-      if (storage_ == Column::Storage::kBool) {
-        bools_.push_back(v.AsBool() ? 1 : 0);
-        MarkValid();
-        return;
-      }
+      AppendBool(v.AsBool());
       break;
     case ValueType::kString:
-      if (storage_ == Column::Storage::kString) {
-        AppendStringCell(v.AsString());
-        MarkValid();
-        return;
-      }
+      AppendString(v.AsString());
       break;
+    case ValueType::kNull:
+      break;  // handled above
   }
-  // Cell type disagrees with the typed layout: keep legacy row-store
-  // permissiveness by degrading this column to tagged Values.
-  PromoteToMixed();
-  Append(v);
+  return Status::OK();
 }
 
 void ColumnBuilder::AppendNull() {
-  if (mixed()) {
-    values_.push_back(Value::Null());
-    ++null_count_;
-    ++length_;
-    return;
-  }
   switch (storage_) {
     case Column::Storage::kInt64:
       ints_.push_back(0);
@@ -787,7 +688,6 @@ void ColumnBuilder::AppendNull() {
       // view(i) == "" for nulls on both storages.
       AppendStringCell(std::string_view());
       break;
-    case Column::Storage::kMixed:
     case Column::Storage::kDictString:
       break;
   }
@@ -795,76 +695,34 @@ void ColumnBuilder::AppendNull() {
 }
 
 void ColumnBuilder::AppendInt(int64_t v) {
-  if (storage_ == Column::Storage::kInt64) {
-    ints_.push_back(v);
-    MarkValid();
-    return;
-  }
-  Append(Value(v));
+  assert(storage_ == Column::Storage::kInt64);
+  ints_.push_back(v);
+  MarkValid();
 }
 
 void ColumnBuilder::AppendDouble(double v) {
-  if (storage_ == Column::Storage::kDouble) {
-    doubles_.push_back(v);
-    MarkValid();
-    return;
-  }
-  Append(Value(v));
+  assert(storage_ == Column::Storage::kDouble);
+  doubles_.push_back(v);
+  MarkValid();
 }
 
 void ColumnBuilder::AppendBool(bool v) {
-  if (storage_ == Column::Storage::kBool) {
-    bools_.push_back(v ? 1 : 0);
-    MarkValid();
-    return;
-  }
-  Append(Value(v));
+  assert(storage_ == Column::Storage::kBool);
+  bools_.push_back(v ? 1 : 0);
+  MarkValid();
 }
 
 void ColumnBuilder::AppendString(std::string_view v) {
-  if (storage_ == Column::Storage::kString) {
-    AppendStringCell(v);
-    MarkValid();
-    return;
-  }
-  Append(Value(std::string(v)));
-}
-
-Value ColumnBuilder::ValueAt(int64_t i) const {
-  size_t si = static_cast<size_t>(i);
-  if (mixed()) {
-    return values_[si];
-  }
-  if (!validity_.empty() &&
-      (validity_[si >> 3] & (1u << (si & 7))) == 0) {
-    return Value::Null();
-  }
-  switch (storage_) {
-    case Column::Storage::kInt64:
-      return Value(ints_[si]);
-    case Column::Storage::kDouble:
-      return Value(doubles_[si]);
-    case Column::Storage::kBool:
-      return Value(bools_[si] != 0);
-    case Column::Storage::kString: {
-      size_t cell = dict_mode_ ? static_cast<size_t>(codes_[si]) : si;
-      return Value(arena_.substr(static_cast<size_t>(offsets_[cell]),
-                                 static_cast<size_t>(offsets_[cell + 1]) -
-                                     static_cast<size_t>(offsets_[cell])));
-    }
-    case Column::Storage::kMixed:
-    case Column::Storage::kDictString:
-      break;
-  }
-  return Value::Null();
+  assert(storage_ == Column::Storage::kString);
+  AppendStringCell(v);
+  MarkValid();
 }
 
 std::shared_ptr<const Column> ColumnBuilder::Finish() {
   // Trim the lazily-grown validity bitmap to exactly (length+7)/8 bytes
-  // with padding bits cleared, so sealed bytes are deterministic. Mixed
-  // columns carry nulls in their cells, not in a bitmap.
+  // with padding bits cleared, so sealed bytes are deterministic.
   std::vector<uint8_t> validity;
-  if (null_count_ > 0 && !mixed()) {
+  if (null_count_ > 0) {
     size_t want = (static_cast<size_t>(length_) + 7) / 8;
     validity.assign(validity_.begin(),
                     validity_.begin() + static_cast<long>(want));
@@ -916,47 +774,11 @@ std::shared_ptr<const Column> ColumnBuilder::Finish() {
                                            std::move(offsets_),
                                            std::move(validity), null_count_);
       break;
-    case Column::Storage::kMixed:
-      out = std::make_shared<MixedColumn>(std::move(values_));
-      break;
     case Column::Storage::kDictString:
       break;  // unreachable: builders never sit on this storage
   }
   *this = ColumnBuilder(declared_type_);
   return out;
-}
-
-std::unique_ptr<ColumnBuilder> ColumnBuilder::FromColumn(
-    const Column& column) {
-  ValueType declared = ValueType::kString;
-  switch (column.storage()) {
-    case Column::Storage::kInt64:
-      declared = ValueType::kInt;
-      break;
-    case Column::Storage::kDouble:
-      declared = ValueType::kDouble;
-      break;
-    case Column::Storage::kBool:
-      declared = ValueType::kBool;
-      break;
-    case Column::Storage::kString:
-    case Column::Storage::kDictString:
-      declared = ValueType::kString;
-      break;
-    case Column::Storage::kMixed:
-      declared = ValueType::kNull;  // maps to the mixed layout
-      break;
-  }
-  auto builder = std::make_unique<ColumnBuilder>(declared);
-  builder->Reserve(column.length());
-  for (int64_t i = 0; i < column.length(); ++i) {
-    if (column.IsNull(i)) {
-      builder->AppendNull();
-    } else {
-      builder->Append(column.GetValue(i));
-    }
-  }
-  return builder;
 }
 
 }  // namespace dataflow

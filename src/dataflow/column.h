@@ -7,12 +7,11 @@
 // instead of deep-copying rows. Filters produce a SelectionVector of row
 // indices and Gather() the surviving rows per column.
 //
-// Four typed layouts cover the schema types (Int64Column, DoubleColumn,
-// BoolColumn, and StringColumn with offsets into a contiguous arena); a
-// fifth, MixedColumn, preserves the legacy row-store permissiveness for
-// cells that disagree with the declared column type. ColumnBuilder starts
-// typed and silently promotes to mixed on the first mismatched cell, so
-// AppendRow call sites keep their old semantics.
+// Five layouts cover the four cell types: Int64Column, DoubleColumn,
+// BoolColumn, and for strings either StringColumn (offsets into a
+// contiguous arena) or DictionaryColumn (codes into a shared dictionary).
+// Every cell of a column has the column's one type or is null; a
+// ColumnBuilder refuses a cell of any other type.
 #ifndef HELIX_DATAFLOW_COLUMN_H_
 #define HELIX_DATAFLOW_COLUMN_H_
 
@@ -46,8 +45,8 @@ class Column {
     kDouble = 2,
     kBool = 3,
     kString = 4,
-    /// Heterogeneous cells stored as tagged Values (legacy row semantics).
-    kMixed = 5,
+    // Tag 5 was a tagged-Value layout for cells that disagreed with the
+    // declared type; it is retired and decodes as Corruption.
     /// Dictionary-encoded strings: per-row u32 codes into a shared
     /// distinct-entry dictionary (repeated categoricals).
     kDictString = 6,
@@ -59,16 +58,15 @@ class Column {
   int64_t length() const { return length_; }
   int64_t null_count() const { return null_count_; }
 
-  /// True if cell `i` is null. Typed columns answer from the validity
-  /// bitmap; MixedColumn from the cell itself.
-  virtual bool IsNull(int64_t i) const {
+  /// True if cell `i` is null (answered from the validity bitmap).
+  bool IsNull(int64_t i) const {
     return !validity_.empty() &&
            (validity_[static_cast<size_t>(i) >> 3] &
             (1u << (static_cast<size_t>(i) & 7))) == 0;
   }
 
-  /// Materializes cell `i` as a Value (the row-compatibility path; typed
-  /// readers should downcast and read spans instead).
+  /// Materializes cell `i` as a Value (a per-cell copy; typed readers
+  /// should downcast and read spans instead).
   virtual Value GetValue(int64_t i) const = 0;
 
   /// Stable per-cell hash, identical to Value::Hash() of GetValue(i).
@@ -295,36 +293,9 @@ class DictionaryColumn final : public Column {
   std::vector<uint32_t> codes_;
 };
 
-/// Tagged-Value cells: the escape hatch for columns whose cells disagree
-/// with the declared schema type (the old row store allowed this freely).
-class MixedColumn final : public Column {
- public:
-  explicit MixedColumn(std::vector<Value> values);
-
-  Storage storage() const override { return Storage::kMixed; }
-  const Value& value(int64_t i) const {
-    return values_[static_cast<size_t>(i)];
-  }
-
-  bool IsNull(int64_t i) const override {
-    return values_[static_cast<size_t>(i)].is_null();
-  }
-  Value GetValue(int64_t i) const override;
-  uint64_t CellHash(int64_t i) const override;
-  int64_t SizeBytes() const override;
-  std::shared_ptr<const Column> Gather(
-      const SelectionVector& sel) const override;
-
- protected:
-  void SerializeBody(ByteWriter* w) const override;
-
- private:
-  std::vector<Value> values_;
-};
-
-/// Accumulates cells for one column, then seals them into an immutable
-/// Column. Starts on the typed layout matching the declared schema type
-/// and promotes to MixedColumn on the first cell of another type.
+/// Accumulates cells of one declared type (kInt, kDouble, kBool or
+/// kString; kNull has no layout), then seals them into an immutable
+/// Column.
 ///
 /// Not thread-safe; builders are single-owner by construction.
 class ColumnBuilder {
@@ -334,29 +305,24 @@ class ColumnBuilder {
   int64_t length() const { return length_; }
   void Reserve(int64_t n);
 
-  /// Generic append (row-compatibility path); never fails.
-  void Append(const Value& v);
+  /// Generic append: a null, or a cell of the declared type. Any other
+  /// cell is InvalidArgument and leaves the builder unchanged.
+  Status Append(const Value& v);
   void AppendNull();
 
-  /// Typed fast paths; a type mismatch with the current layout degrades
-  /// to the generic path (promoting to mixed) rather than erroring.
+  /// Typed fast paths; each requires a builder declared with that type
+  /// (asserted).
   void AppendInt(int64_t v);
   void AppendDouble(double v);
   void AppendBool(bool v);
   void AppendString(std::string_view v);
 
-  /// Cell read-back while still building (row-compatibility path).
-  Value ValueAt(int64_t i) const;
-
   /// Seals accumulated cells into a column and resets the builder.
   std::shared_ptr<const Column> Finish();
 
-  /// A builder pre-seeded with `column`'s cells (unseal-for-append path).
-  static std::unique_ptr<ColumnBuilder> FromColumn(const Column& column);
-
   /// Dictionary auto-encoding policy (deterministic functions of the
-  /// cell sequence, so row-built and column-built tables serialize
-  /// byte-identically): a string builder interns incrementally and
+  /// cell sequence, so a column's bytes do not depend on which append
+  /// path built it): a string builder interns incrementally and
   /// abandons encoding past kMaxDictDistinct distinct entries; Finish
   /// emits a DictionaryColumn only when the table is long enough and
   /// repetitive enough for codes to pay for the dictionary.
@@ -366,8 +332,6 @@ class ColumnBuilder {
  private:
   void MarkValid();
   void MarkNull();
-  void PromoteToMixed();
-  bool mixed() const { return storage_ == Column::Storage::kMixed; }
 
   /// Interns `v` into the distinct-entry arena and stores its code in
   /// `*code`. Returns false (after AbandonDict expands the codes into a
@@ -389,7 +353,6 @@ class ColumnBuilder {
   std::vector<uint8_t> bools_;
   std::string arena_;
   std::vector<uint64_t> offsets_;
-  std::vector<Value> values_;  // mixed layout
 
   /// Dictionary mode (string builders start here): arena_/offsets_ hold
   /// the DISTINCT entries in first-occurrence order, codes_ holds one

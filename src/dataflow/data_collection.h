@@ -33,13 +33,7 @@ class DataCollection {
   explicit DataCollection(std::shared_ptr<const DataPayload> payload)
       : payload_(std::move(payload)) {}
 
-  static DataCollection FromTable(std::shared_ptr<TableData> t) {
-    // Publishing a table freezes it: sealed tables are immutable and
-    // safe for the parallel executor / async materializer to read
-    // concurrently (see the mutation model in dataflow/table.h).
-    if (t != nullptr) {
-      t->Seal();
-    }
+  static DataCollection FromTable(std::shared_ptr<const TableData> t) {
     return DataCollection(std::move(t));
   }
   static DataCollection FromText(std::shared_ptr<TextData> t) {

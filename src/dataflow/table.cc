@@ -24,102 +24,62 @@ const char* PayloadKindToString(PayloadKind k) {
   return "?";
 }
 
-TableData::TableData(Schema schema) : schema_(std::move(schema)) {
-  builders_.reserve(static_cast<size_t>(schema_.num_fields()));
-  for (int c = 0; c < schema_.num_fields(); ++c) {
-    builders_.push_back(
-        std::make_unique<ColumnBuilder>(schema_.field(c).type));
+namespace {
+
+// The schema <-> layout invariant: a typed reader of a kInt field may
+// downcast to Int64Column, and so on. kNull fields have no layout.
+bool LayoutMatches(ValueType type, Column::Storage storage) {
+  switch (type) {
+    case ValueType::kInt:
+      return storage == Column::Storage::kInt64;
+    case ValueType::kDouble:
+      return storage == Column::Storage::kDouble;
+    case ValueType::kBool:
+      return storage == Column::Storage::kBool;
+    case ValueType::kString:
+      return storage == Column::Storage::kString ||
+             storage == Column::Storage::kDictString;
+    case ValueType::kNull:
+      break;
   }
+  return false;
 }
 
-TableData::TableData(Schema schema, std::vector<Row> rows)
-    : TableData(std::move(schema)) {
-  for (Row& row : rows) {
-    // Arity matches by the caller's contract; mismatches are dropped the
-    // same way the row store's (void)AppendRow call sites did.
-    (void)AppendRow(std::move(row));
-  }
-}
+}  // namespace
 
 Result<std::shared_ptr<TableData>> TableData::FromColumns(
     Schema schema, std::vector<std::shared_ptr<const class Column>> columns) {
+  int64_t rows =
+      columns.empty() || columns[0] == nullptr ? 0 : columns[0]->length();
+  return Make(std::move(schema), rows, std::move(columns));
+}
+
+Result<std::shared_ptr<TableData>> TableData::Make(
+    Schema schema, int64_t num_rows,
+    std::vector<std::shared_ptr<const class Column>> columns) {
   if (static_cast<int>(columns.size()) != schema.num_fields()) {
     return Status::InvalidArgument(
         StrFormat("%zu columns do not match schema arity %d", columns.size(),
                   schema.num_fields()));
   }
-  int64_t rows = columns.empty() ? 0 : columns[0]->length();
-  for (const auto& col : columns) {
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const auto& col = columns[c];
     if (col == nullptr) {
       return Status::InvalidArgument("null column handle");
     }
-    if (col->length() != rows) {
-      return Status::InvalidArgument(
-          "columns disagree on row count");
+    if (col->length() != num_rows) {
+      return Status::InvalidArgument("columns disagree on row count");
+    }
+    const Field& field = schema.field(static_cast<int>(c));
+    if (!LayoutMatches(field.type, col->storage())) {
+      return Status::InvalidArgument(StrFormat(
+          "field '%s' (%s) over a column of storage tag %u",
+          field.name.c_str(), ValueTypeToString(field.type),
+          static_cast<unsigned>(col->storage())));
     }
   }
-  auto table = std::make_shared<TableData>();
-  table->schema_ = std::move(schema);
-  table->num_rows_ = rows;
-  table->builders_.clear();
-  table->columns_ = std::move(columns);
-  return table;
-}
-
-void TableData::Seal() const {
-  if (builders_.empty()) {
-    return;  // already sealed (or zero-field table)
-  }
-  columns_.reserve(builders_.size());
-  for (const auto& builder : builders_) {
-    columns_.push_back(builder->Finish());
-  }
-  builders_.clear();
-}
-
-void TableData::Unseal() {
-  if (columns_.empty()) {
-    return;
-  }
-  builders_.reserve(columns_.size());
-  for (const auto& col : columns_) {
-    builders_.push_back(ColumnBuilder::FromColumn(*col));
-  }
-  columns_.clear();
-}
-
-Status TableData::AppendRow(Row row) {
-  if (static_cast<int>(row.size()) != schema_.num_fields()) {
-    return Status::InvalidArgument(
-        StrFormat("row arity %zu does not match schema arity %d", row.size(),
-                  schema_.num_fields()));
-  }
-  if (!columns_.empty()) {
-    Unseal();
-  }
-  for (size_t c = 0; c < row.size(); ++c) {
-    builders_[c]->Append(row[c]);
-  }
-  ++num_rows_;
-  return Status::OK();
-}
-
-void TableData::Reserve(int64_t n) {
-  for (const auto& builder : builders_) {
-    builder->Reserve(n);
-  }
-}
-
-Value TableData::at(int64_t r, int c) const {
-  if (!builders_.empty()) {
-    return builders_[static_cast<size_t>(c)]->ValueAt(r);
-  }
-  return columns_[static_cast<size_t>(c)]->GetValue(r);
-}
-
-std::shared_ptr<const Column> TableData::column(int c) const {
-  Seal();
-  return columns_[static_cast<size_t>(c)];
+  return std::shared_ptr<TableData>(
+      new TableData(std::move(schema), num_rows, std::move(columns)));
 }
 
 Result<std::shared_ptr<const Column>> TableData::Column(
@@ -133,19 +93,18 @@ Result<std::shared_ptr<const Column>> TableData::Column(
 
 std::shared_ptr<TableData> TableData::Filter(
     const SelectionVector& sel) const {
-  Seal();
   std::vector<std::shared_ptr<const class Column>> gathered;
   gathered.reserve(columns_.size());
   for (const auto& col : columns_) {
     gathered.push_back(col->Gather(sel));
   }
-  auto out = FromColumns(schema_, std::move(gathered));
-  // Gather preserves per-column lengths, so FromColumns cannot fail.
+  auto out = Make(schema_, static_cast<int64_t>(sel.size()),
+                  std::move(gathered));
+  // Gather preserves lengths and layouts, so Make cannot fail.
   return std::move(out).value();
 }
 
 int64_t TableData::SizeBytes() const {
-  Seal();
   int64_t bytes = 64 + schema_.num_fields() * 24;
   for (const auto& col : columns_) {
     bytes += col->SizeBytes();
@@ -154,7 +113,6 @@ int64_t TableData::SizeBytes() const {
 }
 
 uint64_t TableData::Fingerprint() const {
-  Seal();
   Hasher h;
   h.AddU64(schema_.Hash());
   h.AddU64(static_cast<uint64_t>(num_rows_));
@@ -185,7 +143,6 @@ uint64_t TableData::Fingerprint() const {
 }
 
 void TableData::Serialize(ByteWriter* w) const {
-  Seal();
   schema_.Serialize(w);
   w->PutU64(static_cast<uint64_t>(num_rows_));
   for (const auto& col : columns_) {
@@ -194,7 +151,6 @@ void TableData::Serialize(ByteWriter* w) const {
 }
 
 void TableData::SerializeToSpans(SpanWriter* s) const {
-  Seal();
   schema_.Serialize(s->writer());
   s->writer()->PutU64(static_cast<uint64_t>(num_rows_));
   for (const auto& col : columns_) {
@@ -215,40 +171,52 @@ Result<std::shared_ptr<TableData>> TableData::Deserialize(
     return Status::Corruption("implausible table row count");
   }
   int arity = schema.num_fields();
-  if (format_version == 1) {
-    // v1: row-major tagged cells, exactly the retired row store's wire
-    // form. Parsed through builders so old disk stores load as columns.
-    auto table = std::make_shared<TableData>(schema);
-    // Every cell carries at least its one-byte type tag, so the bytes
-    // left bound the rows worth reserving for.
-    size_t min_row_bytes = static_cast<size_t>(std::max(arity, 1));
-    table->Reserve(static_cast<int64_t>(
-        std::min<uint64_t>(n, r->remaining() / min_row_bytes)));
-    for (uint64_t i = 0; i < n; ++i) {
-      Row row;
-      row.reserve(static_cast<size_t>(arity));
-      for (int c = 0; c < arity; ++c) {
-        HELIX_ASSIGN_OR_RETURN(Value v, Value::Deserialize(r));
-        row.push_back(std::move(v));
-      }
-      HELIX_RETURN_IF_ERROR(table->AppendRow(std::move(row)));
-    }
-    table->Seal();
-    return table;
-  }
-  // v2: column-contiguous payloads.
   std::vector<std::shared_ptr<const class Column>> columns;
   columns.reserve(static_cast<size_t>(arity));
-  for (int c = 0; c < arity; ++c) {
-    HELIX_ASSIGN_OR_RETURN(
-        std::shared_ptr<const class Column> col,
-        helix::dataflow::Column::Deserialize(r, static_cast<int64_t>(n)));
-    columns.push_back(std::move(col));
+  if (format_version == 1) {
+    // v1: row-major tagged cells, exactly the retired row store's wire
+    // form, parsed into one builder per field. A cell that disagrees with
+    // its field type has no column to go in: Corruption, which costs the
+    // reader a recompute, never a wrong answer.
+    std::vector<ColumnBuilder> builders;
+    builders.reserve(static_cast<size_t>(arity));
+    for (const Field& field : schema.fields()) {
+      if (field.type == ValueType::kNull) {
+        return Status::Corruption("v1 table field '" + field.name +
+                                  "' declares no cell type");
+      }
+      builders.emplace_back(field.type);
+      // Every cell carries at least its one-byte type tag, so the bytes
+      // left bound the rows worth reserving for.
+      builders.back().Reserve(static_cast<int64_t>(
+          std::min<uint64_t>(n, r->remaining() / static_cast<size_t>(arity))));
+    }
+    for (uint64_t i = 0; arity > 0 && i < n; ++i) {
+      for (ColumnBuilder& builder : builders) {
+        HELIX_ASSIGN_OR_RETURN(Value v, Value::Deserialize(r));
+        Status appended = builder.Append(v);
+        if (!appended.ok()) {
+          return Status::Corruption("v1 table cell: " + appended.message());
+        }
+      }
+    }
+    for (ColumnBuilder& builder : builders) {
+      columns.push_back(builder.Finish());
+    }
+  } else {
+    // v2: column-contiguous payloads.
+    for (int c = 0; c < arity; ++c) {
+      HELIX_ASSIGN_OR_RETURN(
+          std::shared_ptr<const class Column> col,
+          helix::dataflow::Column::Deserialize(r, static_cast<int64_t>(n)));
+      columns.push_back(std::move(col));
+    }
   }
-  HELIX_ASSIGN_OR_RETURN(auto table,
-                         FromColumns(std::move(schema), std::move(columns)));
-  // Zero-field tables carry their row count only in the header.
-  table->num_rows_ = static_cast<int64_t>(n);
+  auto table =
+      Make(std::move(schema), static_cast<int64_t>(n), std::move(columns));
+  if (!table.ok()) {
+    return Status::Corruption("table body: " + table.status().message());
+  }
   return table;
 }
 

@@ -1,19 +1,12 @@
 // Relational table payload: the human-readable pre-processing format.
 //
-// Since the columnar refactor a table is a schema plus one immutable
-// Column per field (dataflow/column.h), shared between tables via
-// shared_ptr<const Column> so projection-style operators are zero-copy.
-// A row-compatibility surface (AppendRow / at / RowCursor) remains for
-// call sites that still think in rows; it materializes Values per cell
-// and is the slow path — kernels should read typed columns.
-//
-// Mutation model: a table is *building* (per-column ColumnBuilders accept
-// AppendRow) until sealed, and *sealed* (immutable columns) afterwards.
-// Any read seals lazily; DataCollection::FromTable seals eagerly because
-// published payloads are read concurrently. AppendRow on a sealed table
-// unseals by copying columns back into builders (rare, test-only path).
-// A building table is single-owner and NOT thread-safe; a sealed table is
-// immutable and safe to share.
+// A table is immutable: a schema, a row count and one Column per field
+// (dataflow/column.h), shared between tables via shared_ptr<const Column>
+// so projection-style operators are zero-copy. Tables are built only from
+// sealed columns (ColumnBuilder -> TableData::FromColumns) or decoded
+// (Deserialize), and both check that every column's layout matches its
+// field's type, so a typed reader can trust the schema. Nothing changes
+// after construction, so a table is safe to share across threads.
 #ifndef HELIX_DATAFLOW_TABLE_H_
 #define HELIX_DATAFLOW_TABLE_H_
 
@@ -25,44 +18,29 @@
 #include "dataflow/column.h"
 #include "dataflow/payload.h"
 #include "dataflow/schema.h"
-#include "dataflow/value.h"
 
 namespace helix {
 namespace dataflow {
 
-using Row = std::vector<Value>;
-
-class RowCursor;
-
-/// A schema'd columnar table.
+/// An immutable schema'd columnar table.
 class TableData final : public DataPayload {
  public:
-  TableData() = default;
-  explicit TableData(Schema schema);
-  TableData(Schema schema, std::vector<Row> rows);
-
-  /// Builds a sealed table directly from columns. Fails unless every
-  /// column's length matches and the column count equals the schema's.
-  /// Columns may be shared with other tables (zero-copy).
+  /// Builds a table from sealed columns. InvalidArgument unless the
+  /// column count equals the schema's, every column has the same length,
+  /// and each column's layout matches its field type (kInt: Int64,
+  /// kDouble: Double, kBool: Bool, kString: String or Dictionary; a kNull
+  /// field has no layout). Columns may be shared with other tables
+  /// (zero-copy).
   static Result<std::shared_ptr<TableData>> FromColumns(
       Schema schema, std::vector<std::shared_ptr<const Column>> columns);
 
   const Schema& schema() const { return schema_; }
   int64_t num_rows() const { return num_rows_; }
 
-  /// Cell accessor; requires valid indices. Materializes a Value (string
-  /// cells copy) — row-compatibility path, not for hot loops.
-  Value at(int64_t r, int c) const;
-
-  /// Appends a row; fails if arity does not match the schema. Unseals a
-  /// sealed table (copies columns into builders) on first use.
-  Status AppendRow(Row row);
-
-  /// Reserves row capacity (ingestion fast path).
-  void Reserve(int64_t n);
-
-  /// Shared handle to the column at index `c` (seals). Never deep-copies.
-  std::shared_ptr<const class Column> column(int c) const;
+  /// Shared handle to the column at index `c`. Never deep-copies.
+  std::shared_ptr<const class Column> column(int c) const {
+    return columns_[static_cast<size_t>(c)];
+  }
 
   /// Shared handle to the column named `name`, or NotFound.
   Result<std::shared_ptr<const class Column>> Column(
@@ -71,10 +49,6 @@ class TableData final : public DataPayload {
   /// New table holding rows `sel` (ascending indices into this table),
   /// gathering every column.
   std::shared_ptr<TableData> Filter(const SelectionVector& sel) const;
-
-  /// Seals builders into immutable columns; idempotent. Must be called
-  /// (directly or via any read accessor) before sharing across threads.
-  void Seal() const;
 
   PayloadKind kind() const override { return PayloadKind::kTable; }
   int64_t SizeBytes() const override;
@@ -91,43 +65,27 @@ class TableData final : public DataPayload {
   std::string DebugString() const override;
 
   /// Parses a table body in the given envelope format version (1 =
-  /// row-major tagged cells, 2 = columnar).
+  /// row-major tagged cells, 2 = columnar). Corruption on malformed bytes,
+  /// including a cell or column that disagrees with its field type.
   static Result<std::shared_ptr<TableData>> Deserialize(
       ByteReader* r, uint32_t format_version = 2);
 
  private:
-  void Unseal();
+  TableData(Schema schema, int64_t num_rows,
+            std::vector<std::shared_ptr<const class Column>> columns)
+      : schema_(std::move(schema)),
+        num_rows_(num_rows),
+        columns_(std::move(columns)) {}
+
+  /// FromColumns with the row count given, which zero-field tables carry
+  /// only in the serialized header.
+  static Result<std::shared_ptr<TableData>> Make(
+      Schema schema, int64_t num_rows,
+      std::vector<std::shared_ptr<const class Column>> columns);
 
   Schema schema_;
   int64_t num_rows_ = 0;
-  // Exactly one of columns_/builders_ is populated for tables with fields
-  // (both empty for zero-field tables). Mutable: reads seal lazily; see
-  // the threading contract in the class comment.
-  mutable std::vector<std::shared_ptr<const class Column>> columns_;
-  mutable std::vector<std::unique_ptr<ColumnBuilder>> builders_;
-};
-
-/// Forward row-wise iteration over a sealed table — the compatibility
-/// view for call sites migrating off the row store incrementally.
-///
-///   for (RowCursor cur(table); cur.Valid(); cur.Next()) {
-///     Value v = cur.value(0);
-///   }
-class RowCursor {
- public:
-  explicit RowCursor(const TableData& table) : table_(&table) {
-    table.Seal();
-  }
-
-  bool Valid() const { return row_ < table_->num_rows(); }
-  void Next() { ++row_; }
-  int64_t row() const { return row_; }
-  /// Materializes the cell at the cursor row (string cells copy).
-  Value value(int c) const { return table_->at(row_, c); }
-
- private:
-  const TableData* table_;
-  int64_t row_ = 0;
+  std::vector<std::shared_ptr<const class Column>> columns_;
 };
 
 }  // namespace dataflow

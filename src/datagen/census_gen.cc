@@ -221,22 +221,41 @@ std::shared_ptr<dataflow::TableData> GenerateCensusTable(
   return std::move(table).value();
 }
 
+namespace {
+
+// Appends rows [begin, end) of an all-string table as CSV lines. Each
+// column's string layout is resolved once, outside the row loop, and
+// cells are read as views into it.
+void AppendCsvLines(const dataflow::TableData& table, int64_t begin,
+                    int64_t end, std::string* out) {
+  size_t cols = static_cast<size_t>(table.schema().num_fields());
+  std::vector<const dataflow::StringColumn*> plain(cols, nullptr);
+  std::vector<const dataflow::DictionaryColumn*> dict(cols, nullptr);
+  for (size_t c = 0; c < cols; ++c) {
+    const dataflow::Column* col = table.column(static_cast<int>(c)).get();
+    if (col->storage() == dataflow::Column::Storage::kDictString) {
+      dict[c] = static_cast<const dataflow::DictionaryColumn*>(col);
+    } else {
+      plain[c] = static_cast<const dataflow::StringColumn*>(col);
+    }
+  }
+  std::vector<std::string> fields(cols);
+  for (int64_t r = begin; r < end; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      fields[c].assign(plain[c] != nullptr ? plain[c]->view(r)
+                                           : dict[c]->view(r));
+    }
+    *out += FormatCsvLine(fields);
+    *out += '\n';
+  }
+}
+
+}  // namespace
+
 std::string GenerateCensusCsv(const CensusGenOptions& options) {
   auto table = GenerateCensusTable(options);
-  // Row-cursor compatibility view: datagen emits whole CSV lines, so the
-  // per-cell Value materialization is fine here.
   std::string out;
-  int cols = table->schema().num_fields();
-  std::vector<std::string> fields;
-  for (dataflow::RowCursor cur(*table); cur.Valid(); cur.Next()) {
-    fields.clear();
-    fields.reserve(static_cast<size_t>(cols));
-    for (int c = 0; c < cols; ++c) {
-      fields.push_back(cur.value(c).AsString());
-    }
-    out += FormatCsvLine(fields);
-    out += '\n';
-  }
+  AppendCsvLines(*table, 0, table->num_rows(), &out);
   return out;
 }
 
@@ -247,18 +266,8 @@ Status WriteCensusFiles(const CensusGenOptions& options,
   int64_t train_rows = table->num_rows() * 8 / 10;
   std::string train;
   std::string test;
-  int cols = table->schema().num_fields();
-  std::vector<std::string> fields;
-  for (int64_t i = 0; i < table->num_rows(); ++i) {
-    fields.clear();
-    fields.reserve(static_cast<size_t>(cols));
-    for (int c = 0; c < cols; ++c) {
-      fields.push_back(table->at(i, c).AsString());
-    }
-    std::string& sink = i < train_rows ? train : test;
-    sink += FormatCsvLine(fields);
-    sink += '\n';
-  }
+  AppendCsvLines(*table, 0, train_rows, &train);
+  AppendCsvLines(*table, train_rows, table->num_rows(), &test);
   HELIX_RETURN_IF_ERROR(WriteStringToFile(train_path, train));
   return WriteStringToFile(test_path, test);
 }

@@ -5,6 +5,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "dataflow/data_collection.h"
+#include "table_util.h"
 
 namespace helix {
 namespace dataflow {
@@ -102,50 +103,88 @@ TEST(SchemaTest, SerializationRoundTrip) {
 
 // --- TableData ------------------------------------------------------------------
 
-TEST(TableTest, AppendAndAccess) {
-  TableData table(Schema::AllStrings({"x", "y"}));
-  ASSERT_TRUE(table.AppendRow({Value("1"), Value("2")}).ok());
-  EXPECT_EQ(table.num_rows(), 1);
-  EXPECT_EQ(table.at(0, 1).AsString(), "2");
+TEST(TableTest, BuildAndAccess) {
+  auto table = MakeTable(Schema::AllStrings({"x", "y"}),
+                         {{Value("1"), Value("2")}});
+  EXPECT_EQ(table->num_rows(), 1);
+  EXPECT_EQ(Cell(*table, 0, 1).AsString(), "2");
 }
 
 TEST(TableTest, ArityMismatchRejected) {
-  TableData table(Schema::AllStrings({"x", "y"}));
-  EXPECT_TRUE(table.AppendRow({Value("1")}).IsInvalidArgument());
+  ColumnBuilder x(ValueType::kString);
+  x.AppendString("1");
+  EXPECT_TRUE(TableData::FromColumns(Schema::AllStrings({"x", "y"}),
+                                     {x.Finish()})
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(TableTest, ColumnExtraction) {
-  TableData table(Schema::AllStrings({"x", "y"}));
-  ASSERT_TRUE(table.AppendRow({Value("a"), Value("b")}).ok());
-  ASSERT_TRUE(table.AppendRow({Value("c"), Value("d")}).ok());
-  auto col = table.Column("y");
+  auto table = MakeTable(Schema::AllStrings({"x", "y"}),
+                         {{Value("a"), Value("b")}, {Value("c"), Value("d")}});
+  auto col = table->Column("y");
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(col.value()->length(), 2);
   EXPECT_EQ(col.value()->GetValue(1).AsString(), "d");
-  EXPECT_TRUE(table.Column("z").status().IsNotFound());
+  EXPECT_TRUE(table->Column("z").status().IsNotFound());
 }
 
 TEST(TableTest, ColumnHandleIsSharedNotCopied) {
-  TableData table(Schema::AllStrings({"x", "y"}));
-  ASSERT_TRUE(table.AppendRow({Value("a"), Value("b")}).ok());
+  auto table = MakeTable(Schema::AllStrings({"x", "y"}),
+                         {{Value("a"), Value("b")}});
   // The same handle comes back on every call — no deep copy per request.
-  EXPECT_EQ(table.Column("y").value().get(), table.Column("y").value().get());
-  EXPECT_EQ(table.Column("y").value().get(), table.column(1).get());
+  EXPECT_EQ(table->Column("y").value().get(),
+            table->Column("y").value().get());
+  EXPECT_EQ(table->Column("y").value().get(), table->column(1).get());
 }
 
 TEST(TableTest, FingerprintSensitiveToContent) {
-  TableData a(Schema::AllStrings({"x"}));
-  TableData b(Schema::AllStrings({"x"}));
-  ASSERT_TRUE(a.AppendRow({Value("1")}).ok());
-  ASSERT_TRUE(b.AppendRow({Value("2")}).ok());
-  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+  auto a = MakeTable(Schema::AllStrings({"x"}), {{Value("1")}});
+  auto b = MakeTable(Schema::AllStrings({"x"}), {{Value("2")}});
+  EXPECT_NE(a->Fingerprint(), b->Fingerprint());
 }
 
 TEST(TableTest, SizeGrowsWithRows) {
-  TableData table(Schema::AllStrings({"x"}));
-  int64_t before = table.SizeBytes();
-  ASSERT_TRUE(table.AppendRow({Value("payload string")}).ok());
-  EXPECT_GT(table.SizeBytes(), before);
+  auto empty = MakeTable(Schema::AllStrings({"x"}), {});
+  auto one = MakeTable(Schema::AllStrings({"x"}), {{Value("payload string")}});
+  EXPECT_GT(one->SizeBytes(), empty->SizeBytes());
+}
+
+TEST(TableTest, ColumnLayoutMustMatchFieldType) {
+  ColumnBuilder ints(ValueType::kInt);
+  ints.AppendInt(1);
+  std::shared_ptr<const Column> col = ints.Finish();
+  EXPECT_TRUE(
+      TableData::FromColumns(Schema({{"i", ValueType::kInt}}), {col}).ok());
+  for (ValueType wrong : {ValueType::kDouble, ValueType::kBool,
+                          ValueType::kString, ValueType::kNull}) {
+    EXPECT_TRUE(TableData::FromColumns(Schema({{"i", wrong}}), {col})
+                    .status()
+                    .IsInvalidArgument())
+        << ValueTypeToString(wrong);
+  }
+  // Both string layouts serve a kString field.
+  ColumnBuilder strings(ValueType::kString);
+  for (int r = 0; r < 32; ++r) {
+    strings.AppendString(r % 2 == 0 ? "even" : "odd");
+  }
+  std::shared_ptr<const Column> dict = strings.Finish();
+  ASSERT_EQ(dict->storage(), Column::Storage::kDictString);
+  EXPECT_TRUE(TableData::FromColumns(Schema::AllStrings({"s"}), {dict}).ok());
+}
+
+TEST(ColumnBuilderTest, GenericAppendRejectsMismatchedCell) {
+  ColumnBuilder b(ValueType::kInt);
+  ASSERT_TRUE(b.Append(Value(int64_t{7})).ok());
+  ASSERT_TRUE(b.Append(Value::Null()).ok());
+  EXPECT_TRUE(b.Append(Value("7")).IsInvalidArgument());
+  EXPECT_TRUE(b.Append(Value(7.0)).IsInvalidArgument());
+  EXPECT_TRUE(b.Append(Value(true)).IsInvalidArgument());
+  // A refused cell leaves the builder unchanged.
+  EXPECT_EQ(b.length(), 2);
+  std::shared_ptr<const Column> col = b.Finish();
+  EXPECT_EQ(col->storage(), Column::Storage::kInt64);
+  EXPECT_EQ(col->null_count(), 1);
 }
 
 // --- FeatureDict / SparseVector ----------------------------------------------------
@@ -253,8 +292,8 @@ TEST(ExamplesDataTest, DeserializeRejectsUnsortedIndices) {
 // --- Payload round trips through the envelope ----------------------------------------
 
 TEST(DataCollectionTest, TableRoundTrip) {
-  auto table = std::make_shared<TableData>(Schema::AllStrings({"a", "b"}));
-  ASSERT_TRUE(table->AppendRow({Value("x"), Value("y")}).ok());
+  auto table = MakeTable(Schema::AllStrings({"a", "b"}),
+                         {{Value("x"), Value("y")}});
   DataCollection original = DataCollection::FromTable(table);
 
   auto restored =
@@ -329,8 +368,7 @@ TEST(DataCollectionTest, WrongKindAccessorFails) {
 }
 
 TEST(DataCollectionTest, BitFlipDetected) {
-  auto table = std::make_shared<TableData>(Schema::AllStrings({"a"}));
-  ASSERT_TRUE(table->AppendRow({Value("payload")}).ok());
+  auto table = MakeTable(Schema::AllStrings({"a"}), {{Value("payload")}});
   std::string bytes = DataCollection::FromTable(table).SerializeToString();
   // Flip one bit in the middle of the payload.
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
@@ -339,8 +377,7 @@ TEST(DataCollectionTest, BitFlipDetected) {
 }
 
 TEST(DataCollectionTest, TruncationDetected) {
-  auto table = std::make_shared<TableData>(Schema::AllStrings({"a"}));
-  ASSERT_TRUE(table->AppendRow({Value("payload")}).ok());
+  auto table = MakeTable(Schema::AllStrings({"a"}), {{Value("payload")}});
   std::string bytes = DataCollection::FromTable(table).SerializeToString();
   for (size_t keep : {size_t{0}, size_t{5}, bytes.size() - 1}) {
     EXPECT_TRUE(DataCollection::DeserializeFromString(bytes.substr(0, keep))
@@ -359,13 +396,13 @@ class DataCollectionFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DataCollectionFuzzTest, RandomCorruptionNeverCrashes) {
   Rng rng(GetParam());
-  auto table = std::make_shared<TableData>(Schema::AllStrings({"a", "b"}));
+  std::vector<Row> rows;
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(table
-                    ->AppendRow({Value(StrFormat("r%d", i)),
-                                 Value(static_cast<int64_t>(i))})
-                    .ok());
+    rows.push_back(
+        {Value(StrFormat("r%d", i)), Value(static_cast<int64_t>(i))});
   }
+  auto table = MakeTable(
+      Schema({{"a", ValueType::kString}, {"b", ValueType::kInt}}), rows);
   std::string bytes = DataCollection::FromTable(table).SerializeToString();
   // Corrupt a few random bytes; deserialization must fail cleanly (or, if
   // the corruption cancels out, succeed) — never crash.

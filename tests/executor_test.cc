@@ -15,6 +15,7 @@
 #include "core/workflow.h"
 #include "core/workflow_dag.h"
 #include "storage/disk_backend.h"
+#include "table_util.h"
 
 namespace helix {
 namespace core {
@@ -358,9 +359,8 @@ TEST_F(ExecutorTest, ParanoidChecksCatchFingerprintTampering) {
   // Replace each stored entry with a VALID envelope of different content
   // while keeping the recorded fingerprint (every checksum passes; only
   // the executor's fingerprint check can catch the swap).
-  auto table = std::make_shared<dataflow::TableData>(
-      dataflow::Schema::AllStrings({"v"}));
-  ASSERT_TRUE(table->AppendRow({dataflow::Value("tampered")}).ok());
+  auto table = dataflow::MakeTable(dataflow::Schema::AllStrings({"v"}),
+                                   {{dataflow::Value("tampered")}});
   std::string valid_other =
       dataflow::DataCollection::FromTable(table).SerializeToString();
   std::vector<storage::StoreEntry> entries = store_->Entries();
@@ -584,12 +584,9 @@ TEST_F(ParallelExecutorTest, LoadFallbackThroughPrunedAncestorMatchesSequential)
       for (const dataflow::DataCollection* input : inputs) {
         acc ^= input->Fingerprint();
       }
-      auto table = std::make_shared<dataflow::TableData>(
-          dataflow::Schema::AllStrings({"v"}));
-      EXPECT_TRUE(
-          table->AppendRow({dataflow::Value(tag + std::to_string(acc))})
-              .ok());
-      return dataflow::DataCollection::FromTable(table);
+      return dataflow::DataCollection::FromTable(
+          dataflow::MakeTable(dataflow::Schema::AllStrings({"v"}),
+                              {{dataflow::Value(tag + std::to_string(acc))}}));
     };
   };
   // Declared costs steer the planner toward loads (compute nominally

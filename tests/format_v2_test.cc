@@ -2,9 +2,11 @@
 // empty tables; read compatibility against checked-in golden bytes of
 // every older format (v1 envelope and disk-store segment, v2 plain table,
 // v2 per-row examples) and byte-exact v3 goldens for the current writer;
-// a property test that row-built and column-built tables are
-// indistinguishable (fingerprints and wire bytes); and a fault sweep
-// (every truncation, every byte flip) through both envelope decoders.
+// a property test that the generic and the typed ColumnBuilder appends
+// build indistinguishable tables (fingerprints and wire bytes); tables
+// whose cells or columns disagree with their schema failing closed; and a
+// fault sweep (every truncation, every byte flip) through both envelope
+// decoders.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +19,7 @@
 #include "dataflow/simd.h"
 #include "storage/disk_backend.h"
 #include "storage/store.h"
+#include "table_util.h"
 
 namespace helix {
 namespace dataflow {
@@ -34,6 +37,28 @@ std::string FromHex(std::string_view hex) {
     out.push_back(static_cast<char>(nibble(hex[i]) * 16 + nibble(hex[i + 1])));
   }
   return out;
+}
+
+// Seals `body` (magic, version, kind, payload) into an envelope with a
+// valid trailer for `version` (FNV-64 before v3, CRC32C from v3), so only
+// the payload's own checks can reject it.
+std::string SealEnvelope(const ByteWriter& body, uint32_t version) {
+  ByteWriter checksum;
+  if (version >= 3) {
+    checksum.PutU32(simd::Crc32c(body.data().data(), body.data().size()));
+  } else {
+    checksum.PutU64(FnvHash64(body.data().data(), body.data().size()));
+  }
+  return body.data() + checksum.data();
+}
+
+// An envelope header (magic, version, kind) for a table body.
+ByteWriter TableEnvelopeHeader(uint32_t version) {
+  ByteWriter body;
+  body.PutU32(0x44584C48);  // "HLXD"
+  body.PutU32(version);
+  body.PutU8(static_cast<uint8_t>(PayloadKind::kTable));
+  return body;
 }
 
 // --- v1 golden: envelope bytes written by the pre-columnar row store ---------
@@ -58,15 +83,15 @@ TEST(FormatV2Test, V1GoldenEnvelopeStillLoads) {
   const TableData* t = restored.value().AsTable().value();
   ASSERT_EQ(t->num_rows(), 4);
   ASSERT_EQ(t->schema().num_fields(), 4);
-  EXPECT_EQ(t->at(0, 0).AsInt(), 42);
-  EXPECT_DOUBLE_EQ(t->at(0, 1).AsDouble(), 2.5);
-  EXPECT_TRUE(t->at(0, 2).AsBool());
-  EXPECT_EQ(t->at(0, 3).AsString(), "alpha");
-  EXPECT_EQ(t->at(1, 3).AsString(), "beta, with comma");
+  EXPECT_EQ(Cell(*t, 0, 0).AsInt(), 42);
+  EXPECT_DOUBLE_EQ(Cell(*t, 0, 1).AsDouble(), 2.5);
+  EXPECT_TRUE(Cell(*t, 0, 2).AsBool());
+  EXPECT_EQ(Cell(*t, 0, 3).AsString(), "alpha");
+  EXPECT_EQ(Cell(*t, 1, 3).AsString(), "beta, with comma");
   for (int c = 0; c < 4; ++c) {
-    EXPECT_TRUE(t->at(2, c).is_null()) << "col " << c;
+    EXPECT_TRUE(Cell(*t, 2, c).is_null()) << "col " << c;
   }
-  EXPECT_EQ(t->at(3, 3).AsString(), "");
+  EXPECT_EQ(Cell(*t, 3, 3).AsString(), "");
   // The columnar fingerprint must equal what the row store computed:
   // persisted StoreEntry fingerprints verify against reloaded payloads.
   EXPECT_EQ(restored.value().Fingerprint(), kV1GoldenFingerprint);
@@ -118,8 +143,8 @@ TEST(FormatV2Test, V1DiskStoreWrittenBeforeTheChangeStillLoads) {
 
   const TableData* t = loaded.value().AsTable().value();
   ASSERT_EQ(t->num_rows(), 2);
-  EXPECT_EQ(t->at(0, 1).AsString(), "one");
-  EXPECT_EQ(t->at(1, 1).AsString(), "two");
+  EXPECT_EQ(Cell(*t, 0, 1).AsString(), "one");
+  EXPECT_EQ(Cell(*t, 1, 1).AsString(), "two");
   (void)RemoveDirRecursively(dir.value());
 }
 
@@ -174,24 +199,16 @@ TEST(FormatV2Test, V1SegmentIsSealedThenCompactedToV2) {
 // --- per-column round trips --------------------------------------------------
 
 TEST(FormatV2Test, PerColumnRoundTripWithNulls) {
-  auto table = std::make_shared<TableData>(Schema({
-      {"i", ValueType::kInt},
-      {"d", ValueType::kDouble},
-      {"b", ValueType::kBool},
-      {"s", ValueType::kString},
-  }));
-  ASSERT_TRUE(
-      table->AppendRow({Value(int64_t{7}), Value(1.5), Value(true),
-                        Value("seven")})
-          .ok());
-  ASSERT_TRUE(table
-                  ->AppendRow({Value::Null(), Value::Null(), Value::Null(),
-                               Value::Null()})
-                  .ok());
-  ASSERT_TRUE(
-      table->AppendRow({Value(int64_t{-3}), Value(-0.5), Value(false),
-                        Value("")})
-          .ok());
+  auto table = MakeTable(
+      Schema({
+          {"i", ValueType::kInt},
+          {"d", ValueType::kDouble},
+          {"b", ValueType::kBool},
+          {"s", ValueType::kString},
+      }),
+      {{Value(int64_t{7}), Value(1.5), Value(true), Value("seven")},
+       {Value::Null(), Value::Null(), Value::Null(), Value::Null()},
+       {Value(int64_t{-3}), Value(-0.5), Value(false), Value("")}});
   DataCollection original = DataCollection::FromTable(table);
   auto restored =
       DataCollection::DeserializeFromString(original.SerializeToString());
@@ -200,20 +217,21 @@ TEST(FormatV2Test, PerColumnRoundTripWithNulls) {
   ASSERT_EQ(t->num_rows(), 3);
   for (int64_t r = 0; r < 3; ++r) {
     for (int c = 0; c < 4; ++c) {
-      EXPECT_EQ(t->at(r, c), table->at(r, c)) << r << "," << c;
+      EXPECT_EQ(Cell(*t, r, c), Cell(*table, r, c)) << r << "," << c;
     }
   }
   // Null cells survive per column.
   for (int c = 0; c < 4; ++c) {
-    EXPECT_TRUE(t->at(1, c).is_null());
+    EXPECT_TRUE(Cell(*t, 1, c).is_null());
     EXPECT_EQ(t->column(c)->null_count(), 1);
   }
   EXPECT_EQ(restored.value().Fingerprint(), original.Fingerprint());
 }
 
 TEST(FormatV2Test, EmptyTableRoundTrip) {
-  auto table = std::make_shared<TableData>(
-      Schema({{"a", ValueType::kInt}, {"b", ValueType::kString}}));
+  auto table =
+      MakeTable(Schema({{"a", ValueType::kInt}, {"b", ValueType::kString}}),
+                {});
   DataCollection original = DataCollection::FromTable(table);
   auto restored =
       DataCollection::DeserializeFromString(original.SerializeToString());
@@ -225,33 +243,84 @@ TEST(FormatV2Test, EmptyTableRoundTrip) {
 }
 
 TEST(FormatV2Test, ZeroFieldTableKeepsRowCount) {
-  auto table = std::make_shared<TableData>(Schema(std::vector<Field>{}));
-  ASSERT_TRUE(table->AppendRow({}).ok());
-  ASSERT_TRUE(table->AppendRow({}).ok());
-  DataCollection original = DataCollection::FromTable(table);
-  auto restored =
-      DataCollection::DeserializeFromString(original.SerializeToString());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored.value().AsTable().value()->num_rows(), 2);
-  EXPECT_EQ(restored.value().Fingerprint(), original.Fingerprint());
-}
-
-TEST(FormatV2Test, MixedColumnRoundTrip) {
-  // The legacy row store allowed cells that disagree with the declared
-  // type; such columns degrade to tagged-Value storage and round trip.
-  auto table = std::make_shared<TableData>(Schema::AllStrings({"a"}));
-  ASSERT_TRUE(table->AppendRow({Value("text")}).ok());
-  ASSERT_TRUE(table->AppendRow({Value(int64_t{5})}).ok());
-  ASSERT_TRUE(table->AppendRow({Value(false)}).ok());
-  DataCollection original = DataCollection::FromTable(table);
-  auto restored =
-      DataCollection::DeserializeFromString(original.SerializeToString());
+  // Columns cannot carry the row count of a table without fields; the
+  // header does.
+  ByteWriter body = TableEnvelopeHeader(3);
+  Schema(std::vector<Field>{}).Serialize(&body);
+  body.PutU64(2);
+  std::string bytes = SealEnvelope(body, 3);
+  auto restored = DataCollection::DeserializeFromString(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   const TableData* t = restored.value().AsTable().value();
-  EXPECT_EQ(t->at(0, 0).AsString(), "text");
-  EXPECT_EQ(t->at(1, 0).AsInt(), 5);
-  EXPECT_FALSE(t->at(2, 0).AsBool());
-  EXPECT_EQ(restored.value().Fingerprint(), original.Fingerprint());
+  EXPECT_EQ(t->num_rows(), 2);
+  EXPECT_EQ(restored.value().SerializeToString(), bytes);
+  EXPECT_EQ(t->Filter({1})->num_rows(), 1);
+}
+
+TEST(FormatV2Test, RetiredMixedColumnTagIsCorruption) {
+  // Storage tag 5 held tagged-Value cells that disagreed with the
+  // declared type. No writer emits it; a column carrying it is corrupt.
+  ByteWriter body = TableEnvelopeHeader(3);
+  Schema::AllStrings({"a"}).Serialize(&body);
+  body.PutU64(1);
+  body.PutU8(5);  // the retired storage tag
+  body.PutU8(0);  // no validity bitmap
+  Value("text").Serialize(&body);
+  std::string bytes = SealEnvelope(body, 3);
+  auto got = DataCollection::DeserializeFromString(bytes);
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  EXPECT_NE(got.status().ToString().find("storage tag 5"), std::string::npos)
+      << got.status().ToString();
+  EXPECT_TRUE(DataCollection::DeserializeVerified(bytes).status()
+                  .IsCorruption());
+}
+
+// A v1 (row-major tagged cells, FNV-64 trailer) envelope of one field
+// (kInt unless given) over the given cells.
+std::string V1OneFieldEnvelope(const std::vector<Value>& cells,
+                               ValueType field_type = ValueType::kInt) {
+  ByteWriter body = TableEnvelopeHeader(1);
+  Schema({{"a", field_type}}).Serialize(&body);
+  body.PutU64(cells.size());
+  for (const Value& cell : cells) {
+    cell.Serialize(&body);
+  }
+  return SealEnvelope(body, 1);
+}
+
+TEST(FormatV2Test, V1CellThatDisagreesWithItsFieldIsCorruption) {
+  // The control decodes: ints and nulls under a kInt field.
+  auto ok = DataCollection::DeserializeFromString(
+      V1OneFieldEnvelope({Value(int64_t{1}), Value::Null()}));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok.value().AsTable().value()->column(0)->storage(),
+            Column::Storage::kInt64);
+  // One string cell under the kInt field has no column to go in.
+  std::string bad = V1OneFieldEnvelope({Value(int64_t{1}), Value("two")});
+  auto got = DataCollection::DeserializeFromString(bad);
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  EXPECT_TRUE(DataCollection::DeserializeVerified(bad).status()
+                  .IsCorruption());
+  // A kNull field declares no cell type at all.
+  EXPECT_TRUE(DataCollection::DeserializeFromString(
+                  V1OneFieldEnvelope({Value::Null()}, ValueType::kNull))
+                  .status()
+                  .IsCorruption());
+}
+
+TEST(FormatV2Test, ColumnThatDisagreesWithItsFieldIsCorruption) {
+  // A well-formed v3 double column under a field declared bool.
+  ByteWriter body = TableEnvelopeHeader(3);
+  Schema({{"d", ValueType::kBool}}).Serialize(&body);
+  body.PutU64(1);
+  body.PutU8(static_cast<uint8_t>(Column::Storage::kDouble));
+  body.PutU8(0);
+  body.PutDouble(0.25);
+  std::string bytes = SealEnvelope(body, 3);
+  auto got = DataCollection::DeserializeFromString(bytes);
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  EXPECT_TRUE(DataCollection::DeserializeVerified(bytes).status()
+                  .IsCorruption());
 }
 
 // Replaces a v3 envelope's 4-byte CRC32C trailer with the checksum of
@@ -264,8 +333,7 @@ std::string ResealV3(const std::string& bytes) {
 }
 
 TEST(FormatV2Test, FutureVersionRejected) {
-  auto table = std::make_shared<TableData>(Schema::AllStrings({"a"}));
-  ASSERT_TRUE(table->AppendRow({Value("x")}).ok());
+  auto table = MakeTable(Schema::AllStrings({"a"}), {{Value("x")}});
   std::string bytes = DataCollection::FromTable(table).SerializeToString();
   // Patch the version field (bytes 4..7, little-endian) to the next,
   // unreleased version and fix up the trailing checksum so only the
@@ -281,43 +349,44 @@ TEST(FormatV2Test, FutureVersionRejected) {
 // --- selection vectors / zero-copy sharing -----------------------------------
 
 TEST(FormatV2Test, FilterGathersEveryColumnAndValidity) {
-  auto table = std::make_shared<TableData>(
-      Schema({{"i", ValueType::kInt}, {"s", ValueType::kString}}));
+  std::vector<Row> rows;
   for (int64_t r = 0; r < 10; ++r) {
     if (r == 4) {
-      ASSERT_TRUE(table->AppendRow({Value::Null(), Value::Null()}).ok());
+      rows.push_back({Value::Null(), Value::Null()});
     } else {
-      ASSERT_TRUE(
-          table->AppendRow({Value(r), Value(StrFormat("r%lld",
-                                                      static_cast<long long>(
-                                                          r)))})
-              .ok());
+      rows.push_back(
+          {Value(r), Value(StrFormat("r%lld", static_cast<long long>(r)))});
     }
   }
+  auto table = MakeTable(
+      Schema({{"i", ValueType::kInt}, {"s", ValueType::kString}}), rows);
   SelectionVector sel = {1, 4, 9};
   std::shared_ptr<TableData> filtered = table->Filter(sel);
   ASSERT_EQ(filtered->num_rows(), 3);
-  EXPECT_EQ(filtered->at(0, 0).AsInt(), 1);
-  EXPECT_TRUE(filtered->at(1, 0).is_null());
-  EXPECT_TRUE(filtered->at(1, 1).is_null());
-  EXPECT_EQ(filtered->at(2, 1).AsString(), "r9");
+  EXPECT_EQ(Cell(*filtered, 0, 0).AsInt(), 1);
+  EXPECT_TRUE(Cell(*filtered, 1, 0).is_null());
+  EXPECT_TRUE(Cell(*filtered, 1, 1).is_null());
+  EXPECT_EQ(Cell(*filtered, 2, 1).AsString(), "r9");
   EXPECT_EQ(filtered->column(0)->null_count(), 1);
 }
 
 TEST(FormatV2Test, FromColumnsSharesHandlesZeroCopy) {
-  auto table = std::make_shared<TableData>(Schema::AllStrings({"a", "b"}));
-  ASSERT_TRUE(table->AppendRow({Value("x"), Value("y")}).ok());
+  auto table =
+      MakeTable(Schema::AllStrings({"a", "b"}), {{Value("x"), Value("y")}});
   auto projected = TableData::FromColumns(Schema::AllStrings({"b"}),
                                           {table->column(1)});
   ASSERT_TRUE(projected.ok());
   EXPECT_EQ(projected.value()->column(0).get(), table->column(1).get());
 }
 
-// --- property: row-built == column-built -------------------------------------
+// --- property: generic Append == typed appends -----------------------------
 
-class RowVsColumnProperty : public ::testing::TestWithParam<uint64_t> {};
+// The generic ColumnBuilder::Append is the v1 reader's path; the typed
+// appends are every operator's. Both must build the same column.
+class GenericVsTypedAppendProperty
+    : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(RowVsColumnProperty, IdenticalFingerprintsAndBytes) {
+TEST_P(GenericVsTypedAppendProperty, IdenticalFingerprintsAndBytes) {
   Rng rng(GetParam());
   const std::vector<ValueType> types = {ValueType::kInt, ValueType::kDouble,
                                         ValueType::kBool, ValueType::kString};
@@ -330,20 +399,14 @@ TEST_P(RowVsColumnProperty, IdenticalFingerprintsAndBytes) {
   Schema schema(fields);
   int64_t nrows = static_cast<int64_t>(rng.NextBelow(40));
 
-  // Generate cells (10% nulls, 10% type-mismatched cells to force mixed
-  // storage) ...
+  // Generate cells of each field's type, 10% nulls ...
   std::vector<std::vector<Value>> cells(
       static_cast<size_t>(nrows), std::vector<Value>(fields.size()));
   for (int64_t r = 0; r < nrows; ++r) {
     for (size_t c = 0; c < fields.size(); ++c) {
       Value v;
-      if (rng.NextBool(0.1)) {
-        v = Value::Null();
-      } else {
-        ValueType t = rng.NextBool(0.1)
-                          ? types[rng.NextBelow(types.size())]
-                          : fields[c].type;
-        switch (t) {
+      if (!rng.NextBool(0.1)) {
+        switch (fields[c].type) {
           case ValueType::kInt:
             v = Value(static_cast<int64_t>(rng.NextU64() % 1000));
             break;
@@ -364,35 +427,55 @@ TEST_P(RowVsColumnProperty, IdenticalFingerprintsAndBytes) {
     }
   }
 
-  // ... then build the same table twice: row-at-a-time and column-wise.
-  auto row_built = std::make_shared<TableData>(schema);
-  for (int64_t r = 0; r < nrows; ++r) {
-    ASSERT_TRUE(row_built->AppendRow(cells[static_cast<size_t>(r)]).ok());
-  }
-  std::vector<std::shared_ptr<const Column>> columns;
+  // ... then build the same table twice: through the generic Append and
+  // through the typed appends.
+  std::vector<std::shared_ptr<const Column>> generic;
+  std::vector<std::shared_ptr<const Column>> typed;
   for (size_t c = 0; c < fields.size(); ++c) {
-    ColumnBuilder b(fields[c].type);
+    ColumnBuilder g(fields[c].type);
+    ColumnBuilder t(fields[c].type);
     for (int64_t r = 0; r < nrows; ++r) {
-      b.Append(cells[static_cast<size_t>(r)][c]);
+      const Value& v = cells[static_cast<size_t>(r)][c];
+      ASSERT_TRUE(g.Append(v).ok());
+      switch (v.type()) {
+        case ValueType::kNull:
+          t.AppendNull();
+          break;
+        case ValueType::kInt:
+          t.AppendInt(v.AsInt());
+          break;
+        case ValueType::kDouble:
+          t.AppendDouble(v.AsDouble());
+          break;
+        case ValueType::kBool:
+          t.AppendBool(v.AsBool());
+          break;
+        case ValueType::kString:
+          t.AppendString(v.AsString());
+          break;
+      }
     }
-    columns.push_back(b.Finish());
+    generic.push_back(g.Finish());
+    typed.push_back(t.Finish());
   }
-  auto col_built = TableData::FromColumns(schema, std::move(columns));
-  ASSERT_TRUE(col_built.ok());
+  auto generic_table = TableData::FromColumns(schema, std::move(generic));
+  auto typed_table = TableData::FromColumns(schema, std::move(typed));
+  ASSERT_TRUE(generic_table.ok());
+  ASSERT_TRUE(typed_table.ok());
 
-  DataCollection row_dc = DataCollection::FromTable(row_built);
-  DataCollection col_dc = DataCollection::FromTable(col_built.value());
-  EXPECT_EQ(row_dc.Fingerprint(), col_dc.Fingerprint());
-  EXPECT_EQ(row_dc.SerializeToString(), col_dc.SerializeToString());
+  DataCollection generic_dc = DataCollection::FromTable(generic_table.value());
+  DataCollection typed_dc = DataCollection::FromTable(typed_table.value());
+  EXPECT_EQ(generic_dc.Fingerprint(), typed_dc.Fingerprint());
+  EXPECT_EQ(generic_dc.SerializeToString(), typed_dc.SerializeToString());
 
   // And the fingerprint survives a wire round trip.
   auto restored =
-      DataCollection::DeserializeFromString(row_dc.SerializeToString());
+      DataCollection::DeserializeFromString(generic_dc.SerializeToString());
   ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored.value().Fingerprint(), row_dc.Fingerprint());
+  EXPECT_EQ(restored.value().Fingerprint(), generic_dc.Fingerprint());
 }
 
-INSTANTIATE_TEST_SUITE_P(Property, RowVsColumnProperty,
+INSTANTIATE_TEST_SUITE_P(Property, GenericVsTypedAppendProperty,
                          ::testing::Range<uint64_t>(0, 30));
 
 // --- v2 golden: plain (non-dictionary) envelope ------------------------------
@@ -439,7 +522,7 @@ TEST(FormatV2Test, V2PlainGoldenEnvelopeStillLoadsAndReserializes) {
   const TableData* t = restored.value().AsTable().value();
   ASSERT_EQ(t->num_rows(), 5);
   ASSERT_EQ(t->schema().num_fields(), 4);
-  EXPECT_EQ(t->at(0, 3).AsString(), "alpha");
+  EXPECT_EQ(Cell(*t, 0, 3).AsString(), "alpha");
   // The string column must still deserialize as plain storage...
   EXPECT_EQ(t->column(3)->storage(), Column::Storage::kString);
   // ...and the current writer must reproduce the v3 golden bytes exactly,
@@ -457,16 +540,12 @@ TEST(FormatV2Test, V2PlainGoldenEnvelopeStillLoadsAndReserializes) {
 // under the distinct-ratio cutoff, so ColumnBuilder must emit dictionary
 // storage.
 std::shared_ptr<TableData> MakeDictTable() {
-  auto table = std::make_shared<TableData>(Schema::AllStrings({"color"}));
   const char* colors[] = {"red", "green", "blue"};
+  std::vector<Row> rows;
   for (int64_t r = 0; r < 40; ++r) {
-    if (r % 13 == 7) {
-      EXPECT_TRUE(table->AppendRow({Value::Null()}).ok());
-    } else {
-      EXPECT_TRUE(table->AppendRow({Value(colors[r % 3])}).ok());
-    }
+    rows.push_back({r % 13 == 7 ? Value::Null() : Value(colors[r % 3])});
   }
-  return table;
+  return MakeTable(Schema::AllStrings({"color"}), rows);
 }
 
 TEST(FormatV2Test, DictionaryColumnRoundTripsThroughV2) {
@@ -484,7 +563,7 @@ TEST(FormatV2Test, DictionaryColumnRoundTripsThroughV2) {
       dynamic_cast<const DictionaryColumn*>(t->column(0).get());
   ASSERT_NE(dict_col, nullptr) << "dict storage must survive the wire";
   for (int64_t r = 0; r < 40; ++r) {
-    EXPECT_EQ(t->at(r, 0), table->at(r, 0)) << "row " << r;
+    EXPECT_EQ(Cell(*t, r, 0), Cell(*table, r, 0)) << "row " << r;
   }
   EXPECT_EQ(t->column(0)->null_count(), table->column(0)->null_count());
   // The fingerprint is a function of the values, not the storage, and
@@ -504,7 +583,7 @@ TEST(FormatV2Test, DictionaryFingerprintMatchesPlainStorage) {
   std::vector<uint64_t> offsets = {0};
   for (int64_t r = 0; r < 40; ++r) {
     const char* v = colors[r % 3];
-    builder.Append(Value(v));
+    ASSERT_TRUE(builder.Append(Value(v)).ok());
     arena += v;
     offsets.push_back(arena.size());
   }
@@ -559,20 +638,15 @@ TEST(FormatV2Test, SerializeToSpansIsByteIdenticalToString) {
   // identity.
   std::vector<DataCollection> cases;
   cases.push_back(DataCollection::FromTable(MakeDictTable()));
-  auto plain = std::make_shared<TableData>(Schema({
-      {"i", ValueType::kInt},
-      {"d", ValueType::kDouble},
-      {"b", ValueType::kBool},
-      {"s", ValueType::kString},
-  }));
-  ASSERT_TRUE(plain
-                  ->AppendRow({Value(int64_t{1}), Value(0.5), Value(true),
-                               Value("one")})
-                  .ok());
-  ASSERT_TRUE(plain
-                  ->AppendRow({Value::Null(), Value::Null(), Value::Null(),
-                               Value::Null()})
-                  .ok());
+  auto plain = MakeTable(
+      Schema({
+          {"i", ValueType::kInt},
+          {"d", ValueType::kDouble},
+          {"b", ValueType::kBool},
+          {"s", ValueType::kString},
+      }),
+      {{Value(int64_t{1}), Value(0.5), Value(true), Value("one")},
+       {Value::Null(), Value::Null(), Value::Null(), Value::Null()}});
   cases.push_back(DataCollection::FromTable(plain));
   for (const DataCollection& dc : cases) {
     std::string flat = dc.SerializeToString();
@@ -662,19 +736,6 @@ TEST(FormatV2Test, ExamplesGoldenEnvelopeLoadsAndReserializes) {
   EXPECT_EQ(DataCollection::FromExamples(shared).SerializeToString(), v3);
 }
 
-// Seals `body` (magic, version, kind, payload) into an envelope with a
-// valid trailer for `version` (FNV-64 before v3, CRC32C from v3), so only
-// the payload's own checks can reject it.
-std::string SealEnvelope(const ByteWriter& body, uint32_t version) {
-  ByteWriter checksum;
-  if (version >= 3) {
-    checksum.PutU32(simd::Crc32c(body.data().data(), body.data().size()));
-  } else {
-    checksum.PutU64(FnvHash64(body.data().data(), body.data().size()));
-  }
-  return body.data() + checksum.data();
-}
-
 TEST(FormatV2Test, ImplausibleExampleCountIsCorruptionNotBadAlloc) {
   for (uint32_t version : {2u, 3u}) {
     ByteWriter body;
@@ -693,10 +754,7 @@ TEST(FormatV2Test, ImplausibleExampleCountIsCorruptionNotBadAlloc) {
 TEST(FormatV2Test, ImplausibleTableRowCountIsCorruptionNotBadAlloc) {
   for (uint32_t version : {1u, 2u, 3u}) {
     for (ValueType type : {ValueType::kInt, ValueType::kString}) {
-      ByteWriter body;
-      body.PutU32(0x44584C48);
-      body.PutU32(version);
-      body.PutU8(static_cast<uint8_t>(PayloadKind::kTable));
+      ByteWriter body = TableEnvelopeHeader(version);
       Schema({{"a", type}}).Serialize(&body);
       body.PutU64(1ULL << 32);
       // A plain column header (storage tag, no validity), so v2 reaches
@@ -802,19 +860,18 @@ TEST(FormatV3Test, ExamplesBlockInvariantsAreChecked) {
 // --- fault sweep: every truncation and byte flip ------------------------------
 
 std::vector<std::pair<const char*, std::string>> SweepEnvelopes() {
-  auto table = std::make_shared<TableData>(Schema({
-      {"i", ValueType::kInt},
-      {"d", ValueType::kDouble},
-      {"s", ValueType::kString},
-  }));
+  std::vector<Row> rows;
   for (int64_t r = 0; r < 6; ++r) {
-    EXPECT_TRUE(table
-                    ->AppendRow({r == 3 ? Value::Null() : Value(r),
-                                 Value(0.25 * static_cast<double>(r)),
-                                 Value(StrFormat("row%lld",
-                                                 static_cast<long long>(r)))})
-                    .ok());
+    rows.push_back({r == 3 ? Value::Null() : Value(r),
+                    Value(0.25 * static_cast<double>(r)),
+                    Value(StrFormat("row%lld", static_cast<long long>(r)))});
   }
+  auto table = MakeTable(Schema({
+                             {"i", ValueType::kInt},
+                             {"d", ValueType::kDouble},
+                             {"s", ValueType::kString},
+                         }),
+                         rows);
   return {
       {"table", DataCollection::FromTable(table).SerializeToString()},
       {"examples", FromHex(kExamplesV3GoldenHex)},
@@ -839,6 +896,24 @@ TEST(FormatV3Test, EveryTruncationFailsVerificationAndNeverCrashes) {
   }
 }
 
+// The schema <-> layout invariant, restated independently of the decoder.
+bool LayoutMatchesField(ValueType type, Column::Storage storage) {
+  switch (type) {
+    case ValueType::kInt:
+      return storage == Column::Storage::kInt64;
+    case ValueType::kDouble:
+      return storage == Column::Storage::kDouble;
+    case ValueType::kBool:
+      return storage == Column::Storage::kBool;
+    case ValueType::kString:
+      return storage == Column::Storage::kString ||
+             storage == Column::Storage::kDictString;
+    case ValueType::kNull:
+      return false;
+  }
+  return false;
+}
+
 TEST(FormatV3Test, EverySingleByteFlipFailsVerificationAndNeverCrashes) {
   for (const auto& [what, bytes] : SweepEnvelopes()) {
     for (size_t i = 0; i < bytes.size(); ++i) {
@@ -850,9 +925,18 @@ TEST(FormatV3Test, EverySingleByteFlipFailsVerificationAndNeverCrashes) {
         EXPECT_TRUE(verified.status().IsCorruption())
             << what << " byte " << i << " ^ " << static_cast<int>(mask);
         // Without the hash, a flip in a value may decode to another valid
-        // payload; it must never crash or over-allocate.
+        // payload; it must never crash or over-allocate, and a table that
+        // decodes must keep every column's layout matching its field.
         auto trusted = DataCollection::DeserializeVerified(flipped);
-        (void)trusted;
+        if (trusted.ok() && trusted.value().kind() == PayloadKind::kTable) {
+          const TableData* t = trusted.value().AsTable().value();
+          for (int c = 0; c < t->schema().num_fields(); ++c) {
+            EXPECT_TRUE(LayoutMatchesField(t->schema().field(c).type,
+                                           t->column(c)->storage()))
+                << what << " byte " << i << " ^ " << static_cast<int>(mask)
+                << ": field " << c;
+          }
+        }
       }
     }
   }

@@ -43,6 +43,7 @@
 #include "net/wire.h"
 #include "service/session_service.h"
 #include "synthetic_app.h"
+#include "table_util.h"
 
 namespace helix {
 namespace net {
@@ -1236,12 +1237,10 @@ TEST_F(NetTest, FetchOutputZeroCopyMatchesIterationFingerprints) {
 // The client verifies a FetchOutput reply exactly once: the frame CRC
 // covers the envelope, so decoding it hashes nothing more.
 TEST(FetchOutputDecodeTest, ClientDecodeRunsOneChecksum) {
-  auto table = std::make_shared<dataflow::TableData>(
-      dataflow::Schema::AllStrings({"v"}));
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(table->AppendRow({dataflow::Value("row")}).ok());
-  }
-  dataflow::DataCollection data = dataflow::DataCollection::FromTable(table);
+  dataflow::DataCollection data =
+      dataflow::DataCollection::FromTable(dataflow::MakeTable(
+          dataflow::Schema::AllStrings({"v"}),
+          std::vector<dataflow::Row>(100, {dataflow::Value("row")})));
   SpanWriter spans;
   EncodeFetchOutputReplyToSpans(data, &spans);
   Frame reply;
@@ -1298,11 +1297,15 @@ TEST_F(NetTest, OversizedFetchOutputReplyIsResourceExhausted) {
         "big", core::Phase::kDataPreprocessing, 1,
         [](const std::vector<const dataflow::DataCollection*>&)
             -> Result<dataflow::DataCollection> {
-          auto table = std::make_shared<dataflow::TableData>(
-              dataflow::Schema({{"v", dataflow::ValueType::kInt}}));
+          dataflow::ColumnBuilder v(dataflow::ValueType::kInt);
           for (int64_t i = 0; i < 8192; ++i) {
-            HELIX_RETURN_IF_ERROR(table->AppendRow({dataflow::Value(i)}));
+            v.AppendInt(i);
           }
+          HELIX_ASSIGN_OR_RETURN(
+              auto table,
+              dataflow::TableData::FromColumns(
+                  dataflow::Schema({{"v", dataflow::ValueType::kInt}}),
+                  {v.Finish()}));
           return dataflow::DataCollection::FromTable(std::move(table));
         }));
     core::NodeRef small = wf.Add(core::ops::Synthetic(

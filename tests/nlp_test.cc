@@ -13,6 +13,7 @@
 #include "nlp/mention_decoder.h"
 #include "nlp/token_features.h"
 #include "nlp/tokenizer.h"
+#include "table_util.h"
 
 namespace helix {
 namespace {
@@ -293,11 +294,11 @@ TEST(CensusGenTest, LabelsAreBothClassesAndCorrelated) {
   int preschool_pos = 0;
   int preschool_total = 0;
   for (int64_t r = 0; r < table->num_rows(); ++r) {
-    bool over = table->at(r, target_col).AsString() == ">50K";
+    bool over = dataflow::Cell(*table, r, target_col).AsString() == ">50K";
     positives += over;
-    // at() materializes a Value now; copy rather than bind a reference
-    // into the temporary.
-    const std::string edu = table->at(r, edu_col).AsString();
+    // Cell() materializes a Value; copy rather than bind a reference into
+    // the temporary.
+    const std::string edu = dataflow::Cell(*table, r, edu_col).AsString();
     if (edu == "Doctorate" || edu == "Prof-school") {
       ++doctorate_total;
       doctorate_pos += over;

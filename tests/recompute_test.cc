@@ -106,7 +106,7 @@ TEST(RecomputeTest, PaperExampleKeepParentWhenChildLoadCheap) {
 
 TEST(RecomputeTest, SharedAncestorLoadedOnceForTwoOutputs) {
   //      0 (expensive)
-  //     / \
+  //     / \     (edges 0->1, 0->2)
   //    1   2     both outputs, not loadable; 0 loadable.
   graph::Dag dag;
   dag.AddNodes(3);
@@ -159,7 +159,7 @@ TEST(RecomputeTest, ValidationCatchesSizeMismatch) {
 
 TEST(RecomputeTest, DiamondWithCheapMiddleLoads) {
   //    0
-  //   / \
+  //   / \     (edges 0->1, 0->2)
   //  1   2
   //   \ /
   //    3 (out)
@@ -218,7 +218,7 @@ TEST(RecomputeTest, GreedyIsSuboptimalOnSharedAncestor) {
   // recompute of 110 > 60, so it loads both for 120... make asymmetric:
   //
   //        0 (c=100)
-  //       / \
+  //       / \     (edges 0->1, 0->2)
   //  1(out)  2(out)   c=10 each, l=70 each.
   // OPT: compute all = 120. Greedy (reverse topo visits 2 first): est for
   // 2 = 10+100=110 > 70 -> load 2 (70); then 1: est = 10+100 -> load (70).

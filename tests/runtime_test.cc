@@ -22,6 +22,7 @@
 #include "runtime/parallel_scheduler.h"
 #include "runtime/thread_pool.h"
 #include "storage/store.h"
+#include "table_util.h"
 
 namespace helix {
 namespace runtime {
@@ -240,11 +241,10 @@ TEST(ParallelDagSchedulerTest, WideFanoutOverlapsWork) {
 // --- AsyncMaterializer ------------------------------------------------------
 
 DataCollection MakeCollection(const std::string& content, int rows = 1) {
-  auto table = std::make_shared<TableData>(Schema::AllStrings({"v"}));
-  for (int i = 0; i < rows; ++i) {
-    EXPECT_TRUE(table->AppendRow({Value(content)}).ok());
-  }
-  return DataCollection::FromTable(table);
+  return DataCollection::FromTable(dataflow::MakeTable(
+      Schema::AllStrings({"v"}),
+      std::vector<dataflow::Row>(static_cast<size_t>(rows),
+                                 {Value(content)})));
 }
 
 class AsyncMaterializerTest : public ::testing::Test {

@@ -7,12 +7,14 @@
 
 #include "common/file_util.h"
 #include "core/std_ops.h"
+#include "table_util.h"
 
 namespace helix {
 namespace core {
 namespace {
 
 namespace ops = core::ops;
+using dataflow::Cell;
 using dataflow::DataCollection;
 using dataflow::Schema;
 using dataflow::TableData;
@@ -31,12 +33,12 @@ Result<DataCollection> Invoke(const Operator& op,
 DataCollection FeatureTable(const std::string& column,
                             std::vector<std::pair<std::string, std::string>>
                                 split_and_value) {
-  auto table = std::make_shared<TableData>(
-      Schema::AllStrings({ops::kSplitColumn, column}));
+  std::vector<dataflow::Row> rows;
   for (auto& [split, value] : split_and_value) {
-    EXPECT_TRUE(table->AppendRow({Value(split), Value(value)}).ok());
+    rows.push_back({Value(split), Value(value)});
   }
-  return DataCollection::FromTable(table);
+  return DataCollection::FromTable(dataflow::MakeTable(
+      Schema::AllStrings({ops::kSplitColumn, column}), rows));
 }
 
 // --- FileSource / CSVScanner --------------------------------------------------
@@ -62,10 +64,10 @@ TEST_F(StdOpsFileTest, FileSourceTagsSplits) {
   // One blob row per source file, tagged with its split.
   const TableData* t = out.value().AsTable().value();
   ASSERT_EQ(t->num_rows(), 2);
-  EXPECT_EQ(t->at(0, 0).AsString(), "train");
-  EXPECT_EQ(t->at(0, 1).AsString(), "a,1\nb,2\n");
-  EXPECT_EQ(t->at(1, 0).AsString(), "test");
-  EXPECT_EQ(t->at(1, 1).AsString(), "c,3\n");
+  EXPECT_EQ(Cell(*t, 0, 0).AsString(), "train");
+  EXPECT_EQ(Cell(*t, 0, 1).AsString(), "a,1\nb,2\n");
+  EXPECT_EQ(Cell(*t, 1, 0).AsString(), "test");
+  EXPECT_EQ(Cell(*t, 1, 1).AsString(), "c,3\n");
 }
 
 TEST_F(StdOpsFileTest, CsvScannerSplitsBlobIntoTaggedRows) {
@@ -79,10 +81,10 @@ TEST_F(StdOpsFileTest, CsvScannerSplitsBlobIntoTaggedRows) {
   ASSERT_TRUE(rows.ok());
   const TableData* t = rows.value().AsTable().value();
   ASSERT_EQ(t->num_rows(), 3);  // empty line skipped
-  EXPECT_EQ(t->at(0, 0).AsString(), "train");
-  EXPECT_EQ(t->at(1, 1).AsString(), "b");
-  EXPECT_EQ(t->at(2, 0).AsString(), "test");
-  EXPECT_EQ(t->at(2, 2).AsString(), "3");
+  EXPECT_EQ(Cell(*t, 0, 0).AsString(), "train");
+  EXPECT_EQ(Cell(*t, 1, 1).AsString(), "b");
+  EXPECT_EQ(Cell(*t, 2, 0).AsString(), "test");
+  EXPECT_EQ(Cell(*t, 2, 2).AsString(), "3");
 }
 
 TEST_F(StdOpsFileTest, FileSourceMissingFileFails) {
@@ -104,8 +106,8 @@ TEST_F(StdOpsFileTest, CsvScannerParsesAndTrims) {
                      {data.value()});
   ASSERT_TRUE(rows.ok());
   const TableData* t = rows.value().AsTable().value();
-  EXPECT_EQ(t->at(0, 1).AsString(), "39");
-  EXPECT_EQ(t->at(0, 2).AsString(), "Private");
+  EXPECT_EQ(Cell(*t, 0, 1).AsString(), "39");
+  EXPECT_EQ(Cell(*t, 0, 2).AsString(), "Private");
 }
 
 TEST_F(StdOpsFileTest, CsvScannerArityMismatchFails) {
@@ -123,16 +125,30 @@ TEST_F(StdOpsFileTest, CsvScannerArityMismatchFails) {
 // --- FieldExtractor / Bucketizer / InteractionFeature ----------------------------
 
 TEST(StdOpsTest, FieldExtractorProjects) {
-  auto table = std::make_shared<TableData>(
-      Schema::AllStrings({ops::kSplitColumn, "age", "edu"}));
-  ASSERT_TRUE(
-      table->AppendRow({Value("train"), Value("39"), Value("BS")}).ok());
+  auto table =
+      dataflow::MakeTable(Schema::AllStrings({ops::kSplitColumn, "age", "edu"}),
+                          {{Value("train"), Value("39"), Value("BS")}});
   auto out = Invoke(ops::FieldExtractor("age", "age"),
                     {DataCollection::FromTable(table)});
   ASSERT_TRUE(out.ok());
   const TableData* t = out.value().AsTable().value();
   EXPECT_EQ(t->schema().num_fields(), 2);
-  EXPECT_EQ(t->at(0, 1).AsString(), "39");
+  EXPECT_EQ(Cell(*t, 0, 1).AsString(), "39");
+}
+
+TEST(StdOpsTest, FieldExtractorKeepsFieldTypes) {
+  // A projection shares the input's columns, so it keeps their field
+  // types: a table pairs each column with its own type.
+  auto table = dataflow::MakeTable(
+      Schema({{ops::kSplitColumn, dataflow::ValueType::kString},
+              {"age", dataflow::ValueType::kInt}}),
+      {{Value("train"), Value(int64_t{39})}});
+  auto out = Invoke(ops::FieldExtractor("age", "age"),
+                    {DataCollection::FromTable(table)});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  const TableData* t = out.value().AsTable().value();
+  EXPECT_EQ(t->schema().field(1).type, dataflow::ValueType::kInt);
+  EXPECT_EQ(Cell(*t, 0, 1).AsInt(), 39);
 }
 
 TEST(StdOpsTest, FieldExtractorUnknownColumnFails) {
@@ -149,17 +165,18 @@ TEST(StdOpsTest, BucketizerEqualWidthBinsAndClamping) {
                                           {"train", "100"}})});
   ASSERT_TRUE(out.ok());
   const TableData* t = out.value().AsTable().value();
-  EXPECT_EQ(t->at(0, 1).AsString(), "b0");
-  EXPECT_EQ(t->at(1, 1).AsString(), "b1");
-  EXPECT_EQ(t->at(2, 1).AsString(), "b2");
-  EXPECT_EQ(t->at(3, 1).AsString(), "b3");  // max value lands in last bin
+  EXPECT_EQ(Cell(*t, 0, 1).AsString(), "b0");
+  EXPECT_EQ(Cell(*t, 1, 1).AsString(), "b1");
+  EXPECT_EQ(Cell(*t, 2, 1).AsString(), "b2");
+  EXPECT_EQ(Cell(*t, 3, 1).AsString(), "b3");  // max value lands in last bin
 }
 
 TEST(StdOpsTest, BucketizerConstantColumnSingleBin) {
   auto out = Invoke(ops::Bucketizer("b", 5),
                     {FeatureTable("x", {{"train", "7"}, {"test", "7"}})});
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out.value().AsTable().value()->at(0, 1).AsString(), "b0");
+  EXPECT_EQ(Cell(*out.value().AsTable().value(), 0, 1).AsString(),
+            "b0");
 }
 
 TEST(StdOpsTest, BucketizerNonNumericFails) {
@@ -175,7 +192,8 @@ TEST(StdOpsTest, InteractionFeatureJoinsValues) {
       {FeatureTable("edu", {{"train", "BS"}}),
        FeatureTable("occ", {{"train", "Sales"}})});
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out.value().AsTable().value()->at(0, 1).AsString(), "BS&Sales");
+  EXPECT_EQ(Cell(*out.value().AsTable().value(), 0, 1).AsString(),
+            "BS&Sales");
 }
 
 TEST(StdOpsTest, InteractionFeatureRowMismatchFails) {
@@ -300,9 +318,10 @@ TEST(StdOpsTest, PredictorEmitsAllRowsWithSplits) {
   int prob_col = t->schema().IndexOf("prob");
   ASSERT_GE(split_col, 0);
   ASSERT_GE(prob_col, 0);
-  EXPECT_EQ(t->at(39, split_col).AsString(), "test");
+  EXPECT_EQ(Cell(*t, 39, split_col).AsString(), "test");
   // Separable toy problem: positives score above negatives.
-  EXPECT_GT(t->at(0, prob_col).AsDouble(), t->at(1, prob_col).AsDouble());
+  EXPECT_GT(Cell(*t, 0, prob_col).AsDouble(),
+            Cell(*t, 1, prob_col).AsDouble());
 }
 
 TEST(StdOpsTest, EvaluatorUsesTestRowsOnly) {
@@ -350,9 +369,9 @@ TEST(StdOpsTest, SentenceTokenizerEmitsGoldLabels) {
   int positives = 0;
   bool alice_positive = false;
   for (int64_t r = 0; r < t->num_rows(); ++r) {
-    if (t->at(r, gold_col).AsInt() == 1) {
+    if (Cell(*t, r, gold_col).AsInt() == 1) {
       ++positives;
-      if (t->at(r, text_col).AsString() == "Alice") {
+      if (Cell(*t, r, text_col).AsString() == "Alice") {
         alice_positive = true;
       }
     }
@@ -384,17 +403,17 @@ TEST(StdOpsTest, MentionDecoderRoundTripsGoldProbabilities) {
   ASSERT_TRUE(tokens.ok());
   // Predictions table that echoes the gold labels as probabilities.
   const TableData* tok = tokens.value().AsTable().value();
-  auto preds = std::make_shared<TableData>(Schema({
-      {"id", dataflow::ValueType::kInt},
-      {"prob", dataflow::ValueType::kDouble},
-  }));
   int gold_col = tok->schema().IndexOf("gold");
+  std::vector<dataflow::Row> rows;
   for (int64_t r = 0; r < tok->num_rows(); ++r) {
-    ASSERT_TRUE(preds->AppendRow(
-                        {Value(r),
-                         Value(tok->at(r, gold_col).AsInt() == 1 ? 0.9 : 0.1)})
-                    .ok());
+    rows.push_back(
+        {Value(r), Value(Cell(*tok, r, gold_col).AsInt() == 1 ? 0.9 : 0.1)});
   }
+  auto preds = dataflow::MakeTable(Schema({
+                                       {"id", dataflow::ValueType::kInt},
+                                       {"prob", dataflow::ValueType::kDouble},
+                                   }),
+                                   rows);
   auto mentions = Invoke(ops::MentionDecoder("m", {}),
                          {tokens.value(),
                           DataCollection::FromTable(preds)});

@@ -17,6 +17,7 @@
 #include "storage/disk_backend.h"
 #include "storage/eviction.h"
 #include "storage/store.h"
+#include "table_util.h"
 
 namespace helix {
 namespace storage {
@@ -31,11 +32,10 @@ using dataflow::simd::InvocationCount;
 using dataflow::simd::Kernel;
 
 DataCollection MakeCollection(const std::string& content, int rows = 1) {
-  auto table = std::make_shared<TableData>(Schema::AllStrings({"v"}));
-  for (int i = 0; i < rows; ++i) {
-    EXPECT_TRUE(table->AppendRow({Value(content)}).ok());
-  }
-  return DataCollection::FromTable(table);
+  return DataCollection::FromTable(dataflow::MakeTable(
+      Schema::AllStrings({"v"}),
+      std::vector<dataflow::Row>(static_cast<size_t>(rows),
+                                 {Value(content)})));
 }
 
 int64_t SerializedSize(const DataCollection& data) {
