@@ -40,9 +40,6 @@ struct SessionOptions {
   /// recomputing; kMemory confines reuse to this process.
   storage::StorageBackendKind storage_backend =
       storage::StorageBackendKind::kDisk;
-  /// Lock-striping width of the store's metadata index (0 = store
-  /// default; 1 = the legacy single-mutex behavior).
-  int storage_shard_count = 0;
   /// Cost-based eviction: over-budget materializations evict
   /// lowest-retention-score entries instead of being refused.
   bool storage_eviction = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/csv.h"
 #include "common/file_util.h"
@@ -34,6 +35,7 @@ using dataflow::StringColumn;
 using dataflow::TableData;
 using dataflow::TextData;
 using dataflow::Value;
+using dataflow::ValueType;
 
 Result<const TableData*> InputTable(
     const std::vector<const DataCollection*>& inputs, size_t i) {
@@ -44,43 +46,71 @@ Result<const TableData*> InputTable(
   return inputs[i]->AsTable();
 }
 
-// --- Columnar cell readers ---------------------------------------------------
-// Typed fast paths with a generic Value fallback. The fallbacks keep the
-// retired row store's accessor semantics exactly: AsString/AsInt/AsDouble
-// on a mismatched cell throws, like Value::As* always did.
+// --- Typed cell readers ------------------------------------------------------
+// One input column's cells read as T (int64_t, double or string_view), its
+// field type checked once per operator call; TableData guarantees that the
+// layout matches the field type. A field of another type, or a null cell,
+// is an InvalidArgument naming the column.
 
-std::string_view StringAt(const Column& col, int64_t r,
-                          std::string* scratch) {
-  if (const auto* s = dynamic_cast<const StringColumn*>(&col)) {
-    if (!s->IsNull(r)) {
-      return s->view(r);
+template <typename T>
+class Cells {
+ public:
+  static Result<Cells> Of(const TableData& table, int c) {
+    const dataflow::Field& field = table.schema().field(c);
+    if (field.type != kType) {
+      return Status::InvalidArgument(StrFormat(
+          "column '%s' holds %s cells, not %s", field.name.c_str(),
+          dataflow::ValueTypeToString(field.type),
+          dataflow::ValueTypeToString(kType)));
     }
-  } else if (const auto* d = dynamic_cast<const DictionaryColumn*>(&col)) {
-    if (!d->IsNull(r)) {
-      return d->view(r);
-    }
+    return Cells(field.name, table.column(c).get());
   }
-  *scratch = col.GetValue(r).AsString();
-  return *scratch;
+
+  Result<T> At(int64_t r) const {
+    if (col_->IsNull(r)) {
+      return Status::InvalidArgument(
+          StrFormat("column '%s' is null at row %lld", name_.c_str(),
+                    static_cast<long long>(r)));
+    }
+    return Get(r);
+  }
+
+ private:
+  static constexpr ValueType kType =
+      std::is_same_v<T, int64_t>  ? ValueType::kInt
+      : std::is_same_v<T, double> ? ValueType::kDouble
+                                  : ValueType::kString;
+
+  Cells(std::string name, const Column* col)
+      : name_(std::move(name)), col_(col) {}
+
+  T Get(int64_t r) const;
+
+  std::string name_;
+  const Column* col_;  // owned by the input table
+};
+
+template <>
+int64_t Cells<int64_t>::Get(int64_t r) const {
+  return static_cast<const Int64Column*>(col_)->value(r);
 }
 
-int64_t IntAt(const Column& col, int64_t r) {
-  if (const auto* c = dynamic_cast<const Int64Column*>(&col)) {
-    if (!c->IsNull(r)) {
-      return c->value(r);
-    }
-  }
-  return col.GetValue(r).AsInt();
+template <>
+double Cells<double>::Get(int64_t r) const {
+  return static_cast<const DoubleColumn*>(col_)->value(r);
 }
 
-double DoubleAt(const Column& col, int64_t r) {
-  if (const auto* c = dynamic_cast<const DoubleColumn*>(&col)) {
-    if (!c->IsNull(r)) {
-      return c->value(r);
-    }
+template <>
+std::string_view Cells<std::string_view>::Get(int64_t r) const {
+  if (col_->storage() == Column::Storage::kDictString) {
+    return static_cast<const DictionaryColumn*>(col_)->view(r);
   }
-  return col.GetValue(r).AsDouble();
+  return static_cast<const StringColumn*>(col_)->view(r);
 }
+
+using IntCells = Cells<int64_t>;
+using DoubleCells = Cells<double>;
+using StringCells = Cells<std::string_view>;
 
 // Renders cells like Value::ToDisplayString (null -> "<null>") without
 // materializing Values on the string fast path.
@@ -274,14 +304,15 @@ Operator CsvScanner(const std::string& name,
     // content, tagging each parsed row with its file's split value. Empty
     // lines are skipped.
     ColumnBuilder split_out_b(dataflow::ValueType::kString);
-    std::shared_ptr<const Column> content = in->column(content_col);
-    std::shared_ptr<const Column> split_in = in->column(split_col);
-    std::string scratch;
-    std::string split_scratch;
+    HELIX_ASSIGN_OR_RETURN(StringCells content,
+                           StringCells::Of(*in, content_col));
+    HELIX_ASSIGN_OR_RETURN(StringCells split_in,
+                           StringCells::Of(*in, split_col));
     int64_t row_id = 0;
     for (int64_t r = 0; r < in->num_rows(); ++r) {
-      std::string_view blob = StringAt(*content, r, &scratch);
-      std::string split_tag(StringAt(*split_in, r, &split_scratch));
+      HELIX_ASSIGN_OR_RETURN(std::string_view blob, content.At(r));
+      HELIX_ASSIGN_OR_RETURN(std::string_view split_view, split_in.At(r));
+      std::string split_tag(split_view);
       size_t pos = 0;
       while (pos <= blob.size()) {
         size_t eol = blob.find('\n', pos);
@@ -581,9 +612,12 @@ Operator AssembleExamples(const std::string& name,
     // Dictionary fast paths: when a string column arrives
     // dictionary-encoded with no nulls, the per-row work collapses to a
     // code lookup (split membership, label match, one-hot feature id).
-    // Null-bearing or plain columns keep the original per-row readers,
-    // preserving throw-on-null and "<null>" display semantics exactly.
+    // Null-bearing or plain columns keep the per-row readers: a null split
+    // cell is an InvalidArgument, a null label or feature displays as
+    // "<null>".
     std::shared_ptr<const Column> split = target->column(0);
+    HELIX_ASSIGN_OR_RETURN(StringCells split_cells,
+                           StringCells::Of(*target, 0));
     const auto* split_dict = dynamic_cast<const DictionaryColumn*>(split.get());
     const uint32_t* split_codes = nullptr;
     uint32_t test_code = UINT32_MAX;
@@ -638,9 +672,11 @@ Operator AssembleExamples(const std::string& name,
     std::string feature_name;
     dataflow::SparseVector row;
     for (int64_t r = 0; r < rows; ++r) {
-      bool is_test = split_codes != nullptr
-                         ? split_codes[r] == test_code
-                         : StringAt(*split, r, &scratch) == "test";
+      bool is_test = split_codes != nullptr && split_codes[r] == test_code;
+      if (split_codes == nullptr) {
+        HELIX_ASSIGN_OR_RETURN(std::string_view tag, split_cells.At(r));
+        is_test = tag == "test";
+      }
       double label =
           label_codes != nullptr
               ? (label_pos[label_codes[r]] != 0 ? 1.0 : 0.0)
@@ -797,6 +833,12 @@ Operator Evaluator(const std::string& name,
     std::shared_ptr<const Column> split = preds->column(split_col);
     std::shared_ptr<const Column> gold = preds->column(gold_col);
     std::shared_ptr<const Column> prob = preds->column(prob_col);
+    HELIX_ASSIGN_OR_RETURN(StringCells split_cells,
+                           StringCells::Of(*preds, split_col));
+    HELIX_ASSIGN_OR_RETURN(DoubleCells gold_cells,
+                           DoubleCells::Of(*preds, gold_col));
+    HELIX_ASSIGN_OR_RETURN(DoubleCells prob_cells,
+                           DoubleCells::Of(*preds, prob_col));
     int64_t num_rows = preds->num_rows();
     dataflow::SelectionVector sel;
     const auto* split_dict = dynamic_cast<const DictionaryColumn*>(split.get());
@@ -815,9 +857,9 @@ Operator Evaluator(const std::string& name,
                                          test_code, &sel);
       }
     } else {
-      std::string scratch;
       for (int64_t r = 0; r < num_rows; ++r) {
-        if (StringAt(*split, r, &scratch) == "test") {
+        HELIX_ASSIGN_OR_RETURN(std::string_view tag, split_cells.At(r));
+        if (tag == "test") {
           sel.push_back(r);
         }
       }
@@ -841,8 +883,8 @@ Operator Evaluator(const std::string& name,
       }
     } else {
       for (size_t i = 0; i < sel.size(); ++i) {
-        rows[i] = ml::ScoredLabel{DoubleAt(*gold, sel[i]),
-                                  DoubleAt(*prob, sel[i])};
+        HELIX_ASSIGN_OR_RETURN(rows[i].gold, gold_cells.At(sel[i]));
+        HELIX_ASSIGN_OR_RETURN(rows[i].prob, prob_cells.At(sel[i]));
       }
     }
     HELIX_ASSIGN_OR_RETURN(auto metrics,
@@ -940,15 +982,18 @@ Result<std::vector<DocTokens>> GroupTokensByDoc(const TableData& table) {
     return Status::InvalidArgument("not a token table: " +
                                    table.schema().ToString());
   }
-  std::shared_ptr<const Column> doc_c = table.column(doc_col);
-  std::shared_ptr<const Column> text_c = table.column(text_col);
-  std::shared_ptr<const Column> begin_c = table.column(begin_col);
-  std::shared_ptr<const Column> end_c = table.column(end_col);
-  std::shared_ptr<const Column> gold_c = table.column(gold_col);
+  HELIX_ASSIGN_OR_RETURN(IntCells doc_c, IntCells::Of(table, doc_col));
+  HELIX_ASSIGN_OR_RETURN(StringCells text_c, StringCells::Of(table, text_col));
+  HELIX_ASSIGN_OR_RETURN(IntCells begin_c, IntCells::Of(table, begin_col));
+  HELIX_ASSIGN_OR_RETURN(IntCells end_c, IntCells::Of(table, end_col));
+  HELIX_ASSIGN_OR_RETURN(IntCells gold_c, IntCells::Of(table, gold_col));
   std::vector<DocTokens> docs;
-  std::string scratch;
   for (int64_t r = 0; r < table.num_rows(); ++r) {
-    int64_t d = IntAt(*doc_c, r);
+    HELIX_ASSIGN_OR_RETURN(int64_t d, doc_c.At(r));
+    HELIX_ASSIGN_OR_RETURN(std::string_view text, text_c.At(r));
+    HELIX_ASSIGN_OR_RETURN(int64_t begin, begin_c.At(r));
+    HELIX_ASSIGN_OR_RETURN(int64_t end, end_c.At(r));
+    HELIX_ASSIGN_OR_RETURN(int64_t gold, gold_c.At(r));
     if (d < 0) {
       return Status::InvalidArgument("negative doc index");
     }
@@ -956,11 +1001,10 @@ Result<std::vector<DocTokens>> GroupTokensByDoc(const TableData& table) {
       docs.resize(static_cast<size_t>(d) + 1);
     }
     DocTokens& doc = docs[static_cast<size_t>(d)];
-    doc.tokens.push_back(nlp::Token{
-        std::string(StringAt(*text_c, r, &scratch)),
-        static_cast<int32_t>(IntAt(*begin_c, r)),
-        static_cast<int32_t>(IntAt(*end_c, r))});
-    doc.gold.push_back(IntAt(*gold_c, r) != 0);
+    doc.tokens.push_back(nlp::Token{std::string(text),
+                                    static_cast<int32_t>(begin),
+                                    static_cast<int32_t>(end)});
+    doc.gold.push_back(gold != 0);
     doc.row_ids.push_back(r);
   }
   return docs;
@@ -1020,15 +1064,17 @@ Operator MentionDecoder(const std::string& name,
           "MentionDecoder expects a predictions table with (id, prob)");
     }
     // prob per global token-row id.
-    std::shared_ptr<const Column> ids = preds->column(id_col);
-    std::shared_ptr<const Column> pred_probs = preds->column(prob_col);
+    HELIX_ASSIGN_OR_RETURN(IntCells ids, IntCells::Of(*preds, id_col));
+    HELIX_ASSIGN_OR_RETURN(DoubleCells pred_probs,
+                           DoubleCells::Of(*preds, prob_col));
     std::vector<double> probs(static_cast<size_t>(tokens->num_rows()), 0.0);
     for (int64_t r = 0; r < preds->num_rows(); ++r) {
-      int64_t id = IntAt(*ids, r);
+      HELIX_ASSIGN_OR_RETURN(int64_t id, ids.At(r));
       if (id < 0 || id >= tokens->num_rows()) {
         return Status::InvalidArgument("prediction id out of range");
       }
-      probs[static_cast<size_t>(id)] = DoubleAt(*pred_probs, r);
+      HELIX_ASSIGN_OR_RETURN(probs[static_cast<size_t>(id)],
+                             pred_probs.At(r));
     }
     auto decoded = std::make_shared<TextData>();
     for (size_t d = 0; d < docs.size(); ++d) {

@@ -39,7 +39,7 @@ using SelectionVector = std::vector<int64_t>;
 /// shared_ptr<const Column>; nothing ever mutates a published column.
 class Column {
  public:
-  /// Physical layout discriminator; doubles as the format-v2 on-disk tag.
+  /// Physical layout discriminator; doubles as the envelope storage tag.
   enum class Storage : uint8_t {
     kInt64 = 1,
     kDouble = 2,
@@ -71,8 +71,7 @@ class Column {
 
   /// Stable per-cell hash, identical to Value::Hash() of GetValue(i).
   /// Table fingerprints combine these row-major, which keeps fingerprints
-  /// byte-compatible with the pre-columnar row store (and thus with
-  /// StoreEntry fingerprints persisted by older builds).
+  /// byte-compatible with the pre-columnar row store's.
   virtual uint64_t CellHash(int64_t i) const = 0;
 
   /// Bulk CellHash over [begin, end) into `out` (fingerprint fast path).
@@ -85,7 +84,7 @@ class Column {
   virtual std::shared_ptr<const Column> Gather(
       const SelectionVector& sel) const = 0;
 
-  /// Format-v2 wire form: storage tag, validity flag (+bitmap), packed
+  /// Envelope wire form: storage tag, validity flag (+bitmap), packed
   /// body. Row count comes from the enclosing table header.
   void Serialize(ByteWriter* w) const;
 
@@ -94,7 +93,7 @@ class Column {
   /// The column must outlive the span list.
   void SerializeToSpans(SpanWriter* s) const;
 
-  /// Parses one format-v2 column of `num_rows` cells.
+  /// Parses one envelope column of `num_rows` cells.
   static Result<std::shared_ptr<const Column>> Deserialize(ByteReader* r,
                                                            int64_t num_rows);
 
@@ -253,7 +252,7 @@ struct StringDict {
 /// Dictionary-encoded string cells: per-row u32 codes into a shared
 /// StringDict. Value-identical to the StringColumn holding the same
 /// cells — GetValue, CellHash, and the table fingerprint are
-/// bit-compatible — only the storage (and the format-v2 tag) differ.
+/// bit-compatible — only the storage (and the envelope tag) differ.
 /// Null cells carry the code of the empty-string entry, so view(i)
 /// returns "" for nulls exactly like StringColumn does.
 class DictionaryColumn final : public Column {

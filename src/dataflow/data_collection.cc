@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/hash.h"
 #include "common/strings.h"
 #include "dataflow/simd.h"
 
@@ -12,22 +11,14 @@ namespace dataflow {
 namespace {
 // "HLXD" little-endian.
 constexpr uint32_t kMagic = 0x44584C48;
-// Envelope format history:
-//   v1 — tables serialized row-major as tagged cells; FNV-64 trailer;
-//   v2 — tables serialized column-contiguous (type tag + validity +
-//        packed body per column); all other payload kinds unchanged;
-//   v3 — 4-byte CRC32C trailer instead of the 8-byte FNV-64 one, and
-//        examples serialized as one block per CSR array; no bytes may
-//        follow the payload.
-// Writers always emit kFormatVersion; readers accept every version in
-// [kMinSupportedVersion, kFormatVersion] so stores written by older
-// builds keep loading. Bump kFormatVersion only with a reader for every
-// still-supported older version.
+// Envelope format v3: a 4-byte CRC32C trailer, tables column-contiguous
+// (type tag + validity + packed body per column), examples one block per
+// CSR array, and no bytes after the payload. Writers emit it and readers
+// accept only it: a retired (v1/v2, FNV-64 trailer) or unknown version is
+// Corruption, which the store treats as a miss that recomputes.
 constexpr uint32_t kFormatVersion = 3;
-constexpr uint32_t kMinSupportedVersion = 1;
 constexpr size_t kHeaderBytes = 4 + 4 + 1;  // magic, version, kind
-
-size_t TrailerBytes(uint32_t version) { return version >= 3 ? 4 : 8; }
+constexpr size_t kTrailerBytes = 4;         // CRC32C
 
 // The one decode body behind both public entry points. The trailer must
 // be present either way; `verify_trailer` says whether to hash the bytes
@@ -39,34 +30,21 @@ Result<DataCollection> Decode(std::string_view data, bool verify_trailer) {
     return Status::Corruption("bad magic in data collection envelope");
   }
   HELIX_ASSIGN_OR_RETURN(uint32_t version, header.GetU32());
-  if (version < kMinSupportedVersion || version > kFormatVersion) {
+  if (version != kFormatVersion) {
     return Status::Corruption(
         StrFormat("unsupported format version %u", version));
   }
-  size_t trailer = TrailerBytes(version);
-  if (data.size() < kHeaderBytes + trailer) {
+  if (data.size() < kHeaderBytes + kTrailerBytes) {
     return Status::Corruption("data collection buffer too short");
   }
-  std::string_view body = data.substr(0, data.size() - trailer);
+  std::string_view body = data.substr(0, data.size() - kTrailerBytes);
   if (verify_trailer) {
-    ByteReader trailer_reader(data.substr(body.size()));
-    if (version >= 3) {
-      uint32_t stored = trailer_reader.GetU32().value();
-      uint32_t actual = simd::Crc32c(body.data(), body.size());
-      if (stored != actual) {
-        return Status::Corruption(
-            StrFormat("checksum mismatch: stored %08x != actual %08x",
-                      stored, actual));
-      }
-    } else {
-      uint64_t stored = trailer_reader.GetU64().value();
-      uint64_t actual = FnvHash64(body.data(), body.size());
-      if (stored != actual) {
-        return Status::Corruption(StrFormat(
-            "checksum mismatch: stored %016llx != actual %016llx",
-            static_cast<unsigned long long>(stored),
-            static_cast<unsigned long long>(actual)));
-      }
+    uint32_t stored = ByteReader(data.substr(body.size())).GetU32().value();
+    uint32_t actual = simd::Crc32c(body.data(), body.size());
+    if (stored != actual) {
+      return Status::Corruption(
+          StrFormat("checksum mismatch: stored %08x != actual %08x", stored,
+                    actual));
     }
   }
 
@@ -75,8 +53,7 @@ Result<DataCollection> Decode(std::string_view data, bool verify_trailer) {
   DataCollection out;
   switch (static_cast<PayloadKind>(kind_tag)) {
     case PayloadKind::kTable: {
-      // v1 tables are row-major; v2 and v3 share the columnar body.
-      HELIX_ASSIGN_OR_RETURN(auto t, TableData::Deserialize(&r, version));
+      HELIX_ASSIGN_OR_RETURN(auto t, TableData::Deserialize(&r));
       out = DataCollection::FromTable(std::move(t));
       break;
     }
@@ -86,7 +63,7 @@ Result<DataCollection> Decode(std::string_view data, bool verify_trailer) {
       break;
     }
     case PayloadKind::kExamples: {
-      HELIX_ASSIGN_OR_RETURN(auto e, ExamplesData::Deserialize(&r, version));
+      HELIX_ASSIGN_OR_RETURN(auto e, ExamplesData::Deserialize(&r));
       out = DataCollection::FromExamples(std::move(e));
       break;
     }
@@ -104,7 +81,7 @@ Result<DataCollection> Decode(std::string_view data, bool verify_trailer) {
       return Status::Corruption(
           StrFormat("bad payload kind tag %u", kind_tag));
   }
-  if (version >= 3 && !r.AtEnd()) {
+  if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after the envelope payload");
   }
   return out;

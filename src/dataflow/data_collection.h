@@ -85,10 +85,9 @@ class DataCollection {
   void SerializeToSpans(SpanWriter* s) const;
 
   /// Parses and checksum-verifies an envelope produced by
-  /// SerializeToString — this version's (v3) or any still-supported older
-  /// one (v1 row-major tables, v2 per-row examples, both with FNV-64
-  /// trailers), so stores persisted by previous builds keep loading.
-  /// Corruption on any mismatch.
+  /// SerializeToString. Only the current version (v3) is read: a retired
+  /// or unknown version is Corruption, like any other mismatch, so a
+  /// stored envelope of an older build is a miss that recomputes.
   static Result<DataCollection> DeserializeFromString(std::string_view data);
 
   /// Same parse, for bytes a container checksum already verified (a

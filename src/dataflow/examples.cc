@@ -7,13 +7,8 @@ namespace helix {
 namespace dataflow {
 
 namespace {
-// Envelope v1/v2 form of one example: u64 entry count, then per entry an
-// i64 index and a double value, then the double label, i64 id and bool
-// split flag.
-constexpr size_t kMinExampleBytes = 8 + 8 + 8 + 1;
-constexpr size_t kEntryBytes = 8 + 8;
-// Envelope v3 (block) form: per row an i64 offset, a double label, an
-// i64 id and a u8 split flag; per entry an i32 index and a double value.
+// Block form: per row an i64 offset, a double label, an i64 id and a u8
+// split flag; per entry an i32 index and a double value.
 constexpr size_t kBlockRowBytes = 8 + 8 + 8 + 1;
 constexpr size_t kBlockEntryBytes = 4 + 8;
 }  // namespace
@@ -65,8 +60,8 @@ uint64_t ExamplesData::Fingerprint() const {
 }
 
 void ExamplesData::Serialize(ByteWriter* w) const {
-  // One block per CSR array (envelope v3): n, offsets[n + 1], indices and
-  // values [nnz], then labels, ids and split flags [n].
+  // One block per CSR array: n, offsets[n + 1], indices and values
+  // [nnz], then labels, ids and split flags [n].
   size_t n = labels_.size();
   size_t nnz = indices_.size();
   dict_->Serialize(w);
@@ -103,50 +98,12 @@ std::string ExamplesData::DebugString() const {
 }
 
 Result<std::shared_ptr<ExamplesData>> ExamplesData::Deserialize(
-    ByteReader* r, uint32_t format_version) {
+    ByteReader* r) {
   HELIX_ASSIGN_OR_RETURN(FeatureDict dict, FeatureDict::Deserialize(r));
   auto data =
       std::make_shared<ExamplesData>(std::make_shared<FeatureDict>(dict));
-  if (format_version <= 2) {
-    HELIX_RETURN_IF_ERROR(data->DeserializeRows(r));
-  } else {
-    HELIX_RETURN_IF_ERROR(data->DeserializeBlocks(r));
-  }
+  HELIX_RETURN_IF_ERROR(data->DeserializeBlocks(r));
   return data;
-}
-
-Status ExamplesData::DeserializeRows(ByteReader* r) {
-  HELIX_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
-  // A count the remaining bytes cannot hold is corrupt; rejecting it here
-  // bounds every reservation below by the buffer actually present.
-  if (n > r->remaining() / kMinExampleBytes) {
-    return Status::Corruption("example count exceeds payload");
-  }
-  Reserve(static_cast<int64_t>(n),
-          static_cast<int64_t>((r->remaining() - n * kMinExampleBytes) /
-                               kEntryBytes));
-  for (uint64_t i = 0; i < n; ++i) {
-    HELIX_ASSIGN_OR_RETURN(uint64_t entries, r->GetU64());
-    if (entries > (1ULL << 30) || entries > r->remaining() / kEntryBytes) {
-      return Status::Corruption("implausible sparse vector size");
-    }
-    int64_t prev = -1;
-    for (uint64_t k = 0; k < entries; ++k) {
-      HELIX_ASSIGN_OR_RETURN(int64_t idx, r->GetI64());
-      HELIX_ASSIGN_OR_RETURN(double val, r->GetDouble());
-      if (idx <= prev || idx > INT32_MAX) {
-        return Status::Corruption("sparse vector indices not increasing");
-      }
-      prev = idx;
-      indices_.push_back(static_cast<int32_t>(idx));
-      values_.push_back(val);
-    }
-    HELIX_ASSIGN_OR_RETURN(double label, r->GetDouble());
-    HELIX_ASSIGN_OR_RETURN(int64_t id, r->GetI64());
-    HELIX_ASSIGN_OR_RETURN(bool is_test, r->GetBool());
-    EndRow(label, id, is_test);
-  }
-  return Status::OK();
 }
 
 Status ExamplesData::DeserializeBlocks(ByteReader* r) {

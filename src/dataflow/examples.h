@@ -7,8 +7,7 @@
 // row through a borrowed SparseRow view. Fingerprint and SizeBytes are
 // defined per row exactly as they were for the one-heap-vector-per-row
 // representation, so fingerprints and planner inputs do not depend on
-// the layout. Serialize writes the arrays as blocks (envelope v3); the
-// per-row form of envelopes v1/v2 still reads.
+// the layout. Serialize writes the arrays as blocks (envelope v3).
 #ifndef HELIX_DATAFLOW_EXAMPLES_H_
 #define HELIX_DATAFLOW_EXAMPLES_H_
 
@@ -82,13 +81,11 @@ class ExamplesData final : public DataPayload {
   void SerializeToSpans(SpanWriter* s) const override;
   std::string DebugString() const override;
 
-  /// Parses a body written in the given envelope format version (1 and 2
-  /// = one tagged record per row, 3 = one block per array).
-  static Result<std::shared_ptr<ExamplesData>> Deserialize(
-      ByteReader* r, uint32_t format_version);
+  /// Parses a Serialize body (one block per array). Corruption on
+  /// malformed bytes or broken CSR invariants.
+  static Result<std::shared_ptr<ExamplesData>> Deserialize(ByteReader* r);
 
  private:
-  Status DeserializeRows(ByteReader* r);
   Status DeserializeBlocks(ByteReader* r);
 
   /// Closes the row whose entries were appended since the last row.

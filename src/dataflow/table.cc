@@ -120,9 +120,9 @@ uint64_t TableData::Fingerprint() const {
   if (cols == 0 || num_rows_ == 0) {
     return h.Digest();
   }
-  // Row-major combination of per-cell hashes (the v1 row store's exact
-  // order), computed column-at-a-time in blocks so typed columns avoid
-  // per-cell virtual dispatch into Value.
+  // Row-major combination of per-cell hashes (the retired row store's
+  // exact order), computed column-at-a-time in blocks so typed columns
+  // avoid per-cell virtual dispatch into Value.
   constexpr int64_t kBlock = 1024;
   std::vector<std::vector<uint64_t>> block(cols);
   for (auto& b : block) {
@@ -163,8 +163,7 @@ std::string TableData::DebugString() const {
                    static_cast<long long>(num_rows()), schema_.num_fields());
 }
 
-Result<std::shared_ptr<TableData>> TableData::Deserialize(
-    ByteReader* r, uint32_t format_version) {
+Result<std::shared_ptr<TableData>> TableData::Deserialize(ByteReader* r) {
   HELIX_ASSIGN_OR_RETURN(Schema schema, Schema::Deserialize(r));
   HELIX_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
   if (n > (1ULL << 32)) {
@@ -173,44 +172,11 @@ Result<std::shared_ptr<TableData>> TableData::Deserialize(
   int arity = schema.num_fields();
   std::vector<std::shared_ptr<const class Column>> columns;
   columns.reserve(static_cast<size_t>(arity));
-  if (format_version == 1) {
-    // v1: row-major tagged cells, exactly the retired row store's wire
-    // form, parsed into one builder per field. A cell that disagrees with
-    // its field type has no column to go in: Corruption, which costs the
-    // reader a recompute, never a wrong answer.
-    std::vector<ColumnBuilder> builders;
-    builders.reserve(static_cast<size_t>(arity));
-    for (const Field& field : schema.fields()) {
-      if (field.type == ValueType::kNull) {
-        return Status::Corruption("v1 table field '" + field.name +
-                                  "' declares no cell type");
-      }
-      builders.emplace_back(field.type);
-      // Every cell carries at least its one-byte type tag, so the bytes
-      // left bound the rows worth reserving for.
-      builders.back().Reserve(static_cast<int64_t>(
-          std::min<uint64_t>(n, r->remaining() / static_cast<size_t>(arity))));
-    }
-    for (uint64_t i = 0; arity > 0 && i < n; ++i) {
-      for (ColumnBuilder& builder : builders) {
-        HELIX_ASSIGN_OR_RETURN(Value v, Value::Deserialize(r));
-        Status appended = builder.Append(v);
-        if (!appended.ok()) {
-          return Status::Corruption("v1 table cell: " + appended.message());
-        }
-      }
-    }
-    for (ColumnBuilder& builder : builders) {
-      columns.push_back(builder.Finish());
-    }
-  } else {
-    // v2: column-contiguous payloads.
-    for (int c = 0; c < arity; ++c) {
-      HELIX_ASSIGN_OR_RETURN(
-          std::shared_ptr<const class Column> col,
-          helix::dataflow::Column::Deserialize(r, static_cast<int64_t>(n)));
-      columns.push_back(std::move(col));
-    }
+  for (int c = 0; c < arity; ++c) {
+    HELIX_ASSIGN_OR_RETURN(
+        std::shared_ptr<const class Column> col,
+        helix::dataflow::Column::Deserialize(r, static_cast<int64_t>(n)));
+    columns.push_back(std::move(col));
   }
   auto table =
       Make(std::move(schema), static_cast<int64_t>(n), std::move(columns));

@@ -52,11 +52,10 @@ class TableData final : public DataPayload {
 
   PayloadKind kind() const override { return PayloadKind::kTable; }
   int64_t SizeBytes() const override;
-  /// Row-major per-cell hash, bit-identical to the pre-columnar row store
-  /// (persisted StoreEntry fingerprints from older builds must keep
-  /// verifying against reloaded payloads).
+  /// Row-major per-cell hash, bit-identical to the pre-columnar row
+  /// store's, so every pinned table fingerprint holds across layouts.
   uint64_t Fingerprint() const override;
-  /// Format-v2 body: schema, row count, then column-contiguous payloads.
+  /// Envelope body: schema, row count, then column-contiguous payloads.
   void Serialize(ByteWriter* w) const override;
   /// Same bytes as Serialize, but column bodies (value arrays, string
   /// arenas, dictionary codes) are borrowed into the span list instead of
@@ -64,11 +63,9 @@ class TableData final : public DataPayload {
   void SerializeToSpans(SpanWriter* s) const override;
   std::string DebugString() const override;
 
-  /// Parses a table body in the given envelope format version (1 =
-  /// row-major tagged cells, 2 = columnar). Corruption on malformed bytes,
-  /// including a cell or column that disagrees with its field type.
-  static Result<std::shared_ptr<TableData>> Deserialize(
-      ByteReader* r, uint32_t format_version = 2);
+  /// Parses a Serialize body. Corruption on malformed bytes, including a
+  /// column whose layout disagrees with its field type.
+  static Result<std::shared_ptr<TableData>> Deserialize(ByteReader* r);
 
  private:
   TableData(Schema schema, int64_t num_rows,

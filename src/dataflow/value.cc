@@ -96,50 +96,5 @@ uint64_t Value::Hash() const {
   return h.Digest();
 }
 
-void Value::Serialize(ByteWriter* w) const {
-  w->PutU8(static_cast<uint8_t>(type()));
-  switch (type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kInt:
-      w->PutI64(AsInt());
-      break;
-    case ValueType::kDouble:
-      w->PutDouble(AsDouble());
-      break;
-    case ValueType::kBool:
-      w->PutBool(AsBool());
-      break;
-    case ValueType::kString:
-      w->PutString(AsString());
-      break;
-  }
-}
-
-Result<Value> Value::Deserialize(ByteReader* r) {
-  HELIX_ASSIGN_OR_RETURN(uint8_t tag, r->GetU8());
-  switch (static_cast<ValueType>(tag)) {
-    case ValueType::kNull:
-      return Value::Null();
-    case ValueType::kInt: {
-      HELIX_ASSIGN_OR_RETURN(int64_t v, r->GetI64());
-      return Value(v);
-    }
-    case ValueType::kDouble: {
-      HELIX_ASSIGN_OR_RETURN(double v, r->GetDouble());
-      return Value(v);
-    }
-    case ValueType::kBool: {
-      HELIX_ASSIGN_OR_RETURN(bool v, r->GetBool());
-      return Value(v);
-    }
-    case ValueType::kString: {
-      HELIX_ASSIGN_OR_RETURN(std::string v, r->GetString());
-      return Value(std::move(v));
-    }
-  }
-  return Status::Corruption(StrFormat("bad value type tag %d", tag));
-}
-
 }  // namespace dataflow
 }  // namespace helix

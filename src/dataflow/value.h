@@ -10,7 +10,6 @@
 #include <string>
 #include <variant>
 
-#include "common/bytes.h"
 #include "common/result.h"
 
 namespace helix {
@@ -66,9 +65,6 @@ class Value {
 
   /// Stable 64-bit hash (used in operator output fingerprints).
   uint64_t Hash() const;
-
-  void Serialize(ByteWriter* w) const;
-  static Result<Value> Deserialize(ByteReader* r);
 
  private:
   std::variant<std::monostate, int64_t, double, bool, std::string> v_;

@@ -87,9 +87,6 @@ Result<std::unique_ptr<SessionService>> SessionService::Open(
   store_options.enable_eviction = options.storage_eviction;
   store_options.default_compute_estimate_micros =
       options.default_compute_estimate_micros;
-  if (options.storage_shard_count > 0) {
-    store_options.shard_count = options.storage_shard_count;
-  }
   store_options.metrics = &service->metrics_;
   // stats_ has a stable address for the service's lifetime (loaded below
   // by move-assignment), so eviction scores track the live registry.

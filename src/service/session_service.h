@@ -93,8 +93,6 @@ struct ServiceOptions {
   int64_t storage_budget_bytes = 1LL << 30;
   storage::StorageBackendKind storage_backend =
       storage::StorageBackendKind::kDisk;
-  /// Lock-striping width of the shared store (0 = store default).
-  int storage_shard_count = 0;
   bool storage_eviction = true;
   /// Worker threads of the shared pool (0 = hardware concurrency). Each
   /// iteration runs sequentially on one worker; the pool parallelizes

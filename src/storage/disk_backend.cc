@@ -30,22 +30,18 @@ constexpr char kSegmentSuffix[] = ".log";
 constexpr uint8_t kRecordPut = 1;
 constexpr uint8_t kRecordTombstone = 2;
 
-// Segment formats (see disk_backend.h): v1 FNV-64 records, no header;
-// v2 CRC32C records after a file header.
-constexpr int kSegmentV1 = 1;
-constexpr int kSegmentV2 = 2;
-
-// v2 segment file header: "HLXS" little-endian, then the version.
+// Segment file header: "HLXS" little-endian, then the format version.
 constexpr uint32_t kSegmentMagic = 0x53584C48;
+constexpr uint32_t kSegmentVersion = 2;
 constexpr int64_t kSegmentHeaderBytes = 4 + 4;
-// v2 PUT footer: signature, six metadata fields, payload length, name
+// Record framing: u32 body length before the body, u32 CRC32C after it.
+constexpr size_t kRecordTrailerBytes = 4;
+// PUT footer: signature, six metadata fields, payload length, name
 // length, record type (last, so a body parses from its end).
 constexpr size_t kPutFooterBytes = 8 + 6 * 8 + 8 + 4 + 1;
 constexpr size_t kTombstoneBodyBytes = 8 + 1;
-
-size_t TrailerBytes(int format) {
-  return format == kSegmentV1 ? 8 : 4;
-}
+// Compact once dead bytes exceed this floor and half the file bytes.
+constexpr int64_t kCompactMinDeadBytes = 4LL << 20;
 
 uint32_t LoadLe32(const char* p) {
   return ByteReader(std::string_view(p, 4)).GetU32().value();
@@ -57,35 +53,15 @@ struct ParsedRecord {
   std::string_view payload;  // aliases the parsed body
 };
 
-// v1 body: u8 type, u64 signature, then for a PUT the length-prefixed
-// node name, six metadata fields and the length-prefixed payload.
-Result<ParsedRecord> ParseV1Body(std::string_view body) {
-  ByteReader r(body);
-  ParsedRecord rec;
-  HELIX_ASSIGN_OR_RETURN(rec.type, r.GetU8());
-  HELIX_ASSIGN_OR_RETURN(rec.meta.signature, r.GetU64());
-  if (rec.type == kRecordTombstone) {
-    return rec;
+// Checks one record body against its CRC32C trailer and parses it. A PUT
+// body is payload, node name, footer; a TOMBSTONE is the signature and
+// the type byte. The payload leads so a read lands it at offset 0 of its
+// buffer and drops the rest in place.
+Result<ParsedRecord> VerifyAndParse(std::string_view body,
+                                    const char* trailer) {
+  if (LoadLe32(trailer) != dataflow::simd::Crc32c(body.data(), body.size())) {
+    return Status::Corruption("segment record checksum mismatch");
   }
-  if (rec.type != kRecordPut) {
-    return Status::Corruption("unknown segment record type");
-  }
-  HELIX_ASSIGN_OR_RETURN(rec.meta.node_name, r.GetString());
-  HELIX_ASSIGN_OR_RETURN(rec.meta.size_bytes, r.GetI64());
-  HELIX_ASSIGN_OR_RETURN(rec.meta.write_micros, r.GetI64());
-  HELIX_ASSIGN_OR_RETURN(rec.meta.load_micros, r.GetI64());
-  HELIX_ASSIGN_OR_RETURN(rec.meta.compute_micros, r.GetI64());
-  HELIX_ASSIGN_OR_RETURN(rec.meta.iteration, r.GetI64());
-  HELIX_ASSIGN_OR_RETURN(rec.meta.fingerprint, r.GetU64());
-  HELIX_ASSIGN_OR_RETURN(uint64_t payload_len, r.GetU64());
-  HELIX_ASSIGN_OR_RETURN(rec.payload, r.GetRawView(payload_len));
-  return rec;
-}
-
-// v2 body: a PUT is payload, node name, footer; a TOMBSTONE is the
-// signature and the type byte. The payload leads so a read lands it at
-// offset 0 of its buffer and drops the rest in place.
-Result<ParsedRecord> ParseV2Body(std::string_view body) {
   ParsedRecord rec;
   if (body.empty()) {
     return Status::Corruption("empty segment record");
@@ -120,25 +96,7 @@ Result<ParsedRecord> ParseV2Body(std::string_view body) {
   return rec;
 }
 
-// Checks one record body against its trailer (FNV-64 in v1 segments,
-// CRC32C in v2) and parses it.
-Result<ParsedRecord> VerifyAndParse(std::string_view body,
-                                    std::string_view trailer, int format) {
-  if (format == kSegmentV1) {
-    if (ByteReader(trailer).GetU64().value() !=
-        FnvHash64(body.data(), body.size())) {
-      return Status::Corruption("segment record checksum mismatch");
-    }
-    return ParseV1Body(body);
-  }
-  if (LoadLe32(trailer.data()) !=
-      dataflow::simd::Crc32c(body.data(), body.size())) {
-    return Status::Corruption("segment record checksum mismatch");
-  }
-  return ParseV2Body(body);
-}
-
-// Node name then footer: everything of a v2 PUT body after the payload.
+// Node name then footer: everything of a PUT body after the payload.
 std::string BuildPutTail(const StoreEntry& meta, size_t payload_len) {
   ByteWriter w;
   w.Reserve(meta.node_name.size() + kPutFooterBytes);
@@ -251,12 +209,7 @@ Result<std::vector<StoreEntry>> DiskBackend::Recover() {
   // record written after the tear would be unreachable on the next replay
   // (which stops at the tear), silently losing an acknowledged write.
   // Leaving active_segment_ at 0 forces the next Write onto a fresh file.
-  // A v1 segment is sealed too: appends are v2 records, and one file
-  // holds one format.
-  active_segment_ = (ids.empty() || !last_clean ||
-                     segments_[ids.back()].format != kSegmentV2)
-                        ? 0
-                        : ids.back();
+  active_segment_ = (ids.empty() || !last_clean) ? 0 : ids.back();
   std::vector<StoreEntry> out;
   out.reserve(meta_.size());
   for (const auto& [sig, entry] : meta_) {
@@ -278,24 +231,25 @@ Status DiskBackend::ReplaySegment(uint64_t id, bool* clean_out) {
   seg.file_bytes = static_cast<int64_t>(data.size());
   seg.live_bytes = 0;
   *clean_out = true;
-  // A v2 file opens with its header; anything else is a v1 file, whose
-  // first bytes are a record length. (They cannot collide: a v1 record as
-  // long as the magic is a PUT, whose type byte 1 never reads as version
-  // 2.) An empty file gets the v2 header with its first append.
-  size_t pos = 0;
-  seg.format = kSegmentV1;
+  // An empty file gets the header with its first append. A file without
+  // the header (a retired format, or a header torn mid-write) replays
+  // nothing and is sealed: its bytes count as dead, the next compaction
+  // deletes it, and its entries are store misses that recompute.
   if (data.empty()) {
-    seg.format = kSegmentV2;
-  } else if (data.size() >= static_cast<size_t>(kSegmentHeaderBytes) &&
-             LoadLe32(data.data()) == kSegmentMagic &&
-             LoadLe32(data.data() + 4) == kSegmentV2) {
-    seg.format = kSegmentV2;
-    pos = kSegmentHeaderBytes;
+    return Status::OK();
   }
-  const size_t trailer = TrailerBytes(seg.format);
+  if (data.size() < static_cast<size_t>(kSegmentHeaderBytes) ||
+      LoadLe32(data.data()) != kSegmentMagic ||
+      LoadLe32(data.data() + 4) != kSegmentVersion) {
+    HELIX_LOG(Warning) << "segment " << id
+                       << " has no segment header; sealing it unreplayed";
+    *clean_out = false;
+    return Status::OK();
+  }
+  size_t pos = kSegmentHeaderBytes;
   while (pos + 4 <= data.size()) {
     uint32_t body_len = LoadLe32(data.data() + pos);
-    size_t frame = 4 + static_cast<size_t>(body_len) + trailer;
+    size_t frame = 4 + static_cast<size_t>(body_len) + kRecordTrailerBytes;
     if (pos + frame > data.size()) {
       // Torn tail from a crash mid-append: keep everything before it.
       HELIX_LOG(Warning) << "segment " << id << " ends in a torn record at "
@@ -303,10 +257,8 @@ Status DiskBackend::ReplaySegment(uint64_t id, bool* clean_out) {
       *clean_out = false;
       break;
     }
-    auto rec = VerifyAndParse(
-        std::string_view(data.data() + pos + 4, body_len),
-        std::string_view(data.data() + pos + 4 + body_len, trailer),
-        seg.format);
+    auto rec = VerifyAndParse(std::string_view(data.data() + pos + 4, body_len),
+                              data.data() + pos + 4 + body_len);
     if (!rec.ok()) {
       HELIX_LOG(Warning) << "segment " << id << " record at " << pos
                          << " fails verification; dropping the tail: "
@@ -328,7 +280,6 @@ Status DiskBackend::ReplaySegment(uint64_t id, bool* clean_out) {
       loc.offset = static_cast<int64_t>(pos) + 4;
       loc.length = body_len;
       loc.record_bytes = static_cast<int64_t>(frame);
-      loc.format = seg.format;
       index_[sig] = loc;
       meta_[sig] = std::move(rec.value().meta);
       seg.live_bytes += loc.record_bytes;
@@ -358,7 +309,7 @@ Status DiskBackend::AppendRecordLocked(uint64_t segment_id,
   ByteWriter head;
   if (seg.file_bytes == 0) {
     head.PutU32(kSegmentMagic);
-    head.PutU32(kSegmentV2);
+    head.PutU32(kSegmentVersion);
   }
   head.PutU32(static_cast<uint32_t>(body_len));
   ByteWriter trailer;
@@ -370,7 +321,8 @@ Status DiskBackend::AppendRecordLocked(uint64_t segment_id,
     iov.push_back({const_cast<char*>(body[i].data), body[i].len});
   }
   iov.push_back({const_cast<char*>(trailer.data().data()), trailer.size()});
-  int64_t total = static_cast<int64_t>(head.size() + body_len + 4);
+  int64_t total =
+      static_cast<int64_t>(head.size() + body_len + kRecordTrailerBytes);
 
   const std::string path = SegmentPath(segment_id);
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
@@ -391,8 +343,8 @@ Status DiskBackend::AppendRecordLocked(uint64_t segment_id,
   loc->segment = segment_id;
   loc->offset = seg.file_bytes + static_cast<int64_t>(head.size());
   loc->length = static_cast<int64_t>(body_len);
-  loc->record_bytes = 4 + static_cast<int64_t>(body_len) + 4;
-  loc->format = kSegmentV2;
+  loc->record_bytes =
+      4 + static_cast<int64_t>(body_len) + kRecordTrailerBytes;
   seg.file_bytes += total;
   return Status::OK();
 }
@@ -495,8 +447,8 @@ Result<std::string> DiskBackend::ReadAt(uint64_t signature,
     return Status::Corruption("segment file unreadable: " + path);
   }
   FdCloser closer(fd);
-  const size_t trailer = TrailerBytes(loc.format);
-  std::string buf(static_cast<size_t>(loc.length) + trailer, '\0');
+  std::string buf(static_cast<size_t>(loc.length) + kRecordTrailerBytes,
+                  '\0');
   char prefix[4] = {};
   Status read = TransferAll(
       fd, {{prefix, sizeof(prefix)}, {buf.data(), buf.size()}},
@@ -509,17 +461,12 @@ Result<std::string> DiskBackend::ReadAt(uint64_t signature,
     return Status::Corruption("segment record length prefix mismatch");
   }
   std::string_view body(buf.data(), static_cast<size_t>(loc.length));
-  HELIX_ASSIGN_OR_RETURN(
-      ParsedRecord rec,
-      VerifyAndParse(body, std::string_view(buf).substr(body.size()),
-                     loc.format));
+  HELIX_ASSIGN_OR_RETURN(ParsedRecord rec,
+                         VerifyAndParse(body, buf.data() + body.size()));
   if (rec.type != kRecordPut || rec.meta.signature != signature) {
     return Status::Corruption("segment record does not match signature");
   }
-  if (loc.format == kSegmentV1) {
-    return std::string(rec.payload);  // legacy layout: payload is last
-  }
-  // A v2 body leads with the payload: drop the rest in place, no copy.
+  // The body leads with the payload: drop the rest in place, no copy.
   buf.resize(rec.payload.size());
   return buf;
 }
@@ -574,7 +521,7 @@ Status DiskBackend::MaybeCompactLocked() {
     (void)id;
     total += seg.file_bytes;
   }
-  if (dead < options_.compact_min_dead_bytes || dead * 2 < total) {
+  if (dead < kCompactMinDeadBytes || dead * 2 < total) {
     return Status::OK();
   }
   return CompactLocked();
@@ -583,9 +530,9 @@ Status DiskBackend::MaybeCompactLocked() {
 Status DiskBackend::CompactLocked() {
   // Stream live records into fresh segments one OLD segment at a time —
   // each old file is read exactly once and only one is in memory at any
-  // moment — then drop every old file. Records of either format are
-  // rewritten as v2. A record that fails verification here is dropped
-  // (same degrade-to-recompute contract as Read).
+  // moment — then drop every old file, sealed headerless ones included. A
+  // record that fails verification here is dropped (same
+  // degrade-to-recompute contract as Read).
   std::map<uint64_t, std::vector<std::pair<int64_t, uint64_t>>> by_segment;
   for (const auto& [sig, loc] : index_) {
     by_segment[loc.segment].emplace_back(loc.offset, sig);
@@ -616,14 +563,12 @@ Status DiskBackend::CompactLocked() {
     std::sort(records.begin(), records.end());  // sequential old-file order
     for (const auto& [offset, sig] : records) {
       const Location& loc = old_index[sig];
-      size_t trailer = TrailerBytes(loc.format);
       Result<ParsedRecord> rec = Status::Corruption("truncated record");
-      if (bytes.size() >= static_cast<size_t>(offset + loc.length) + trailer) {
-        rec = VerifyAndParse(
-            bytes.substr(static_cast<size_t>(offset),
-                         static_cast<size_t>(loc.length)),
-            bytes.substr(static_cast<size_t>(offset + loc.length), trailer),
-            loc.format);
+      if (bytes.size() >= static_cast<size_t>(offset + loc.length) +
+                              kRecordTrailerBytes) {
+        rec = VerifyAndParse(bytes.substr(static_cast<size_t>(offset),
+                                          static_cast<size_t>(loc.length)),
+                             bytes.data() + offset + loc.length);
       }
       if (!rec.ok() || rec.value().type != kRecordPut) {
         // Verified here, before the rewrite gives it a fresh checksum.
@@ -653,11 +598,11 @@ int64_t DiskBackend::DeadBytesLocked() const {
   int64_t dead = 0;
   for (const auto& [id, seg] : segments_) {
     (void)id;
-    // A v2 file header belongs to no record and is never dead.
-    int64_t header = (seg.format == kSegmentV2 && seg.file_bytes > 0)
-                         ? kSegmentHeaderBytes
-                         : 0;
-    dead += seg.file_bytes - header - seg.live_bytes;
+    // A file's first 8 bytes are its header, which belongs to no record
+    // and is never dead (a sealed headerless file's first 8 are skipped
+    // alike; compaction deletes that file whatever its count).
+    dead += seg.file_bytes - std::min(seg.file_bytes, kSegmentHeaderBytes) -
+            seg.live_bytes;
   }
   return dead;
 }

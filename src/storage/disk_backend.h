@@ -6,16 +6,14 @@
 //
 // Each segment is a sequence of length-prefixed, checksummed records: a
 // PUT record carries a StoreEntry's metadata plus the payload bytes; a
-// TOMBSTONE records a deletion. Two segment formats exist:
-//
-//   v2 (written): an 8-byte file header (u32 magic "HLXS", u32 version 2),
-//     then records [u32 body_len][body][u32 CRC32C(body)]. A PUT body is
-//     the payload, then the node name, then a fixed footer (signature,
-//     six metadata fields, payload length, name length, type byte last);
-//     a TOMBSTONE body is the signature and the type byte.
-//   v1 (still read; compaction rewrites it as v2): no file header;
-//     records [u32 body_len][body][u64 FNV-64(body)], body = type,
-//     signature, then for a PUT the metadata and length-prefixed payload.
+// TOMBSTONE records a deletion. A segment is an 8-byte file header (u32
+// magic "HLXS", u32 version 2), then records
+// [u32 body_len][body][u32 CRC32C(body)]. A PUT body is the payload, then
+// the node name, then a fixed footer (signature, six metadata fields,
+// payload length, name length, type byte last); a TOMBSTONE body is the
+// signature and the type byte. A file without that header (the retired
+// v1 format, or a header torn mid-write) replays no records and is never
+// appended to; its bytes count as dead until compaction deletes it.
 //
 // Write streams one CRC over the borrowed payload while sending header,
 // payload and trailer in one writev. Read lands the payload at offset 0
@@ -57,8 +55,6 @@ namespace storage {
 struct DiskBackendOptions {
   /// Roll to a new segment once the active one exceeds this many bytes.
   int64_t segment_max_bytes = 64LL << 20;
-  /// Compact when dead bytes exceed this floor AND half the file bytes.
-  int64_t compact_min_dead_bytes = 4LL << 20;
 };
 
 /// Append-only segmented log StorageBackend.
@@ -115,12 +111,10 @@ class DiskBackend final : public StorageBackend {
     int64_t offset = 0;    // byte offset of the record body in the file
     int64_t length = 0;    // record body length
     int64_t record_bytes = 0;  // full footprint incl. framing (accounting)
-    int format = 2;            // segment format: 1 (FNV-64) or 2 (CRC32C)
   };
   struct Segment {
     int64_t file_bytes = 0;  // total bytes appended, file header included
     int64_t live_bytes = 0;  // bytes of records still referenced
-    int format = 2;          // 1 = legacy, never appended to again
   };
 
   DiskBackend(std::string dir, const DiskBackendOptions& options)
@@ -131,7 +125,7 @@ class DiskBackend final : public StorageBackend {
   // without mu_ (segments are append-only; Read retries stale locations).
   Result<std::string> ReadAt(uint64_t signature, const Location& loc) const;
   // *Locked methods require mu_.
-  // Appends one v2 record whose body is the concatenation of `pieces`
+  // Appends one record whose body is the concatenation of `pieces`
   // spans (borrowed, not copied) and reports where it landed.
   Status AppendRecordLocked(uint64_t segment_id, const ByteSpan* body,
                             size_t pieces, Location* loc);

@@ -41,29 +41,6 @@ TEST(ValueTest, HashDistinguishesTypesAndValues) {
   EXPECT_EQ(Value("x").Hash(), Value("x").Hash());
 }
 
-TEST(ValueTest, SerializationRoundTrip) {
-  std::vector<Value> values = {Value::Null(), Value(int64_t{-5}),
-                               Value(3.75), Value(false), Value("text")};
-  ByteWriter w;
-  for (const Value& v : values) {
-    v.Serialize(&w);
-  }
-  ByteReader r(w.data());
-  for (const Value& expected : values) {
-    auto got = Value::Deserialize(&r);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got.value(), expected);
-  }
-  EXPECT_TRUE(r.AtEnd());
-}
-
-TEST(ValueTest, DeserializeBadTagIsCorruption) {
-  ByteWriter w;
-  w.PutU8(99);
-  ByteReader r(w.data());
-  EXPECT_TRUE(Value::Deserialize(&r).status().IsCorruption());
-}
-
 // --- Schema ------------------------------------------------------------------
 
 TEST(SchemaTest, LookupByName) {
@@ -274,19 +251,28 @@ TEST(ExamplesDataTest, CsrRowsReadBackThroughViews) {
 }
 
 TEST(ExamplesDataTest, DeserializeRejectsUnsortedIndices) {
-  ByteWriter w;
-  FeatureDict().Serialize(&w);
-  w.PutU64(1);  // one example
-  w.PutU64(2);
-  w.PutI64(5);
-  w.PutDouble(1.0);
-  w.PutI64(3);  // decreasing index
-  w.PutDouble(1.0);
-  w.PutDouble(0.0);
-  w.PutI64(0);
-  w.PutBool(false);
-  ByteReader r(w.data());
-  EXPECT_TRUE(ExamplesData::Deserialize(&r, 2).status().IsCorruption());
+  // One example with two entries, in the block form.
+  auto encode = [](uint32_t first, uint32_t second) {
+    ByteWriter w;
+    FeatureDict().Serialize(&w);
+    w.PutU64(1);  // one example
+    w.PutI64(0);  // offsets
+    w.PutI64(2);
+    w.PutU32(first);  // indices
+    w.PutU32(second);
+    w.PutDouble(1.0);  // values
+    w.PutDouble(1.0);
+    w.PutDouble(0.0);  // label
+    w.PutI64(0);       // id
+    w.PutU8(0);        // split flag
+    return std::string(w.data());
+  };
+  std::string sorted = encode(3, 5);
+  ByteReader ok(sorted);
+  EXPECT_TRUE(ExamplesData::Deserialize(&ok).ok());
+  std::string unsorted = encode(5, 3);
+  ByteReader bad(unsorted);
+  EXPECT_TRUE(ExamplesData::Deserialize(&bad).status().IsCorruption());
 }
 
 // --- Payload round trips through the envelope ----------------------------------------

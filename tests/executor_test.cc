@@ -39,6 +39,35 @@ void TamperPayloads(const std::string& store_dir,
   }
 }
 
+// Re-encodes a stored table envelope in a retired format, with a valid
+// FNV-64 trailer of its era, holding the very same table: v2 kept the
+// current columnar table body; v1 wrote each cell row-major as a type tag
+// and value (the Synthetic tables here hold int cells only).
+std::string RetiredEnvelope(const dataflow::DataCollection& data,
+                            uint32_t version) {
+  const dataflow::TableData* table = data.AsTable().value();
+  ByteWriter w;
+  w.PutU32(0x44584C48);  // "HLXD"
+  w.PutU32(version);
+  w.PutU8(static_cast<uint8_t>(dataflow::PayloadKind::kTable));
+  if (version == 2) {
+    table->Serialize(&w);
+  } else {
+    table->schema().Serialize(&w);
+    w.PutU64(static_cast<uint64_t>(table->num_rows()));
+    for (int64_t r = 0; r < table->num_rows(); ++r) {
+      for (int c = 0; c < table->schema().num_fields(); ++c) {
+        dataflow::Value cell = table->column(c)->GetValue(r);
+        EXPECT_EQ(cell.type(), dataflow::ValueType::kInt);
+        w.PutU8(static_cast<uint8_t>(dataflow::ValueType::kInt));
+        w.PutI64(cell.AsInt());
+      }
+    }
+  }
+  w.PutU64(FnvHash64(w.data().data(), w.data().size()));
+  return w.data();
+}
+
 // A linear pipeline source -> prep -> train -> eval with controllable
 // synthetic costs, mimicking the census shape at hour scale.
 struct Pipeline {
@@ -230,29 +259,48 @@ TEST_F(ExecutorTest, SlicingDisabledComputesDeadBranch) {
 
 TEST_F(ExecutorTest, CorruptStoreEntryFallsBackToRecompute) {
   Pipeline p;
-  ExecutionReport first = Run(p.Build(), Options(0));
-  ASSERT_TRUE(first.FindNode("eval")->materialized ||
-              first.FindNode("prep")->materialized);
+  int64_t iteration = 0;
+  // Replace every stored entry: close the store, overwrite each payload
+  // with bytes no current reader accepts, and reopen — a simulated
+  // restart against a damaged store. The segment record itself stays
+  // well-formed, so only deserialization can catch it. With `version` 0
+  // each payload becomes bytes that are not an envelope at all; with 1 or
+  // 2, an envelope of the same table in that retired format, which older
+  // builds loaded and which is now a miss.
+  for (uint32_t version : {0u, 1u, 2u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    ASSERT_TRUE(store_->Clear().ok());
+    ExecutionReport first = Run(p.Build(), Options(iteration++));
+    ASSERT_TRUE(first.FindNode("eval")->materialized ||
+                first.FindNode("prep")->materialized);
+    std::vector<storage::StoreEntry> entries = store_->Entries();
+    ASSERT_FALSE(entries.empty());
+    std::vector<std::string> payloads;
+    for (const storage::StoreEntry& entry : entries) {
+      if (version == 0) {
+        payloads.push_back("corrupted bytes");
+        continue;
+      }
+      auto stored = store_->Get(entry.signature);
+      ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+      payloads.push_back(RetiredEnvelope(stored.value(), version));
+    }
+    store_.reset();
+    for (size_t i = 0; i < entries.size(); ++i) {
+      TamperPayloads(dir_, {entries[i]}, payloads[i]);
+    }
+    ReopenStore();
 
-  // Corrupt every stored entry: close the store, overwrite each payload
-  // with bytes that are not a valid DataCollection envelope (the segment
-  // record itself stays well-formed, so only deserialization can catch
-  // it), and reopen — a simulated restart against a silently damaged
-  // store.
-  std::vector<storage::StoreEntry> entries = store_->Entries();
-  store_.reset();
-  TamperPayloads(dir_, entries, "corrupted bytes");
-  ReopenStore();
-
-  ExecutionReport second = Run(p.Build(), Options(1));
-  // All loads failed; the executor recomputed on demand and the outputs
-  // are still produced.
-  EXPECT_EQ(second.outputs.count("eval"), 1u);
-  EXPECT_EQ(second.num_loaded, 0);
-  EXPECT_GT(second.num_computed, 0);
-  // Identical results despite the fallback.
-  EXPECT_EQ(second.outputs.at("eval").Fingerprint(),
-            first.outputs.at("eval").Fingerprint());
+    ExecutionReport second = Run(p.Build(), Options(iteration++));
+    // All loads failed; the executor recomputed on demand and the outputs
+    // are still produced.
+    EXPECT_EQ(second.outputs.count("eval"), 1u);
+    EXPECT_EQ(second.num_loaded, 0);
+    EXPECT_GT(second.num_computed, 0);
+    // Identical results despite the fallback.
+    EXPECT_EQ(second.outputs.at("eval").Fingerprint(),
+              first.outputs.at("eval").Fingerprint());
+  }
 }
 
 TEST_F(ExecutorTest, OutputsIdenticalAcrossPlanners) {

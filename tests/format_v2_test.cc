@@ -1,12 +1,13 @@
 // Envelope format coverage: per-column round trips including nulls and
-// empty tables; read compatibility against checked-in golden bytes of
-// every older format (v1 envelope and disk-store segment, v2 plain table,
-// v2 per-row examples) and byte-exact v3 goldens for the current writer;
-// a property test that the generic and the typed ColumnBuilder appends
-// build indistinguishable tables (fingerprints and wire bytes); tables
-// whose cells or columns disagree with their schema failing closed; and a
-// fault sweep (every truncation, every byte flip) through both envelope
-// decoders.
+// empty tables; byte-exact v3 goldens for the current writer, with the
+// golden tables of the retired formats rebuilt through ColumnBuilder
+// keeping their pinned fingerprints; checked-in golden bytes of every
+// retired format (v1 envelope and disk-store segment, v2 plain table, v2
+// per-row examples) failing closed as store misses; a property test that
+// the generic and the typed ColumnBuilder appends build indistinguishable
+// tables (fingerprints and wire bytes); tables whose columns disagree
+// with their schema failing closed; and a fault sweep (every truncation,
+// every byte flip) through both envelope decoders.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -40,8 +41,8 @@ std::string FromHex(std::string_view hex) {
 }
 
 // Seals `body` (magic, version, kind, payload) into an envelope with a
-// valid trailer for `version` (FNV-64 before v3, CRC32C from v3), so only
-// the payload's own checks can reject it.
+// valid trailer of `version`'s era (FNV-64 before v3, CRC32C from v3), so
+// only the version and payload checks can reject it.
 std::string SealEnvelope(const ByteWriter& body, uint32_t version) {
   ByteWriter checksum;
   if (version >= 3) {
@@ -64,8 +65,8 @@ ByteWriter TableEnvelopeHeader(uint32_t version) {
 // --- v1 golden: envelope bytes written by the pre-columnar row store ---------
 
 // A 4-row (int, double, bool, string) table with one all-null row,
-// serialized by the v1 (row-major tagged cells) writer. Regenerate only if
-// v1 compatibility is intentionally dropped.
+// serialized by the retired v1 (row-major tagged cells, FNV-64 trailer)
+// writer. No reader accepts it any more; FutureVersionRejected pins that.
 constexpr char kV1GoldenEnvelopeHex[] =
     "484c5844010000000104000000000000000200000000000000696401050000000000"
     "000073636f7265020400000000000000666c61670304000000000000006e616d6504"
@@ -75,40 +76,35 @@ constexpr char kV1GoldenEnvelopeHex[] =
     "f92109400301040000000000000000dc804ea68c55a681";
 constexpr uint64_t kV1GoldenFingerprint = 0xf7275f00f384218eULL;
 
-TEST(FormatV2Test, V1GoldenEnvelopeStillLoads) {
-  std::string bytes = FromHex(kV1GoldenEnvelopeHex);
-  auto restored = DataCollection::DeserializeFromString(bytes);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_TRUE(restored.value().AsTable().ok());
-  const TableData* t = restored.value().AsTable().value();
-  ASSERT_EQ(t->num_rows(), 4);
-  ASSERT_EQ(t->schema().num_fields(), 4);
-  EXPECT_EQ(Cell(*t, 0, 0).AsInt(), 42);
-  EXPECT_DOUBLE_EQ(Cell(*t, 0, 1).AsDouble(), 2.5);
-  EXPECT_TRUE(Cell(*t, 0, 2).AsBool());
-  EXPECT_EQ(Cell(*t, 0, 3).AsString(), "alpha");
-  EXPECT_EQ(Cell(*t, 1, 3).AsString(), "beta, with comma");
-  for (int c = 0; c < 4; ++c) {
-    EXPECT_TRUE(Cell(*t, 2, c).is_null()) << "col " << c;
-  }
-  EXPECT_EQ(Cell(*t, 3, 3).AsString(), "");
-  // The columnar fingerprint must equal what the row store computed:
-  // persisted StoreEntry fingerprints verify against reloaded payloads.
-  EXPECT_EQ(restored.value().Fingerprint(), kV1GoldenFingerprint);
-
-  // Re-serializing writes the current (v2) envelope; it round-trips to an
-  // identical table.
-  std::string v2 = restored.value().SerializeToString();
-  EXPECT_NE(v2, bytes);
-  auto again = DataCollection::DeserializeFromString(v2);
-  ASSERT_TRUE(again.ok());
+TEST(FormatV2Test, V1GoldenTableKeepsItsFingerprint) {
+  // The v1 golden's table, rebuilt through ColumnBuilder, hashes exactly
+  // as the row store did, and keeps that fingerprint through a v3 round
+  // trip.
+  auto table = MakeTable(
+      Schema({
+          {"id", ValueType::kInt},
+          {"score", ValueType::kDouble},
+          {"flag", ValueType::kBool},
+          {"name", ValueType::kString},
+      }),
+      {{Value(int64_t{42}), Value(2.5), Value(true), Value("alpha")},
+       {Value(int64_t{-7}), Value(-0.125), Value(false),
+        Value("beta, with comma")},
+       {Value::Null(), Value::Null(), Value::Null(), Value::Null()},
+       {Value(int64_t{1}), Value(3.14159), Value(true), Value("")}});
+  DataCollection rebuilt = DataCollection::FromTable(table);
+  EXPECT_EQ(rebuilt.Fingerprint(), kV1GoldenFingerprint);
+  auto again = DataCollection::DeserializeFromString(
+      rebuilt.SerializeToString());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again.value().Fingerprint(), kV1GoldenFingerprint);
 }
 
 // --- v1 golden: a whole disk-store segment -----------------------------------
 
-// A seg-000001.log written by the pre-columnar build's DiskBackend: one
-// entry, signature 0xDEADBEEF12345678, holding a v1 table envelope.
+// A seg-000001.log written by the pre-columnar build's DiskBackend (no
+// file header, FNV-64 record trailers): one entry, signature
+// 0xDEADBEEF12345678, holding a v1 envelope of the 2-row table below.
 constexpr char kV1GoldenSegmentHex[] =
     "b70000000178563412efbeadde0b00000000000000676f6c64656e5f6e6f64656300"
     "0000000000000000000000000000ffffffffffffffffffffffffffffffff03000000"
@@ -119,73 +115,64 @@ constexpr char kV1GoldenSegmentHex[] =
 constexpr uint64_t kV1GoldenSignature = 0xDEADBEEF12345678ULL;
 constexpr uint64_t kV1GoldenStoreFingerprint = 0x40e2145c941f802eULL;
 
-TEST(FormatV2Test, V1DiskStoreWrittenBeforeTheChangeStillLoads) {
-  auto dir = MakeTempDir("helix-v1compat");
-  ASSERT_TRUE(dir.ok());
-  ASSERT_TRUE(WriteStringToFile(JoinPath(dir.value(), "seg-000001.log"),
-                                FromHex(kV1GoldenSegmentHex))
-                  .ok());
-  storage::StoreOptions opts;
-  opts.backend = storage::StorageBackendKind::kDisk;
-  auto store = storage::IntermediateStore::Open(dir.value(), opts);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_EQ(store.value()->NumEntries(), 1u);
-
-  auto loaded = store.value()->Get(kV1GoldenSignature);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().Fingerprint(), kV1GoldenStoreFingerprint);
-
-  // The executor's paranoid load check compares the persisted entry
-  // fingerprint against the reloaded payload's; a v1 entry must pass.
-  auto entry = store.value()->GetEntry(kV1GoldenSignature);
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_EQ(entry->fingerprint, loaded.value().Fingerprint());
-
-  const TableData* t = loaded.value().AsTable().value();
-  ASSERT_EQ(t->num_rows(), 2);
-  EXPECT_EQ(Cell(*t, 0, 1).AsString(), "one");
-  EXPECT_EQ(Cell(*t, 1, 1).AsString(), "two");
-  (void)RemoveDirRecursively(dir.value());
+std::shared_ptr<TableData> V1GoldenStoreTable() {
+  return MakeTable(
+      Schema({{"id", ValueType::kInt}, {"name", ValueType::kString}}),
+      {{Value(int64_t{1}), Value("one")}, {Value(int64_t{2}), Value("two")}});
 }
 
-TEST(FormatV2Test, V1SegmentIsSealedThenCompactedToV2) {
-  auto dir = MakeTempDir("helix-v1compact");
+TEST(FormatV2Test, V1SegmentIsSealedThenDeletedByCompaction) {
+  auto dir = MakeTempDir("helix-v1segment");
   ASSERT_TRUE(dir.ok());
-  ASSERT_TRUE(WriteStringToFile(JoinPath(dir.value(), "seg-000001.log"),
-                                FromHex(kV1GoldenSegmentHex))
-                  .ok());
+  const std::string legacy = JoinPath(dir.value(), "seg-000001.log");
+  ASSERT_TRUE(WriteStringToFile(legacy, FromHex(kV1GoldenSegmentHex)).ok());
+
+  // A file without the segment header replays no records: its entry is a
+  // store miss, not an error.
+  {
+    auto store = storage::IntermediateStore::Open(dir.value(),
+                                                  storage::StoreOptions());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ(store.value()->NumEntries(), 0u);
+    EXPECT_TRUE(store.value()->Get(kV1GoldenSignature).status().IsNotFound());
+  }
+
   auto backend = storage::DiskBackend::Open(dir.value(),
                                             storage::DiskBackendOptions());
   ASSERT_TRUE(backend.ok());
   ASSERT_TRUE(backend.value()->Recover().ok());
-  auto v1_payload = backend.value()->Read(kV1GoldenSignature);
-  ASSERT_TRUE(v1_payload.ok()) << v1_payload.status().ToString();
-
-  // New records never land in the v1 file: one file holds one format.
+  EXPECT_EQ(backend.value()->NumIndexed(), 0u);
+  EXPECT_GT(backend.value()->DeadBytes(), 0);
+  // The next write lands in a new segment; the legacy file is untouched.
+  DataCollection recomputed = DataCollection::FromTable(V1GoldenStoreTable());
   storage::StoreEntry meta;
-  meta.signature = 7;
-  meta.node_name = "new";
-  meta.size_bytes = 3;
-  ASSERT_TRUE(backend.value()->Write(meta, "new").ok());
+  meta.signature = kV1GoldenSignature;
+  meta.node_name = "golden_node";
+  meta.fingerprint = recomputed.Fingerprint();
+  std::string payload = recomputed.SerializeToString();
+  meta.size_bytes = static_cast<int64_t>(payload.size());
+  ASSERT_TRUE(backend.value()->Write(meta, payload).ok());
   EXPECT_EQ(backend.value()->NumSegments(), 2u);
-  auto v1_file = ReadFileToString(JoinPath(dir.value(), "seg-000001.log"));
-  ASSERT_TRUE(v1_file.ok());
-  EXPECT_EQ(v1_file.value(), FromHex(kV1GoldenSegmentHex));
+  auto legacy_bytes = ReadFileToString(legacy);
+  ASSERT_TRUE(legacy_bytes.ok());
+  EXPECT_EQ(legacy_bytes.value(), FromHex(kV1GoldenSegmentHex));
 
-  // Compaction verifies the v1 record's FNV-64 and rewrites it as v2.
+  // Compaction deletes the legacy file like any other old segment.
   ASSERT_TRUE(backend.value()->Compact().ok());
   backend.value().reset();
   auto files = ListFiles(dir.value());
   ASSERT_TRUE(files.ok());
   ASSERT_EQ(files.value().size(), 1u);
-  auto v2_file = ReadFileToString(JoinPath(dir.value(), files.value()[0]));
-  ASSERT_TRUE(v2_file.ok());
-  EXPECT_EQ(v2_file.value().substr(0, 4), "HLXS");
+  EXPECT_NE(files.value()[0], "seg-000001.log");
+  auto compacted = ReadFileToString(JoinPath(dir.value(), files.value()[0]));
+  ASSERT_TRUE(compacted.ok());
+  EXPECT_EQ(compacted.value().substr(0, 4), "HLXS");
 
-  storage::StoreOptions opts;
-  auto store = storage::IntermediateStore::Open(dir.value(), opts);
+  // The recomputed table carries the fingerprint the v1 entry recorded.
+  auto store = storage::IntermediateStore::Open(dir.value(),
+                                                storage::StoreOptions());
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_EQ(store.value()->NumEntries(), 2u);
+  ASSERT_EQ(store.value()->NumEntries(), 1u);
   auto loaded = store.value()->Get(kV1GoldenSignature);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().Fingerprint(), kV1GoldenStoreFingerprint);
@@ -265,46 +252,14 @@ TEST(FormatV2Test, RetiredMixedColumnTagIsCorruption) {
   body.PutU64(1);
   body.PutU8(5);  // the retired storage tag
   body.PutU8(0);  // no validity bitmap
-  Value("text").Serialize(&body);
+  body.PutU8(static_cast<uint8_t>(ValueType::kString));  // one tagged cell
+  body.PutString("text");
   std::string bytes = SealEnvelope(body, 3);
   auto got = DataCollection::DeserializeFromString(bytes);
   EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
   EXPECT_NE(got.status().ToString().find("storage tag 5"), std::string::npos)
       << got.status().ToString();
   EXPECT_TRUE(DataCollection::DeserializeVerified(bytes).status()
-                  .IsCorruption());
-}
-
-// A v1 (row-major tagged cells, FNV-64 trailer) envelope of one field
-// (kInt unless given) over the given cells.
-std::string V1OneFieldEnvelope(const std::vector<Value>& cells,
-                               ValueType field_type = ValueType::kInt) {
-  ByteWriter body = TableEnvelopeHeader(1);
-  Schema({{"a", field_type}}).Serialize(&body);
-  body.PutU64(cells.size());
-  for (const Value& cell : cells) {
-    cell.Serialize(&body);
-  }
-  return SealEnvelope(body, 1);
-}
-
-TEST(FormatV2Test, V1CellThatDisagreesWithItsFieldIsCorruption) {
-  // The control decodes: ints and nulls under a kInt field.
-  auto ok = DataCollection::DeserializeFromString(
-      V1OneFieldEnvelope({Value(int64_t{1}), Value::Null()}));
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(ok.value().AsTable().value()->column(0)->storage(),
-            Column::Storage::kInt64);
-  // One string cell under the kInt field has no column to go in.
-  std::string bad = V1OneFieldEnvelope({Value(int64_t{1}), Value("two")});
-  auto got = DataCollection::DeserializeFromString(bad);
-  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
-  EXPECT_TRUE(DataCollection::DeserializeVerified(bad).status()
-                  .IsCorruption());
-  // A kNull field declares no cell type at all.
-  EXPECT_TRUE(DataCollection::DeserializeFromString(
-                  V1OneFieldEnvelope({Value::Null()}, ValueType::kNull))
-                  .status()
                   .IsCorruption());
 }
 
@@ -330,20 +285,6 @@ std::string ResealV3(const std::string& bytes) {
   fixed.PutRaw(bytes.data(), bytes.size() - 4);
   fixed.PutU32(simd::Crc32c(fixed.data().data(), fixed.data().size()));
   return fixed.data();
-}
-
-TEST(FormatV2Test, FutureVersionRejected) {
-  auto table = MakeTable(Schema::AllStrings({"a"}), {{Value("x")}});
-  std::string bytes = DataCollection::FromTable(table).SerializeToString();
-  // Patch the version field (bytes 4..7, little-endian) to the next,
-  // unreleased version and fix up the trailing checksum so only the
-  // version check can reject it.
-  bytes[4] = 4;
-  auto result = DataCollection::DeserializeFromString(ResealV3(bytes));
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsCorruption());
-  EXPECT_NE(result.status().ToString().find("format version"),
-            std::string::npos);
 }
 
 // --- selection vectors / zero-copy sharing -----------------------------------
@@ -381,8 +322,8 @@ TEST(FormatV2Test, FromColumnsSharesHandlesZeroCopy) {
 
 // --- property: generic Append == typed appends -----------------------------
 
-// The generic ColumnBuilder::Append is the v1 reader's path; the typed
-// appends are every operator's. Both must build the same column.
+// The generic ColumnBuilder::Append is the row path of tests and benches;
+// the typed appends are every operator's. Both must build the same column.
 class GenericVsTypedAppendProperty
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -481,10 +422,8 @@ INSTANTIATE_TEST_SUITE_P(Property, GenericVsTypedAppendProperty,
 // --- v2 golden: plain (non-dictionary) envelope ------------------------------
 
 // A 5-row (int, double, bool, string) table with one null row, serialized
-// by the v2 writer before dictionary encoding existed. 5 rows is below
-// ColumnBuilder::kMinDictRows, so the current writer must still emit these
-// exact plain-storage bytes — the dictionary feature must not disturb
-// small tables' wire format or fingerprints.
+// by the retired v2 writer (FNV-64 trailer) before dictionary encoding
+// existed. No reader accepts it any more; FutureVersionRejected pins that.
 constexpr char kV2GoldenPlainHex[] =
     "484c58440200000001040000000000000002000000000000006964010500000000"
     "00000073636f7265020400000000000000666c61670304000000000000006e616d"
@@ -508,30 +447,37 @@ constexpr char kV3GoldenPlainHex[] =
     "00000000050000000000000009000000000000000e000000000000000e00000000"
     "0000000e000000000000005ad9789a";
 
-TEST(FormatV2Test, V2PlainGoldenEnvelopeStillLoadsAndReserializes) {
-  std::string hex;
-  for (char c : std::string_view(kV2GoldenPlainHex)) {
-    if (c != ' ') {
-      hex.push_back(c);
-    }
-  }
-  std::string bytes = FromHex(hex);
-  auto restored = DataCollection::DeserializeFromString(bytes);
+TEST(FormatV2Test, V3PlainGoldenLoadsAndReserializes) {
+  // 5 rows is below ColumnBuilder::kMinDictRows, so the rebuilt table's
+  // string column stays plain: the dictionary feature must not disturb
+  // small tables' wire format or fingerprints.
+  auto table = MakeTable(
+      Schema({
+          {"id", ValueType::kInt},
+          {"score", ValueType::kDouble},
+          {"flag", ValueType::kBool},
+          {"name", ValueType::kString},
+      }),
+      {{Value(int64_t{-2}), Value(-1.0), Value(true), Value("alpha")},
+       {Value(int64_t{5}), Value(-0.5), Value(false), Value("beta")},
+       {Value(int64_t{12}), Value(0.0), Value::Null(), Value("alpha")},
+       {Value::Null(), Value(0.5), Value(false), Value("")},
+       {Value(int64_t{26}), Value(1.0), Value(true), Value::Null()}});
+  DataCollection rebuilt = DataCollection::FromTable(table);
+  EXPECT_EQ(rebuilt.Fingerprint(), kV2GoldenPlainFingerprint);
+  EXPECT_EQ(table->column(3)->storage(), Column::Storage::kString);
+  std::string v3 = FromHex(kV3GoldenPlainHex);
+  EXPECT_EQ(rebuilt.SerializeToString(), v3);
+
+  auto restored = DataCollection::DeserializeFromString(v3);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value().Fingerprint(), kV2GoldenPlainFingerprint);
   const TableData* t = restored.value().AsTable().value();
   ASSERT_EQ(t->num_rows(), 5);
   ASSERT_EQ(t->schema().num_fields(), 4);
   EXPECT_EQ(Cell(*t, 0, 3).AsString(), "alpha");
-  // The string column must still deserialize as plain storage...
   EXPECT_EQ(t->column(3)->storage(), Column::Storage::kString);
-  // ...and the current writer must reproduce the v3 golden bytes exactly,
-  // which load to the same table.
-  std::string v3 = FromHex(kV3GoldenPlainHex);
   EXPECT_EQ(restored.value().SerializeToString(), v3);
-  auto again = DataCollection::DeserializeFromString(v3);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_EQ(again.value().Fingerprint(), kV2GoldenPlainFingerprint);
 }
 
 // --- dictionary-encoded string columns ---------------------------------------
@@ -666,11 +612,11 @@ TEST(FormatV2Test, SerializeToSpansIsByteIdenticalToString) {
 
 // --- examples golden: envelope bytes written by the per-row layout ----------
 
-// Four examples over a 3-name dictionary, serialized (envelope v2) before
-// examples were stored as CSR arrays: an empty row, a -0.0 value, an
-// index past the dictionary with a subnormal value, a negative id, and
-// both splits. They must still load with the same fingerprint and
-// SizeBytes, and the v3 writer must emit the v3 golden for them.
+// Four examples over a 3-name dictionary, serialized by the retired v2
+// writer (one tagged record per row, FNV-64 trailer) before examples were
+// stored as CSR arrays: an empty row, a -0.0 value, an index past the
+// dictionary with a subnormal value, a negative id, and both splits. No
+// reader accepts it any more; FutureVersionRejected pins that.
 constexpr char kExamplesGoldenHex[] =
     "484c58440200000003030000000000000002000000000000006630020000000000"
     "000066310200000000000000663204000000000000000000000000000000000000"
@@ -695,18 +641,13 @@ constexpr char kExamplesV3GoldenHex[] =
     "00000000f03f000000000000f03f00000000000000000000000000000000070000"
     "0000000000fdffffffffffffff2a0000000000000000010001bdd018bd";
 
-TEST(FormatV2Test, ExamplesGoldenEnvelopeLoadsAndReserializes) {
-  std::string bytes = FromHex(kExamplesGoldenHex);
-  auto restored = DataCollection::DeserializeFromString(bytes);
+TEST(FormatV2Test, ExamplesV3GoldenLoadsAndReserializes) {
+  std::string v3 = FromHex(kExamplesV3GoldenHex);
+  auto restored = DataCollection::DeserializeFromString(v3);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value().Fingerprint(), kExamplesGoldenFingerprint);
   EXPECT_EQ(restored.value().SizeBytes(), kExamplesGoldenSizeBytes);
-  std::string v3 = FromHex(kExamplesV3GoldenHex);
   EXPECT_EQ(restored.value().SerializeToString(), v3);
-  auto reloaded = DataCollection::DeserializeFromString(v3);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded.value().Fingerprint(), kExamplesGoldenFingerprint);
-  EXPECT_EQ(reloaded.value().SizeBytes(), kExamplesGoldenSizeBytes);
   // The span path borrows the CSR blocks and flattens to the same bytes.
   SpanWriter spans;
   restored.value().SerializeToSpans(&spans);
@@ -719,7 +660,8 @@ TEST(FormatV2Test, ExamplesGoldenEnvelopeLoadsAndReserializes) {
   EXPECT_EQ(e->id(2), -3);
   EXPECT_TRUE(e->is_test(3));
 
-  // Rebuilt through the row builder, the same rows give the same bytes.
+  // Rebuilt through the row builder, the same rows give the same bytes,
+  // fingerprint and SizeBytes.
   ExamplesData rebuilt;
   for (const char* name : {"f0", "f1", "f2"}) {
     rebuilt.mutable_dict()->Intern(name);
@@ -733,42 +675,110 @@ TEST(FormatV2Test, ExamplesGoldenEnvelopeLoadsAndReserializes) {
     rebuilt.AddRow(row.view(), e->label(i), e->id(i), e->is_test(i));
   }
   auto shared = std::make_shared<ExamplesData>(rebuilt);
-  EXPECT_EQ(DataCollection::FromExamples(shared).SerializeToString(), v3);
+  DataCollection rebuilt_dc = DataCollection::FromExamples(shared);
+  EXPECT_EQ(rebuilt_dc.SerializeToString(), v3);
+  EXPECT_EQ(rebuilt_dc.Fingerprint(), kExamplesGoldenFingerprint);
+  EXPECT_EQ(rebuilt_dc.SizeBytes(), kExamplesGoldenSizeBytes);
+}
+
+// --- retired and unknown versions --------------------------------------------
+
+TEST(FormatV2Test, FutureVersionRejected) {
+  // Only the current version (3) is read. Every other one is Corruption
+  // through both decoders, each carrying a valid trailer of its era so
+  // that only the version check can reject it: the retired v1 and v2
+  // goldens as their writers emitted them, a version 0, and the next,
+  // unreleased version.
+  auto table = MakeTable(Schema::AllStrings({"a"}), {{Value("x")}});
+  std::string v4 = DataCollection::FromTable(table).SerializeToString();
+  v4[4] = 4;  // the version field: bytes 4..7, little-endian
+  v4 = ResealV3(v4);
+  std::string v1 = FromHex(kV1GoldenEnvelopeHex);
+  ByteWriter v0_body;
+  v0_body.PutRaw(v1.data(), 4);  // magic
+  v0_body.PutU32(0);
+  v0_body.PutRaw(v1.data() + 8, v1.size() - 8 - 8);  // all but the trailer
+  std::string v0 = SealEnvelope(v0_body, 0);
+  const std::vector<std::pair<uint32_t, std::string>> cases = {
+      {0, v0},
+      {1, v1},
+      {2, FromHex(kV2GoldenPlainHex)},
+      {2, FromHex(kExamplesGoldenHex)},
+      {4, v4},
+  };
+  for (const auto& [version, bytes] : cases) {
+    ASSERT_EQ(ByteReader(std::string_view(bytes).substr(4)).GetU32().value(),
+              version);
+    for (bool verified : {false, true}) {
+      auto result = verified ? DataCollection::DeserializeVerified(bytes)
+                             : DataCollection::DeserializeFromString(bytes);
+      EXPECT_TRUE(result.status().IsCorruption())
+          << "v" << version << ": " << result.status().ToString();
+      EXPECT_NE(result.status().ToString().find("unsupported format version"),
+                std::string::npos)
+          << "v" << version << ": " << result.status().ToString();
+    }
+  }
+
+  // In a store, each is a well-formed record of the current segment
+  // format whose envelope no longer decodes: Get is Corruption and evicts
+  // the entry, so the caller recomputes.
+  auto dir = MakeTempDir("helix-retired-envelopes");
+  ASSERT_TRUE(dir.ok());
+  {
+    auto backend = storage::DiskBackend::Open(dir.value(),
+                                              storage::DiskBackendOptions());
+    ASSERT_TRUE(backend.ok());
+    ASSERT_TRUE(backend.value()->Recover().ok());
+    for (size_t i = 0; i < cases.size(); ++i) {
+      storage::StoreEntry meta;
+      meta.signature = 100 + i;
+      meta.node_name = "retired";
+      meta.size_bytes = static_cast<int64_t>(cases[i].second.size());
+      ASSERT_TRUE(backend.value()->Write(meta, cases[i].second).ok());
+    }
+  }
+  auto store = storage::IntermediateStore::Open(dir.value(),
+                                                storage::StoreOptions());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_EQ(store.value()->NumEntries(), cases.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    auto got = store.value()->Get(100 + i);
+    EXPECT_TRUE(got.status().IsCorruption())
+        << "v" << cases[i].first << ": " << got.status().ToString();
+    EXPECT_FALSE(store.value()->Has(100 + i)) << "v" << cases[i].first;
+  }
+  EXPECT_EQ(store.value()->NumEntries(), 0u);
+  store.value().reset();
+  (void)RemoveDirRecursively(dir.value());
 }
 
 TEST(FormatV2Test, ImplausibleExampleCountIsCorruptionNotBadAlloc) {
-  for (uint32_t version : {2u, 3u}) {
-    ByteWriter body;
-    body.PutU32(0x44584C48);  // "HLXD"
-    body.PutU32(version);
-    body.PutU8(static_cast<uint8_t>(PayloadKind::kExamples));
-    FeatureDict().Serialize(&body);
-    body.PutU64(1ULL << 32);
-    auto got =
-        DataCollection::DeserializeFromString(SealEnvelope(body, version));
-    EXPECT_TRUE(got.status().IsCorruption())
-        << "v" << version << ": " << got.status().ToString();
-  }
+  ByteWriter body;
+  body.PutU32(0x44584C48);  // "HLXD"
+  body.PutU32(3);
+  body.PutU8(static_cast<uint8_t>(PayloadKind::kExamples));
+  FeatureDict().Serialize(&body);
+  body.PutU64(1ULL << 32);
+  auto got = DataCollection::DeserializeFromString(SealEnvelope(body, 3));
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
 }
 
 TEST(FormatV2Test, ImplausibleTableRowCountIsCorruptionNotBadAlloc) {
-  for (uint32_t version : {1u, 2u, 3u}) {
-    for (ValueType type : {ValueType::kInt, ValueType::kString}) {
-      ByteWriter body = TableEnvelopeHeader(version);
-      Schema({{"a", type}}).Serialize(&body);
-      body.PutU64(1ULL << 32);
-      // A plain column header (storage tag, no validity), so v2 reaches
-      // the body allocation.
-      body.PutU8(static_cast<uint8_t>(type == ValueType::kInt
-                                          ? Column::Storage::kInt64
-                                          : Column::Storage::kString));
-      body.PutU8(0);
-      body.PutU64(0);  // empty string arena
-      auto got =
-          DataCollection::DeserializeFromString(SealEnvelope(body, version));
-      EXPECT_TRUE(got.status().IsCorruption())
-          << "v" << version << ": " << got.status().ToString();
-    }
+  for (ValueType type : {ValueType::kInt, ValueType::kString}) {
+    ByteWriter body = TableEnvelopeHeader(3);
+    Schema({{"a", type}}).Serialize(&body);
+    body.PutU64(1ULL << 32);
+    // A plain column header (storage tag, no validity), so the decoder
+    // reaches the body allocation.
+    body.PutU8(static_cast<uint8_t>(type == ValueType::kInt
+                                        ? Column::Storage::kInt64
+                                        : Column::Storage::kString));
+    body.PutU8(0);
+    body.PutU64(0);  // empty string arena
+    auto got = DataCollection::DeserializeFromString(SealEnvelope(body, 3));
+    EXPECT_TRUE(got.status().IsCorruption())
+        << ValueTypeToString(type) << ": " << got.status().ToString();
   }
 }
 

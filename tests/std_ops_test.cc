@@ -122,6 +122,32 @@ TEST_F(StdOpsFileTest, CsvScannerArityMismatchFails) {
   EXPECT_NE(rows.status().message().find("expected 2"), std::string::npos);
 }
 
+TEST(StdOpsTest, CsvScannerNullOrMistypedContentIsInvalidArgument) {
+  // A null content cell, or a content field of another type, is reported
+  // with the column (and row) as an operator error, never thrown.
+  auto scan = [](std::shared_ptr<TableData> table) {
+    Result<DataCollection> rows = Status::Internal("not run");
+    EXPECT_NO_THROW(rows = Invoke(ops::CsvScanner("rows", {"k", "v"}),
+                                  {DataCollection::FromTable(table)}));
+    return rows.status();
+  };
+  Status null_cell = scan(dataflow::MakeTable(
+      Schema::AllStrings({ops::kSplitColumn, "content"}),
+      {{Value("train"), Value("a,1\n")}, {Value("test"), Value::Null()}}));
+  EXPECT_TRUE(null_cell.IsInvalidArgument()) << null_cell.ToString();
+  EXPECT_NE(null_cell.message().find("'content' is null at row 1"),
+            std::string::npos)
+      << null_cell.ToString();
+  Status mistyped = scan(dataflow::MakeTable(
+      Schema({{ops::kSplitColumn, dataflow::ValueType::kString},
+              {"content", dataflow::ValueType::kInt}}),
+      {{Value("train"), Value(int64_t{7})}}));
+  EXPECT_TRUE(mistyped.IsInvalidArgument()) << mistyped.ToString();
+  EXPECT_NE(mistyped.message().find("'content' holds int cells"),
+            std::string::npos)
+      << mistyped.ToString();
+}
+
 // --- FieldExtractor / Bucketizer / InteractionFeature ----------------------------
 
 TEST(StdOpsTest, FieldExtractorProjects) {

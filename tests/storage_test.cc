@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <thread>
 
 #include "common/file_util.h"
 #include "common/hash.h"
+#include "common/logging.h"
 #include "dataflow/data_collection.h"
 #include "dataflow/simd.h"
 #include "obs/metrics.h"
@@ -456,6 +459,105 @@ TEST_F(StoreTest, TruncatedSegmentKeepsEarlierRecords) {
   auto got = store->Get(1);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value().Fingerprint(), first.Fingerprint());
+}
+
+TEST_F(StoreTest, EveryTruncationPointKeepsExactlyTheRecordsBeforeIt) {
+  // Record one segment through the backend: puts, an overwrite and a
+  // tombstone, noting where each record ends.
+  const std::vector<DataCollection> data = {
+      MakeCollection("one"), MakeCollection("two", 2),
+      MakeCollection("one, rewritten"), MakeCollection("three", 3)};
+  struct Op {
+    uint64_t signature;
+    int value;  // index into `data`; -1 = delete
+  };
+  const std::vector<Op> history = {{1, 0}, {2, 1}, {1, 2}, {2, -1}, {3, 3}};
+  std::vector<size_t> boundaries = {8};  // the segment header
+  {
+    auto backend = DiskBackend::Open(dir_, DiskBackendOptions());
+    ASSERT_TRUE(backend.ok());
+    ASSERT_TRUE(backend.value()->Recover().ok());
+    for (const Op& op : history) {
+      if (op.value < 0) {
+        ASSERT_TRUE(backend.value()->Delete(op.signature).ok());
+      } else {
+        const DataCollection& value = data[static_cast<size_t>(op.value)];
+        std::string payload = value.SerializeToString();
+        StoreEntry meta;
+        meta.signature = op.signature;
+        meta.node_name = "n";
+        meta.size_bytes = static_cast<int64_t>(payload.size());
+        meta.fingerprint = value.Fingerprint();
+        ASSERT_TRUE(backend.value()->Write(meta, payload).ok());
+      }
+      auto bytes = ReadFileToString(FirstSegmentPath(dir_));
+      ASSERT_TRUE(bytes.ok());
+      boundaries.push_back(bytes.value().size());
+    }
+  }
+  auto recorded = ReadFileToString(FirstSegmentPath(dir_));
+  ASSERT_TRUE(recorded.ok());
+  const std::string original = recorded.value();
+  ASSERT_EQ(boundaries.back(), original.size());
+
+  // Every torn cut logs a warning; keep the sweep quiet.
+  struct QuietLog {
+    LogLevel saved = GetLogLevel();
+    QuietLog() { SetLogLevel(LogLevel::kOff); }
+    ~QuietLog() { SetLogLevel(saved); }
+  } quiet;
+  const DataCollection after = MakeCollection("written after reopen");
+  for (size_t cut = 0; cut <= original.size(); ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    ASSERT_TRUE(RemoveDirRecursively(dir_).ok());
+    ASSERT_TRUE(MakeDirs(dir_).ok());
+    ASSERT_TRUE(
+        WriteStringToFile(FirstSegmentPath(dir_), original.substr(0, cut))
+            .ok());
+    // The state the records wholly before the cut leave: last write wins,
+    // a tombstone hides its entry.
+    std::map<uint64_t, const DataCollection*> expected;
+    for (size_t i = 0; i < history.size() && boundaries[i + 1] <= cut; ++i) {
+      if (history[i].value < 0) {
+        expected.erase(history[i].signature);
+      } else {
+        expected[history[i].signature] =
+            &data[static_cast<size_t>(history[i].value)];
+      }
+    }
+    auto check = [&](IntermediateStore* store) {
+      for (uint64_t sig : {1, 2, 3}) {
+        auto want = expected.find(sig);
+        ASSERT_EQ(store->Has(sig), want != expected.end()) << "sig " << sig;
+        if (want != expected.end()) {
+          auto got = store->Get(sig);
+          ASSERT_TRUE(got.ok()) << "sig " << sig << ": "
+                                << got.status().ToString();
+          EXPECT_EQ(got.value().Fingerprint(), want->second->Fingerprint())
+              << "sig " << sig;
+        }
+      }
+    };
+    {
+      auto store = OpenStore();
+      check(store.get());
+      ASSERT_TRUE(store->Put(4, "after", after, 1).ok());
+    }
+    // A cut inside a record or the header seals the segment, so the write
+    // lands in a fresh one; a cut on a boundary leaves it appendable.
+    bool on_boundary =
+        cut == 0 ||
+        std::find(boundaries.begin(), boundaries.end(), cut) !=
+            boundaries.end();
+    auto files = ListFiles(dir_);
+    ASSERT_TRUE(files.ok());
+    EXPECT_EQ(files.value().size(), on_boundary ? 1u : 2u);
+    auto store = OpenStore();
+    check(store.get());
+    auto got = store->Get(4);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value().Fingerprint(), after.Fingerprint());
+  }
 }
 
 TEST_F(StoreTest, TombstoneSurvivesReload) {
