@@ -31,6 +31,11 @@
 // as example visits/sec. The learner is the floor of every ML-edit
 // iteration, so a regression in it shows up here.
 //
+// A fourth section times CSV ingest: CsvScanner over FileSource's output
+// for census files at 60k rows (the census_edit shape), reported as MB/s
+// of scanned file bytes and rows/sec. The file read itself (FileSource)
+// is outside the timed region, as in perfbench's csv_scan probe.
+//
 // Run: ./bench_dataflow [--rows=10000,100000,1000000]
 #include <algorithm>
 #include <chrono>
@@ -43,6 +48,7 @@
 #include "bench/bench_util.h"
 #include "common/json.h"
 #include "common/strings.h"
+#include "core/std_ops.h"
 #include "dataflow/data_collection.h"
 #include "dataflow/features.h"
 #include "dataflow/simd.h"
@@ -636,6 +642,50 @@ void RunLearn(int64_t rows) {
   PrintJsonLine(json);
 }
 
+// --- CSV ingest --------------------------------------------------------------
+
+void RunCsvScan(int64_t rows) {
+  TempWorkspace ws("helix-bench-csv");
+  datagen::CensusGenOptions opts;
+  opts.num_rows = rows;
+  std::string train = ws.Path("train.csv");
+  std::string test = ws.Path("test.csv");
+  CheckOk(datagen::WriteCensusFiles(opts, train, test), "write census");
+  dataflow::DataCollection data = ValueOrDie(
+      core::ops::FileSource("data", train, test).Invoke({}), "source");
+  core::Operator scanner =
+      core::ops::CsvScanner("rows", datagen::CensusColumns());
+  int64_t scanned_rows = 0;
+  double ms = BestOfMs(7, [&] {
+    dataflow::DataCollection out =
+        ValueOrDie(scanner.Invoke({&data}), "scan");
+    scanned_rows = ValueOrDie(out.AsTable(), "table")->num_rows();
+  });
+  if (scanned_rows != rows) {
+    std::fprintf(stderr, "FATAL: csv_scan returned %lld of %lld rows\n",
+                 static_cast<long long>(scanned_rows),
+                 static_cast<long long>(rows));
+    std::abort();
+  }
+  double mb = static_cast<double>(data.SizeBytes()) / 1e6;
+  double mb_per_s = ms > 0 ? mb * 1000.0 / ms : 0;
+  double rows_per_s = ms > 0 ? static_cast<double>(rows) * 1000.0 / ms : 0;
+  std::printf("csv_scan   %9lld rows   %6.2f MB  %9.2f ms  %8.1f MB/s  "
+              "%12.0f rows/s\n",
+              static_cast<long long>(rows), mb, ms, mb_per_s, rows_per_s);
+  JsonWriter json;
+  json.BeginObject()
+      .KV("bench", "dataflow")
+      .KV("kernel", "csv_scan")
+      .KV("rows", rows)
+      .KV("mb", mb)
+      .KV("ms", ms)
+      .KV("mb_per_s", mb_per_s)
+      .KV("rows_per_s", rows_per_s)
+      .EndObject();
+  PrintJsonLine(json);
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace helix
@@ -664,6 +714,7 @@ int main(int argc, char** argv) {
   for (int64_t rows : {10000, 30000, 60000, 100000}) {
     helix::bench::RunLearn(rows);
   }
+  helix::bench::RunCsvScan(60000);
   helix::bench::WriteBenchSummary("dataflow");
   return 0;
 }

@@ -17,23 +17,30 @@ namespace helix {
 
 namespace fs = std::filesystem;
 
-Result<std::string> ReadFileToString(const std::string& path) {
+Status AppendFileToString(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::NotFound("cannot open file: " + path);
   }
-  std::string data;
   in.seekg(0, std::ios::end);
   std::streampos size = in.tellg();
   if (size < 0) {
     return Status::IOError("cannot stat file: " + path);
   }
-  data.resize(static_cast<size_t>(size));
+  size_t old_size = out->size();
+  out->resize(old_size + static_cast<size_t>(size));
   in.seekg(0, std::ios::beg);
-  in.read(data.data(), static_cast<std::streamsize>(data.size()));
+  in.read(out->data() + old_size, static_cast<std::streamsize>(size));
   if (!in) {
+    out->resize(old_size);
     return Status::IOError("short read on file: " + path);
   }
+  return Status::OK();
+}
+
+Result<std::string> ReadFileToString(const std::string& path) {
+  std::string data;
+  HELIX_RETURN_IF_ERROR(AppendFileToString(path, &data));
   return data;
 }
 

@@ -15,6 +15,10 @@ namespace helix {
 /// read failure.
 Result<std::string> ReadFileToString(const std::string& path);
 
+/// Appends an entire file to `*out` (unchanged on failure); the same
+/// errors as ReadFileToString.
+Status AppendFileToString(const std::string& path, std::string* out);
+
 /// Atomically writes `data` to `path` (write temp + rename).
 Status WriteStringToFile(const std::string& path, std::string_view data);
 

@@ -45,18 +45,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-std::string_view TrimView(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) {
-    ++b;
-  }
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) {
-    --e;
-  }
-  return s.substr(b, e - b);
-}
-
 std::string Trim(std::string_view s) { return std::string(TrimView(s)); }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {

@@ -19,8 +19,21 @@ std::vector<std::string> SplitAndTrim(std::string_view s, char sep);
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Removes leading/trailing ASCII whitespace.
-std::string_view TrimView(std::string_view s);
+/// Removes leading/trailing ASCII whitespace (space, \t, \n, \v, \f,
+/// \r: std::isspace in the C locale). Inline: CsvScanner calls it per
+/// field.
+inline std::string_view TrimView(std::string_view s) {
+  auto space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
+  size_t b = 0;
+  size_t e = s.size();
+  while (b < e && space(s[b])) {
+    ++b;
+  }
+  while (e > b && space(s[e - 1])) {
+    --e;
+  }
+  return s.substr(b, e - b);
+}
 std::string Trim(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);

@@ -263,20 +263,32 @@ Operator FileSource(const std::string& name, const std::string& train_path,
     // contiguous blob. The raw source is the largest node in a typical
     // pipeline, and the retired line-per-row layout taxed it with a
     // per-row offset plus a redundant split tag per line; the scanner
-    // splits lines in place instead.
-    ColumnBuilder split_b(dataflow::ValueType::kString);
-    ColumnBuilder content_b(dataflow::ValueType::kString);
-    for (const auto& [path, split] :
-         {std::pair<std::string, const char*>{train_path, "train"},
-          std::pair<std::string, const char*>{test_path, "test"}}) {
-      HELIX_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-      split_b.AppendString(split);
-      content_b.AppendString(data);
+    // splits lines in place instead. Both files are read into one arena
+    // behind a plain StringColumn: the bytes a string ColumnBuilder emits
+    // for two rows (fewer than kMinDictRows), without hashing or copying
+    // the file contents again.
+    const std::string* paths[] = {&train_path, &test_path};
+    int64_t total = 0;
+    for (const std::string* path : paths) {
+      Result<int64_t> size = FileSize(*path);
+      total += size.ok() ? size.value() : 0;  // a read below reports it
     }
+    std::string arena;
+    arena.reserve(static_cast<size_t>(total));
+    std::vector<uint64_t> offsets = {0};
+    for (const std::string* path : paths) {
+      HELIX_RETURN_IF_ERROR(AppendFileToString(*path, &arena));
+      offsets.push_back(arena.size());
+    }
+    ColumnBuilder split_b(dataflow::ValueType::kString);
+    split_b.AppendString("train");
+    split_b.AppendString("test");
+    auto content = std::make_shared<StringColumn>(
+        std::move(arena), std::move(offsets), std::vector<uint8_t>(), 0);
     HELIX_ASSIGN_OR_RETURN(
         auto table,
         TableData::FromColumns(Schema::AllStrings({kSplitColumn, "content"}),
-                               {split_b.Finish(), content_b.Finish()}));
+                               {split_b.Finish(), std::move(content)}));
     return DataCollection::FromTable(std::move(table));
   };
   return Operator(name, "FileSource", params, Phase::kDataPreprocessing,
@@ -302,17 +314,21 @@ Operator CsvScanner(const std::string& name,
         columns.size(), ColumnBuilder(dataflow::ValueType::kString));
     // One row per source file: split lines in place off the contiguous
     // content, tagging each parsed row with its file's split value. Empty
-    // lines are skipped.
+    // lines are skipped. Fields are views into the line (or, when quoted,
+    // into `scratch`) appended straight into the builders; `fields` and
+    // `scratch` are reused across lines, so no string is allocated per
+    // line or field.
     ColumnBuilder split_out_b(dataflow::ValueType::kString);
     HELIX_ASSIGN_OR_RETURN(StringCells content,
                            StringCells::Of(*in, content_col));
     HELIX_ASSIGN_OR_RETURN(StringCells split_in,
                            StringCells::Of(*in, split_col));
+    std::vector<std::string_view> fields;
+    std::string scratch;
     int64_t row_id = 0;
     for (int64_t r = 0; r < in->num_rows(); ++r) {
       HELIX_ASSIGN_OR_RETURN(std::string_view blob, content.At(r));
       HELIX_ASSIGN_OR_RETURN(std::string_view split_view, split_in.At(r));
-      std::string split_tag(split_view);
       size_t pos = 0;
       while (pos <= blob.size()) {
         size_t eol = blob.find('\n', pos);
@@ -323,22 +339,20 @@ Operator CsvScanner(const std::string& name,
         if (line.empty()) {
           continue;
         }
-        auto fields = ParseCsvLine(line);
-        if (!fields.ok()) {
-          return fields.status().WithContext(
-              StrFormat("CSV parse error at row %lld",
-                        static_cast<long long>(row_id)));
+        Status parsed = SplitCsvLine(line, ',', &fields, &scratch);
+        if (!parsed.ok()) {
+          return parsed.WithContext(StrFormat(
+              "CSV parse error at row %lld", static_cast<long long>(row_id)));
         }
-        if (fields.value().size() != columns.size()) {
+        if (fields.size() != columns.size()) {
           return Status::InvalidArgument(StrFormat(
               "row %lld has %zu fields, expected %zu",
-              static_cast<long long>(row_id), fields.value().size(),
-              columns.size()));
+              static_cast<long long>(row_id), fields.size(), columns.size()));
         }
         for (size_t c = 0; c < columns.size(); ++c) {
-          builders[c].AppendString(Trim(fields.value()[c]));
+          builders[c].AppendString(TrimView(fields[c]));
         }
-        split_out_b.AppendString(split_tag);
+        split_out_b.AppendString(split_view);
         ++row_id;
       }
     }

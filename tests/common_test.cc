@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <set>
 
 #include "common/bytes.h"
@@ -207,41 +208,101 @@ TEST(StringsTest, HumanReadable) {
 
 // --- CSV ---------------------------------------------------------------------
 
+// Splits one line through SplitCsvLine and copies the fields out.
+Result<std::vector<std::string>> SplitLine(std::string_view line) {
+  std::vector<std::string_view> fields;
+  std::string scratch;
+  HELIX_RETURN_IF_ERROR(SplitCsvLine(line, ',', &fields, &scratch));
+  return std::vector<std::string>(fields.begin(), fields.end());
+}
+
 TEST(CsvTest, SimpleLine) {
-  auto fields = ParseCsvLine("a,b,c");
+  auto fields = SplitLine("a,b,c");
   ASSERT_TRUE(fields.ok());
   EXPECT_EQ(fields.value(), (std::vector<std::string>{"a", "b", "c"}));
 }
 
 TEST(CsvTest, QuotedFieldWithSeparator) {
-  auto fields = ParseCsvLine("a,\"b,c\",d");
+  auto fields = SplitLine("a,\"b,c\",d");
   ASSERT_TRUE(fields.ok());
   EXPECT_EQ(fields.value(), (std::vector<std::string>{"a", "b,c", "d"}));
 }
 
 TEST(CsvTest, EscapedQuotes) {
-  auto fields = ParseCsvLine("\"say \"\"hi\"\"\",x");
+  auto fields = SplitLine("\"say \"\"hi\"\"\",x");
   ASSERT_TRUE(fields.ok());
   EXPECT_EQ(fields.value(),
             (std::vector<std::string>{"say \"hi\"", "x"}));
 }
 
 TEST(CsvTest, EmptyFields) {
-  auto fields = ParseCsvLine(",,");
+  auto fields = SplitLine(",,");
   ASSERT_TRUE(fields.ok());
   EXPECT_EQ(fields.value(), (std::vector<std::string>{"", "", ""}));
+  fields = SplitLine("");
+  ASSERT_TRUE(fields.ok());
+  EXPECT_EQ(fields.value(), (std::vector<std::string>{""}));
 }
 
-TEST(CsvTest, UnterminatedQuoteFails) {
-  EXPECT_FALSE(ParseCsvLine("\"abc").ok());
+TEST(CsvTest, QuotedSectionThenUnquotedTail) {
+  auto fields = SplitLine("\"ab\"c,\"\"d,\"e\" ,\"f\"\r");
+  ASSERT_TRUE(fields.ok());
+  EXPECT_EQ(fields.value(),
+            (std::vector<std::string>{"abc", "d", "e ", "f\r"}));
 }
 
-TEST(CsvTest, MultiLineDocument) {
-  auto records = ParseCsv("a,b\r\nc,\"d\ne\"\n");
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records.value().size(), 2u);
-  EXPECT_EQ(records.value()[0], (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(records.value()[1], (std::vector<std::string>{"c", "d\ne"}));
+TEST(CsvTest, CarriageReturnIsContent) {
+  auto fields = SplitLine("a\r,b\r");
+  ASSERT_TRUE(fields.ok());
+  EXPECT_EQ(fields.value(), (std::vector<std::string>{"a\r", "b\r"}));
+}
+
+TEST(CsvTest, MalformedLinesFail) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"abc", "CSV: unterminated quoted field"},
+      {"a,\"b\"\"", "CSV: unterminated quoted field"},
+      {"ab\"c", "CSV: quote in the middle of an unquoted field"},
+      {"\"a\"b\",c", "CSV: quote in the middle of an unquoted field"},
+      {"a\nb", "CSV: newline in single-line mode"},
+      {"a,b\r\n", "CSV: newline in single-line mode"},
+  };
+  for (const auto& [line, message] : cases) {
+    auto fields = SplitLine(line);
+    EXPECT_EQ(fields.status(), Status::InvalidArgument(message)) << line;
+  }
+  // A newline inside quotes is content.
+  auto fields = SplitLine("c,\"d\ne\"");
+  ASSERT_TRUE(fields.ok());
+  EXPECT_EQ(fields.value(), (std::vector<std::string>{"c", "d\ne"}));
+}
+
+TEST(CsvTest, UnquotedFieldsAreViewsIntoTheLine) {
+  std::vector<std::string_view> fields;
+  std::string scratch;
+  auto inside = [](std::string_view field, std::string_view buffer) {
+    return field.data() >= buffer.data() &&
+           field.data() + field.size() <= buffer.data() + buffer.size();
+  };
+  std::string line = " 39, Private ,,x";
+  ASSERT_TRUE(SplitCsvLine(line, ',', &fields, &scratch).ok());
+  ASSERT_EQ(fields.size(), 4u);
+  for (std::string_view f : fields) {
+    EXPECT_TRUE(inside(f, line)) << f;
+  }
+  EXPECT_TRUE(scratch.empty());
+  // A quoted field is unescaped into scratch; the reused vector and
+  // scratch hold only the latest line, and the views stay valid because
+  // scratch was reserved to the line's size up front.
+  line = "a,\"b\"\"c\",\"d\",e";
+  ASSERT_TRUE(SplitCsvLine(line, ',', &fields, &scratch).ok());
+  ASSERT_EQ(fields.size(), 4u);
+  EXPECT_TRUE(inside(fields[0], line));
+  EXPECT_EQ(fields[1], "b\"c");
+  EXPECT_TRUE(inside(fields[1], scratch));
+  EXPECT_EQ(fields[2], "d");
+  EXPECT_TRUE(inside(fields[2], scratch));
+  EXPECT_TRUE(inside(fields[3], line));
+  EXPECT_GE(scratch.capacity(), line.size());
 }
 
 TEST(CsvTest, FormatQuotesWhenNeeded) {
@@ -251,10 +312,34 @@ TEST(CsvTest, FormatQuotesWhenNeeded) {
 TEST(CsvTest, FormatParseRoundTrip) {
   std::vector<std::string> fields = {"plain", "com,ma", "qu\"ote", "",
                                      "new\nline"};
-  auto parsed = ParseCsv(FormatCsvLine(fields) + "\n");
+  auto parsed = SplitLine(FormatCsvLine(fields));
   ASSERT_TRUE(parsed.ok());
-  ASSERT_EQ(parsed.value().size(), 1u);
-  EXPECT_EQ(parsed.value()[0], fields);
+  EXPECT_EQ(parsed.value(), fields);
+}
+
+// Seeded random records over an alphabet of separators, quotes, spaces,
+// \r and \n round-trip exactly through FormatCsvLine and SplitCsvLine,
+// with one fields vector and scratch buffer reused across all lines.
+TEST(CsvTest, FormatSplitRoundTripRandom) {
+  std::mt19937_64 rng(41);
+  const std::string alphabet = "xy ,;\"\r\n";
+  std::vector<std::string_view> views;
+  std::string scratch;
+  for (int trial = 0; trial < 2000; ++trial) {
+    for (char sep : {',', ';'}) {
+      std::vector<std::string> fields(1 + rng() % 6);
+      for (std::string& f : fields) {
+        size_t len = rng() % 3 == 0 ? 0 : rng() % 8;
+        for (size_t i = 0; i < len; ++i) {
+          f.push_back(alphabet[rng() % alphabet.size()]);
+        }
+      }
+      std::string line = FormatCsvLine(fields, sep);
+      ASSERT_TRUE(SplitCsvLine(line, sep, &views, &scratch).ok()) << line;
+      EXPECT_EQ(std::vector<std::string>(views.begin(), views.end()), fields)
+          << line;
+    }
+  }
 }
 
 // --- JSON --------------------------------------------------------------------

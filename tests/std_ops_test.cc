@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <random>
 
+#include "common/csv.h"
 #include "common/file_util.h"
+#include "common/strings.h"
 #include "core/std_ops.h"
+#include "datagen/census_gen.h"
 #include "table_util.h"
 
 namespace helix {
@@ -146,6 +150,135 @@ TEST(StdOpsTest, CsvScannerNullOrMistypedContentIsInvalidArgument) {
   EXPECT_NE(mistyped.message().find("'content' holds int cells"),
             std::string::npos)
       << mistyped.ToString();
+}
+
+// CsvScanner against its spec: seeded random records are rendered with
+// FormatCsvLine (quoting fields that hold separators, quotes or \r) and
+// scanned back; every cell must be TrimView of the field that was written.
+// Lines end in \n or \r\n at random and empty lines are interleaved; both
+// are invisible in the output.
+TEST_F(StdOpsFileTest, CsvScannerDifferentialAgainstFormatCsvLine) {
+  std::mt19937_64 rng(20260421);
+  const std::string alphabet = "ab7 ,\"\r";
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  for (int trial = 0; trial < 20; ++trial) {
+    size_t num_cols = 2 + pick(4);
+    std::vector<std::string> names;
+    for (size_t c = 0; c < num_cols; ++c) {
+      names.push_back("c" + std::to_string(c));
+    }
+    std::vector<std::vector<std::string>> rows;
+    std::string blobs[2];
+    for (std::string& blob : blobs) {
+      size_t num_rows = pick(30);
+      for (size_t r = 0; r < num_rows; ++r) {
+        std::vector<std::string> fields(num_cols);
+        for (std::string& f : fields) {
+          size_t len = pick(4) == 0 ? 0 : pick(7);
+          for (size_t i = 0; i < len; ++i) {
+            f.push_back(alphabet[pick(alphabet.size())]);
+          }
+        }
+        blob += FormatCsvLine(fields);
+        blob += pick(3) == 0 ? "\r\n" : "\n";
+        if (pick(5) == 0) {
+          blob += "\n";
+        }
+        rows.push_back(std::move(fields));
+      }
+    }
+    std::string train = JoinPath(dir_, "train.csv");
+    std::string test = JoinPath(dir_, "test.csv");
+    ASSERT_TRUE(WriteStringToFile(train, blobs[0]).ok());
+    ASSERT_TRUE(WriteStringToFile(test, blobs[1]).ok());
+    auto data = Invoke(ops::FileSource("d", train, test), {});
+    ASSERT_TRUE(data.ok());
+    auto scanned = Invoke(ops::CsvScanner("rows", names), {data.value()});
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    const TableData* t = scanned.value().AsTable().value();
+    ASSERT_EQ(t->num_rows(), static_cast<int64_t>(rows.size()));
+    for (size_t r = 0; r < rows.size(); ++r) {
+      for (size_t c = 0; c < num_cols; ++c) {
+        EXPECT_EQ(Cell(*t, static_cast<int64_t>(r), static_cast<int>(c) + 1)
+                      .AsString(),
+                  TrimView(rows[r][c]))
+            << "trial " << trial << " row " << r << " col " << c;
+      }
+    }
+  }
+}
+
+// Malformed lines fail closed with a fixed status: the InvalidArgument
+// code, the operator, the scanner's row number (counted over parsed rows,
+// continuing from the train blob into the test blob) and the parser's
+// reason. The train blob holds two CRLF rows around an empty line;
+// the test blob one good row, so the bad line is row 3.
+TEST_F(StdOpsFileTest, CsvScannerMalformedLinesFailClosed) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"x,y\"z\n",
+       "CSV parse error at row 3: CSV: quote in the middle of an unquoted "
+       "field"},
+      {"\"x\"y\",z\n",
+       "CSV parse error at row 3: CSV: quote in the middle of an unquoted "
+       "field"},
+      {"\"\"y\",z\n",
+       "CSV parse error at row 3: CSV: quote in the middle of an unquoted "
+       "field"},
+      {"x,\"yz\n", "CSV parse error at row 3: CSV: unterminated quoted field"},
+      {"x,\"y\"\"\r\n",
+       "CSV parse error at row 3: CSV: unterminated quoted field"},
+      {"x,y,z\n", "row 3 has 3 fields, expected 2"},
+      {"\"x,y\"\n", "row 3 has 1 fields, expected 2"},
+      // A blank CRLF line is one field holding "\r", not an empty line.
+      {"\r\n", "row 3 has 1 fields, expected 2"},
+  };
+  std::string train = JoinPath(dir_, "train.csv");
+  std::string test = JoinPath(dir_, "test.csv");
+  ASSERT_TRUE(WriteStringToFile(train, "a,1\r\n\nb,2\r\n").ok());
+  for (const auto& [bad_line, reason] : cases) {
+    ASSERT_TRUE(
+        WriteStringToFile(test, std::string("c,3\n") + bad_line + "d,4\n")
+            .ok());
+    auto data = Invoke(ops::FileSource("d", train, test), {});
+    ASSERT_TRUE(data.ok());
+    auto rows = Invoke(ops::CsvScanner("rows", {"k", "v"}), {data.value()});
+    EXPECT_EQ(rows.status(),
+              Status::InvalidArgument(std::string("operator 'rows': ") +
+                                      reason))
+        << "line: " << bad_line;
+  }
+}
+
+// Output fingerprints of FileSource and CsvScanner on a fixed census
+// sample (3200 train / 800 test rows, seed 7) and on a small quoted CRLF
+// file. The values were recorded before the scanner moved onto the
+// allocation-free splitter; any byte drift in either operator fails here.
+TEST_F(StdOpsFileTest, CsvIngestFingerprintsArePinned) {
+  std::string train = JoinPath(dir_, "train.csv");
+  std::string test = JoinPath(dir_, "test.csv");
+  datagen::CensusGenOptions opts;
+  opts.num_rows = 4000;
+  opts.seed = 7;
+  ASSERT_TRUE(datagen::WriteCensusFiles(opts, train, test).ok());
+  auto data = Invoke(ops::FileSource("d", train, test), {});
+  ASSERT_TRUE(data.ok());
+  auto rows = Invoke(ops::CsvScanner("rows", datagen::CensusColumns()),
+                     {data.value()});
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows.value().AsTable().value()->num_rows(), 4000);
+  EXPECT_EQ(data.value().Fingerprint(), 17526750360451155044ull);
+  EXPECT_EQ(rows.value().Fingerprint(), 10365702628877110125ull);
+
+  ASSERT_TRUE(WriteStringToFile(train,
+                                "\"a, \"\"b\"\"\" ,1\r\n\"\",\" 2 \"\r\n")
+                  .ok());
+  ASSERT_TRUE(WriteStringToFile(test, "c,\"3\r\"\n").ok());
+  data = Invoke(ops::FileSource("d", train, test), {});
+  ASSERT_TRUE(data.ok());
+  rows = Invoke(ops::CsvScanner("rows", {"k", "v"}), {data.value()});
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(data.value().Fingerprint(), 17245536156313851999ull);
+  EXPECT_EQ(rows.value().Fingerprint(), 4618435558436395723ull);
 }
 
 // --- FieldExtractor / Bucketizer / InteractionFeature ----------------------------
