@@ -102,8 +102,8 @@ struct ExecState {
   // Serializes on-demand recomputation of plan-pruned ancestors after a
   // failed load: two concurrent fallbacks may share pruned ancestors.
   std::mutex fallback_mu;
-  // Non-null in parallel mode when materialization is enabled: Put runs on
-  // the background writer instead of the compute path.
+  // Non-null whenever materialization is enabled: every Put runs through
+  // this writer (the caller's, or one private to this execution).
   runtime::AsyncMaterializer* materializer = nullptr;
 
   // --- Memory planning (budget mode; see core/memory_planner.h) ---------
@@ -168,14 +168,44 @@ int64_t ChargeAndMeasure(Clock* clock, int64_t start_micros,
   return clock->NowMicros() - start_micros;
 }
 
-// Decides materialization of a freshly computed result and either performs
-// it inline (sequential mode) or hands it to the background writer
-// (parallel mode; the outcome is applied to the record at drain time).
+// Applies one writer outcome to its node's record: a failed Put (over
+// budget, duplicate) demotes the decision to a skip; a successful one marks
+// the node materialized at `micros` and records the stored size. Runs at
+// the end-of-iteration drain, or right after an enqueue (see
+// MaybeMaterialize) on the thread that computed the node.
+void ApplyOutcome(ExecState* st,
+                  const runtime::AsyncMaterializer::Outcome& outcome,
+                  int64_t micros) {
+  const ExecutionOptions& opts = *st->opts;
+  std::lock_guard<std::mutex> lock(st->stats_mu);
+  if (!outcome.status.ok()) {
+    // The policy checked the (approximate) size, but the serialized size
+    // is authoritative; treat an over-budget Put as a skipped decision.
+    HELIX_LOG(Info) << "materialization of " << outcome.node_name
+                    << " skipped: " << outcome.status.ToString();
+    return;
+  }
+  NodeExecution& record = st->records[static_cast<size_t>(outcome.node)];
+  record.materialized = true;
+  record.materialize_micros = micros;
+  st->materialize_total += micros;
+  if (opts.stats != nullptr) {
+    std::optional<storage::StoreEntry> entry =
+        opts.store->GetEntry(outcome.signature);
+    if (entry.has_value()) {
+      opts.stats->RecordSize(outcome.signature, outcome.node_name,
+                             entry->size_bytes, opts.iteration);
+    }
+  }
+}
+
+// Decides materialization of a freshly computed result and hands it to the
+// writer; the outcome is applied to the record when the iteration drains.
 void MaybeMaterialize(ExecState* st, int node,
                       const dataflow::DataCollection& data,
                       NodeExecution* record) {
   const ExecutionOptions& opts = *st->opts;
-  if (opts.store == nullptr || opts.mat_policy == nullptr) {
+  if (st->materializer == nullptr) {
     return;
   }
   uint64_t sig = st->dag->cumulative_signature(node);
@@ -207,40 +237,37 @@ void MaybeMaterialize(ExecState* st, int node,
     return;
   }
 
-  if (st->materializer != nullptr) {
-    runtime::AsyncMaterializer::Request request;
-    request.node = node;
-    request.signature = sig;
-    request.node_name = op.name();
-    request.data = data;  // shares the payload; copies a pointer
-    request.iteration = opts.iteration;
-    request.compute_micros = record->cost_micros;
-    request.owner = opts.materializer_owner;
-    st->materializer->Enqueue(std::move(request));
-    return;
-  }
-
   int64_t start = opts.clock->NowMicros();
-  Status put = opts.store->Put(sig, op.name(), data, opts.iteration,
-                               /*write_micros_out=*/nullptr,
-                               /*compute_micros=*/record->cost_micros);
-  if (!put.ok()) {
-    // The policy checked the (approximate) size, but the serialized size
-    // is authoritative; treat an over-budget Put as a skipped decision.
-    HELIX_LOG(Info) << "materialization of " << op.name()
-                    << " skipped: " << put.ToString();
+  runtime::AsyncMaterializer::Request request;
+  request.node = node;
+  request.signature = sig;
+  request.node_name = op.name();
+  request.data = data;  // shares the payload; copies a pointer
+  request.iteration = opts.iteration;
+  request.compute_micros = record->cost_micros;
+  request.owner = opts.materializer_owner;
+  st->materializer->Enqueue(std::move(request));
+  // Drain right away (the drain helps, so this thread usually performs
+  // the Put itself) in two cases. Simulated time has no background: the
+  // declared write cost is charged here, right after the node's compute,
+  // so virtual timings and telemetry stay a function of the plan alone.
+  // And a store that has timed no transfer yet estimates every load at a
+  // flat default bandwidth: the decisions that follow must see this
+  // write's measured bandwidth, not race the writer for it.
+  const bool virtual_clock = opts.clock->is_virtual();
+  if (!virtual_clock && !opts.store->LearnsBandwidthFrom(ctx.size_bytes)) {
     return;
   }
-  record->materialized = true;
-  record->materialize_micros = ChargeAndMeasure(
-      opts.clock, start, op.synthetic_costs().write_micros);
-  st->materialize_total += record->materialize_micros;
-  if (opts.stats != nullptr) {
-    std::optional<storage::StoreEntry> entry = opts.store->GetEntry(sig);
-    if (entry.has_value()) {
-      opts.stats->RecordSize(sig, op.name(), entry->size_bytes,
-                             opts.iteration);
+  for (const runtime::AsyncMaterializer::Outcome& outcome :
+       st->materializer->Drain(opts.materializer_owner)) {
+    int64_t micros = outcome.write_micros;
+    if (virtual_clock) {
+      micros = outcome.status.ok()
+                   ? ChargeAndMeasure(opts.clock, start,
+                                      op.synthetic_costs().write_micros)
+                   : 0;
     }
+    ApplyOutcome(st, outcome, micros);
   }
 }
 
@@ -457,34 +484,6 @@ Status ExecutePlannedNode(ExecState* st, int i, NodeState state) {
   return ComputeNode(st, i);
 }
 
-// Applies the background writer's outcomes to the per-node records after
-// the scheduler joined (single-threaded by then).
-void ApplyMaterializationOutcomes(
-    ExecState* st, std::vector<runtime::AsyncMaterializer::Outcome> outcomes) {
-  const ExecutionOptions& opts = *st->opts;
-  for (const runtime::AsyncMaterializer::Outcome& outcome : outcomes) {
-    if (!outcome.status.ok()) {
-      // Same semantics as the inline path: an over-budget (or duplicate)
-      // Put demotes the decision to a skip.
-      HELIX_LOG(Info) << "materialization of " << outcome.node_name
-                      << " skipped: " << outcome.status.ToString();
-      continue;
-    }
-    NodeExecution& record = st->records[static_cast<size_t>(outcome.node)];
-    record.materialized = true;
-    record.materialize_micros = outcome.write_micros;
-    st->materialize_total += outcome.write_micros;
-    if (opts.stats != nullptr) {
-      std::optional<storage::StoreEntry> entry =
-          opts.store->GetEntry(outcome.signature);
-      if (entry.has_value()) {
-        opts.stats->RecordSize(outcome.signature, outcome.node_name,
-                               entry->size_bytes, opts.iteration);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 Result<ExecutionReport> Execute(const WorkflowDag& dag,
@@ -651,15 +650,15 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
       mem_plan.enabled
           ? std::min(ResolveParallelism(options, n), mem_plan.max_width)
           : ResolveParallelism(options, n);
-  // Materialization writer selection: an externally shared writer (service
-  // layer) is used in both strategies; otherwise parallel mode creates a
-  // private one and sequential mode writes inline (legacy behavior).
+  // Materialization writer: the caller's (a Session's own, or the
+  // service's shared one), else one private to this execution. Every
+  // strategy writes through it; none writes inline.
   std::optional<runtime::AsyncMaterializer> private_materializer;
   const bool materializing =
       options.store != nullptr && options.mat_policy != nullptr;
   if (materializing && options.materializer != nullptr) {
     st.materializer = options.materializer;
-  } else if (materializing && parallelism > 1) {
+  } else if (materializing) {
     private_materializer.emplace(options.store);
     st.materializer = &*private_materializer;
   }
@@ -714,8 +713,7 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
       }
     }
   } else {
-    // Parallel strategy: dependency-driven scheduling over a worker pool,
-    // with materialization on a background writer.
+    // Parallel strategy: dependency-driven scheduling over a worker pool.
     std::vector<bool> active(static_cast<size_t>(n), false);
     for (int i = 0; i < n; ++i) {
       active[static_cast<size_t>(i)] = plan.state(i) != NodeState::kPrune;
@@ -775,18 +773,21 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
       return ExecutePlannedNode(&st, node, plan.state(node));
     });
   }
+  int64_t write_wait_micros = 0;
   if (st.materializer != nullptr) {
     // Wait out the write pipeline before closing the books — even on an
-    // execution error, so a shared writer never carries this iteration's
+    // execution error, so a writer never carries this iteration's
     // outcomes (stale node ids) into the next Drain. The report's total
-    // time honestly includes any tail of unfinished writes. On a shared
-    // writer only this execution's owner tag is drained: sibling
-    // sessions' queued requests are neither awaited nor consumed.
+    // time honestly includes any tail of unfinished writes, and this
+    // thread helps write it. Only this execution's owner tag is drained:
+    // sibling sessions' queued requests are neither awaited nor consumed.
+    int64_t wait_start = options.clock->NowMicros();
     std::vector<runtime::AsyncMaterializer::Outcome> outcomes =
-        options.materializer != nullptr
-            ? st.materializer->Drain(options.materializer_owner)
-            : st.materializer->Drain();
-    ApplyMaterializationOutcomes(&st, std::move(outcomes));
+        st.materializer->Drain(options.materializer_owner);
+    write_wait_micros = options.clock->NowMicros() - wait_start;
+    for (const runtime::AsyncMaterializer::Outcome& outcome : outcomes) {
+      ApplyOutcome(&st, outcome, outcome.write_micros);
+    }
     st.materializer = nullptr;
   }
   HELIX_RETURN_IF_ERROR(exec_status);
@@ -795,6 +796,7 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
   ExecutionReport report;
   report.planning_micros = planning_micros;
   report.materialize_micros = st.materialize_total;
+  report.write_wait_micros = write_wait_micros;
   report.planned_peak_bytes = mem_plan.planned_peak_bytes;
   report.unbudgeted_peak_bytes = mem_plan.unbudgeted_peak_bytes;
   report.peak_resident_bytes =
@@ -858,6 +860,10 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
         ->Set(report.peak_resident_bytes);
     m.GetGauge("executor.recompute_extra_micros")
         ->Set(report.recompute_extra_micros);
+    if (materializing) {
+      m.GetHistogram("materializer.drain_wait_micros")
+          ->Observe(report.write_wait_micros);
+    }
   }
   if (options.trace != nullptr) {
     for (int i = 0; i < n; ++i) {
@@ -902,6 +908,8 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
     iteration_span.int_args.emplace_back("loaded", report.num_loaded);
     iteration_span.int_args.emplace_back("shared", report.num_shared);
     iteration_span.int_args.emplace_back("pruned", report.num_pruned);
+    iteration_span.int_args.emplace_back("write_wait_micros",
+                                         report.write_wait_micros);
     options.trace->Record(std::move(iteration_span));
   }
   return report;

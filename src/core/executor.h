@@ -9,13 +9,14 @@
 // CostStatsRegistry for planning in subsequent iterations.
 //
 // Two execution strategies share all planning and bookkeeping:
-//   * sequential — the classic topological-order loop; exact legacy
-//     behavior, used when the effective parallelism is 1 and always under
-//     a virtual clock (deterministic simulated timing);
+//   * sequential — the classic topological-order loop; used when the
+//     effective parallelism is 1 and always under a virtual clock
+//     (deterministic simulated timing);
 //   * parallel — a thread-pool DAG scheduler (runtime/parallel_scheduler)
-//     that starts a node the moment its last parent finishes, with
-//     materialization writes moved off the compute path onto a background
-//     writer (runtime/async_materializer).
+//     that starts a node the moment its last parent finishes.
+// Both write materializations off the compute path through one background
+// writer (runtime/async_materializer) and drain it, helping, at the end of
+// the iteration.
 #ifndef HELIX_CORE_EXECUTOR_H_
 #define HELIX_CORE_EXECUTOR_H_
 
@@ -104,19 +105,22 @@ struct ExecutionOptions {
   /// result after this iteration was planned. Requires a real clock
   /// (cross-session blocking has no meaning in simulated time).
   runtime::SignatureInflightTable* inflight = nullptr;
-  /// External (shared) background writer for materializations; nullptr =
-  /// the executor creates a private one in parallel mode and writes
-  /// inline in sequential mode. When set, all materializations of this
-  /// execution are enqueued tagged with `materializer_owner` and drained
-  /// per-owner at the end of the iteration, so concurrent sessions
-  /// sharing one writer never steal or drop each other's outcomes.
+  /// Background writer for materializations: a Session's own, or the
+  /// service's shared one; nullptr = the executor creates a private one
+  /// for this call. All materializations of this execution are enqueued
+  /// tagged with `materializer_owner` and drained per-owner at the end of
+  /// the iteration (under a virtual clock, right after each enqueue), so
+  /// concurrent sessions sharing one writer never steal or drop each
+  /// other's outcomes.
   runtime::AsyncMaterializer* materializer = nullptr;
-  /// Owner tag for requests on the shared `materializer` (session id).
+  /// Owner tag for requests on `materializer` (session id).
   uint64_t materializer_owner = 0;
   /// Optional telemetry registry. When set, the executor maintains
   /// `executor.nodes_{computed,loaded,shared,pruned,materialized}`
   /// counters and `executor.{node_compute,node_load,iteration}_micros`
-  /// histograms. Must outlive the execution.
+  /// histograms, plus `materializer.drain_wait_micros` (the
+  /// end-of-iteration drain, ExecutionReport::write_wait_micros) when
+  /// materializing. Must outlive the execution.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional span recorder. When set, the executor records one span per
   /// non-pruned node (name, signature, outcome, bytes) plus one
@@ -152,6 +156,12 @@ struct NodeExecution {
   int64_t cost_micros = 0;       // compute or load cost actually charged
   int64_t output_bytes = 0;      // serialized size (computed/loaded nodes)
   bool materialized = false;     // written to the store this iteration
+  /// Writer-side cost of the write, in every strategy: the store's
+  /// measured backend write time (IntermediateStore::Put's
+  /// write_micros_out), which ran off the compute path; under a virtual
+  /// clock, the declared synthetic write cost charged instead. It is not
+  /// part of cost_micros, and the part of it the iteration waited for is
+  /// in ExecutionReport::write_wait_micros.
   int64_t materialize_micros = 0;
   /// Memory planning dropped this node's result after its last use at
   /// least once (budget mode only); its span is tagged `dropped`.
@@ -176,8 +186,13 @@ struct ExecutionReport {
   int64_t total_micros = 0;
   /// Time spent inside the recomputation planner.
   int64_t planning_micros = 0;
-  /// Sum of materialization write costs.
+  /// Sum of materialization write costs (NodeExecution::materialize_micros).
   int64_t materialize_micros = 0;
+  /// Time the end-of-iteration drain of the writer took: the write tail
+  /// the iteration waited for (and helped write), included in
+  /// total_micros. 0 under a virtual clock, which drains after each
+  /// enqueue instead.
+  int64_t write_wait_micros = 0;
   std::vector<NodeExecution> nodes;
   /// Output name -> result.
   std::map<std::string, dataflow::DataCollection> outputs;

@@ -3,6 +3,7 @@
 #include "common/file_util.h"
 #include "common/logging.h"
 #include "core/cse.h"
+#include "runtime/async_materializer.h"
 
 namespace helix {
 namespace core {
@@ -57,8 +58,25 @@ Result<std::unique_ptr<Session>> Session::Open(
   if (session->policy_ == nullptr) {
     session->policy_ = std::make_shared<OnlineCostModelPolicy>();
   }
+  if (options.enable_materialization && session->store() != nullptr &&
+      options.shared_materializer == nullptr) {
+    // One writer for the session's lifetime: iterations neither start a
+    // thread nor write inline.
+    session->materializer_ =
+        std::make_unique<runtime::AsyncMaterializer>(session->store());
+    // Which thread performs a write (the writer, or a helping drain) is a
+    // scheduling race, so the writer's counters would make virtual-clock
+    // telemetry nondeterministic; only a real clock reports them.
+    if (options.metrics != nullptr && !options.clock->is_virtual()) {
+      session->materializer_->EnableTelemetry(options.metrics);
+    }
+  }
   return session;
 }
+
+Session::Session(SessionOptions options) : options_(std::move(options)) {}
+
+Session::~Session() = default;
 
 Result<IterationResult> Session::RunIteration(const Workflow& workflow,
                                               const std::string& description,
@@ -85,7 +103,9 @@ Result<IterationResult> Session::RunIteration(const Workflow& workflow,
   exec.mat_policy =
       options_.enable_materialization ? policy_.get() : nullptr;
   exec.inflight = options_.inflight;
-  exec.materializer = options_.shared_materializer;
+  exec.materializer = options_.shared_materializer != nullptr
+                          ? options_.shared_materializer
+                          : materializer_.get();
   exec.materializer_owner = options_.session_id;
   exec.planner = options_.planner;
   exec.enable_slicing = options_.enable_slicing;

@@ -80,7 +80,8 @@ struct SessionOptions {
   /// Cross-session block-and-share table (see ExecutionOptions::inflight).
   runtime::SignatureInflightTable* inflight = nullptr;
   /// Shared background materialization writer; iterations drain only
-  /// their own writes, tagged with `session_id`.
+  /// their own writes, tagged with `session_id`. nullptr = the session
+  /// owns a writer of its own for its lifetime.
   runtime::AsyncMaterializer* shared_materializer = nullptr;
   /// Owner tag on the shared materializer (unique per session).
   uint64_t session_id = 0;
@@ -112,6 +113,9 @@ class Session {
   /// workspace resumes where the previous session left off.
   static Result<std::unique_ptr<Session>> Open(const SessionOptions& options);
 
+  /// Finishes any queued write of the session's own writer.
+  ~Session();
+
   /// Compiles and executes one workflow version.
   Result<IterationResult> RunIteration(const Workflow& workflow,
                                        const std::string& description,
@@ -136,12 +140,16 @@ class Session {
   int64_t iteration() const { return iteration_; }
 
  private:
-  explicit Session(SessionOptions options) : options_(std::move(options)) {}
+  explicit Session(SessionOptions options);
 
   std::string StatsPath() const;
 
   SessionOptions options_;
   std::unique_ptr<storage::IntermediateStore> store_;
+  /// The session's own writer (unless options_.shared_materializer is
+  /// set), started at Open. Declared after store_ so it is destroyed —
+  /// finishing any write still queued — while the store is still open.
+  std::unique_ptr<runtime::AsyncMaterializer> materializer_;
   storage::CostStatsRegistry owned_stats_;
   /// Points at owned_stats_, or at options_.shared_stats in service mode.
   storage::CostStatsRegistry* stats_ = &owned_stats_;

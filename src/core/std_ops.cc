@@ -313,7 +313,7 @@ Operator CsvScanner(const std::string& name,
     std::vector<ColumnBuilder> builders(
         columns.size(), ColumnBuilder(dataflow::ValueType::kString));
     // One row per source file: split lines in place off the contiguous
-    // content, tagging each parsed row with its file's split value. Empty
+    // content, tagging each parsed row with its file's split value. Blank
     // lines are skipped. Fields are views into the line (or, when quoted,
     // into `scratch`) appended straight into the builders; `fields` and
     // `scratch` are reused across lines, so no string is allocated per
@@ -336,7 +336,8 @@ Operator CsvScanner(const std::string& name,
             blob.substr(pos, eol == std::string_view::npos ? blob.size() - pos
                                                            : eol - pos);
         pos = eol == std::string_view::npos ? blob.size() + 1 : eol + 1;
-        if (line.empty()) {
+        // A blank line — "\r" in a CRLF file, or only spaces — is skipped.
+        if (TrimView(line).empty()) {
           continue;
         }
         Status parsed = SplitCsvLine(line, ',', &fields, &scratch);

@@ -36,7 +36,8 @@ Operator FileSource(const std::string& name, const std::string& train_path,
                     const std::string& test_path);
 
 /// `data is_read_into rows using CSVScanner(columns)`: splits each
-/// `content` blob into lines and parses every non-empty line as CSV into
+/// `content` blob into lines and parses every non-blank line (one that is
+/// not empty after trimming whitespace, "\r" included) as CSV into
 /// (__split, columns...), tagging it with its file's split value.
 Operator CsvScanner(const std::string& name,
                     const std::vector<std::string>& columns);

@@ -128,9 +128,7 @@ std::string DataCollection::SerializeToString() const {
   ByteWriter w;
   // SizeBytes approximates the serialized footprint closely for columnar
   // payloads; reserving up front makes the whole serialization a single
-  // allocation instead of O(log size) grow-and-copy cycles. The result is
-  // then moved (never copied) into the caller — the materialization path
-  // hands it straight to the storage backend.
+  // allocation instead of O(log size) grow-and-copy cycles.
   w.Reserve(static_cast<size_t>(SizeBytes()) + 64);
   w.PutU32(kMagic);
   w.PutU32(kFormatVersion);

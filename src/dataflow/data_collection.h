@@ -69,9 +69,10 @@ class DataCollection {
   Result<const MetricsData*> AsMetrics() const;
 
   /// Serializes with envelope (magic, format version, kind, body, CRC32C
-  /// of everything before the checksum). Always writes the current format
-  /// version (v3); the buffer is size-estimated and reserved up front so
-  /// the materialization path serializes in one allocation.
+  /// of everything before the checksum) into one contiguous buffer,
+  /// size-estimated and reserved up front. Always writes the current
+  /// format version (v3). The store and the wire emit the same bytes
+  /// through SerializeToSpans instead.
   std::string SerializeToString() const;
 
   /// Zero-copy variant of SerializeToString: appends the identical

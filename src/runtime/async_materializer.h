@@ -2,26 +2,33 @@
 //
 // HELIX materializes intermediate results *while* the workflow executes
 // (paper Section 2.3, the online constraint). Done inline, every
-// store->Put stalls the operator that produced the result — serialization
-// plus disk write sit on the critical path. The related-work challenges
-// paper calls out overlapping computation with I/O as a key acceleration
-// opportunity; this pipeline is that overlap: a single background writer
-// thread owns the actual Put, compute threads only enqueue a (cheap,
-// shared-payload) DataCollection handle and move on. Serialization also
-// happens on the writer thread — once, into a size-reserved buffer that
-// is moved (never copied) into the storage backend (see
-// DataCollection::SerializeToString and StorageBackend::Write's
-// move-aware overload) — so neither the envelope build nor a buffer copy
-// ever lands on the compute path. Outcomes are collected and applied to
-// execution records when the caller drains the pipeline at the end of
-// the iteration.
+// store->Put stalls the operator that produced the result: the content
+// fingerprint, the envelope checksum and the disk write all sit on the
+// critical path. The related-work challenges paper calls out overlapping
+// computation with I/O as a key acceleration opportunity; this pipeline
+// is that overlap, and it is the only way results reach the store: every
+// core::Session owns one writer for its lifetime (the service shares one
+// across its sessions), and compute threads only enqueue a (cheap,
+// shared-payload) DataCollection handle and move on. The writer's Put is
+// zero-copy — IntermediateStore::Put emits the envelope as a span list
+// that borrows column bodies from the queued payload and gathers it into
+// the backend (see DataCollection::SerializeToSpans and
+// StorageBackend::Write) — so the writer thread allocates no
+// payload-sized buffers. Outcomes are collected and applied to execution
+// records when the caller drains its writes at the end of the iteration.
+//
+// A drain helps: Drain(owner) writes that owner's not-yet-started requests
+// on the draining thread itself — which would otherwise sit idle — and
+// then waits only for the request the writer already has in flight. The
+// draining thread is already running, so the requests it writes itself
+// pay no thread hand-off, and two threads write while the tail lasts.
 //
 // Multi-session sharing: one materializer may serve many concurrent
 // sessions writing to one shared store (the service layer). Requests
-// carry an `owner` tag, and Drain(owner) waits only for that owner's
-// writes and returns only that owner's outcomes — one session finishing
-// its iteration neither blocks on another session's (possibly endless)
-// stream of requests nor steals its outcomes.
+// carry an `owner` tag, and Drain(owner) helps with, waits for and
+// returns only that owner's writes — one session finishing its iteration
+// neither blocks on another session's (possibly endless) stream of
+// requests nor steals its outcomes.
 #ifndef HELIX_RUNTIME_ASYNC_MATERIALIZER_H_
 #define HELIX_RUNTIME_ASYNC_MATERIALIZER_H_
 
@@ -50,8 +57,11 @@ namespace runtime {
 
 /// Background writer that persists results to an IntermediateStore off the
 /// compute critical path. The store must be thread-safe (it is — see
-/// storage/store.h); the writer is a single thread, so writes retain
-/// enqueue order.
+/// storage/store.h). The writer is a single thread that takes requests in
+/// enqueue order. A helping Drain(owner) writes that owner's later
+/// requests while the writer may still have an earlier one in flight, so
+/// one owner's writes can overlap by one and complete out of order;
+/// outcomes are still returned in enqueue order.
 ///
 /// Thread safety: Enqueue/Drain/Pending are safe from any thread;
 /// multiple producers may enqueue concurrently. Ownership: the store is
@@ -79,6 +89,8 @@ class AsyncMaterializer {
     /// Payload bytes this request keeps alive while queued or writing.
     /// Filled by Enqueue from `data` (callers need not set it).
     int64_t size_bytes = 0;
+    /// Enqueue order, filled by Enqueue (callers need not set it).
+    uint64_t seq = 0;
   };
 
   /// Result of one attempted write.
@@ -120,16 +132,19 @@ class AsyncMaterializer {
   int64_t QueuedBytes() const;
 
   /// Blocks until every write enqueued so far — any owner — has been
-  /// attempted, then returns (and clears) their outcomes in enqueue order.
-  /// Only meaningful for a single-owner materializer: under concurrent
-  /// producers this waits for a momentarily empty queue.
+  /// attempted, then returns (and clears) their outcomes in enqueue
+  /// order. Does not help. Only meaningful for a single-owner
+  /// materializer: under concurrent producers this waits for a
+  /// momentarily empty queue.
   std::vector<Outcome> Drain();
 
-  /// Blocks until every write enqueued so far *by `owner`* has been
-  /// attempted, then returns (and clears) that owner's outcomes in
-  /// enqueue order. Other owners' queued requests are untouched: they are
-  /// neither waited for (beyond FIFO requests already ahead of `owner`'s
-  /// last write) nor returned — their own Drain still sees them.
+  /// Writes every request of `owner` still queued on the calling thread,
+  /// oldest first, then blocks until the one the writer may have in
+  /// flight is attempted too, and returns (and clears) that owner's
+  /// outcomes in enqueue order. Other owners' queued requests are left to
+  /// the writer: they are neither written, waited for, nor returned —
+  /// their own Drain still sees them. Each helped write frees its queue
+  /// bytes for back-pressured producers as it completes.
   std::vector<Outcome> Drain(uint64_t owner);
 
   /// Writes queued or executing right now (diagnostics).
@@ -140,13 +155,24 @@ class AsyncMaterializer {
 
   /// Registers `<prefix>.queue_depth` / `<prefix>.queue_bytes` (gauges),
   /// `<prefix>.write_micros` (histogram of successful Put latencies) and
-  /// `<prefix>.writes_ok` / `<prefix>.writes_failed` (counters) in
-  /// `registry` and starts updating them.
+  /// `<prefix>.writes_ok` / `<prefix>.writes_failed` /
+  /// `<prefix>.writes_helped` (counters; the last counts writes a helping
+  /// Drain performed) in `registry` and starts updating them.
   void EnableTelemetry(obs::MetricsRegistry* registry,
                        const std::string& prefix = "materializer");
 
  private:
+  // An attempted request's outcome, keyed by Request::seq.
+  struct Finished {
+    uint64_t seq = 0;
+    Outcome outcome;
+  };
+
   void WriterLoop();
+  // Runs `request`'s Put with mu_ released and records its outcome.
+  // `lock` holds mu_ on entry and on return.
+  void Write(std::unique_lock<std::mutex>* lock, Request request,
+             bool helped);
 
   storage::IntermediateStore* store_;
   const int64_t max_queue_bytes_;
@@ -157,11 +183,12 @@ class AsyncMaterializer {
   std::condition_variable space_cv_;    // wakes Enqueue back-pressure waits
   std::deque<Request> queue_;
   int64_t queued_bytes_ = 0;  // payload bytes queued + in-flight
-  std::vector<Outcome> outcomes_;
+  uint64_t next_seq_ = 0;
+  std::vector<Finished> outcomes_;  // ordered by seq (enqueue order)
   // Queued + in-flight request count per owner; the entry is erased when
   // it reaches zero, so the map stays bounded by live owners.
   std::unordered_map<uint64_t, size_t> pending_per_owner_;
-  bool writing_ = false;   // writer is executing a Put right now
+  int in_flight_ = 0;  // Puts executing right now (writer + helpers)
   bool shutdown_ = false;
 
   // Telemetry (null until EnableTelemetry; pointers written under mu_).
@@ -170,6 +197,7 @@ class AsyncMaterializer {
   obs::Histogram* write_micros_ = nullptr;
   obs::Counter* writes_ok_ = nullptr;
   obs::Counter* writes_failed_ = nullptr;
+  obs::Counter* writes_helped_ = nullptr;
 
   std::thread writer_;
 };

@@ -156,9 +156,10 @@ Result<ServiceSession*> SessionService::CreateSession(
   session_options.shared_stats = &stats_;
   // A virtual clock trades concurrency features for determinism:
   // core::Session rejects in-flight sharing on one (the block-and-share
-  // wait has no one to advance the clock), and the async writer would
+  // wait has no one to advance the clock), and the shared writer would
   // make materialization timing — and therefore eviction order —
-  // scheduling-dependent, so sessions write inline instead.
+  // scheduling-dependent, so each session writes through a writer of its
+  // own, which the executor drains right after every enqueue.
   session_options.inflight = clock_->is_virtual() ? nullptr : &inflight_;
   session_options.shared_materializer =
       clock_->is_virtual() ? nullptr : materializer_.get();

@@ -116,8 +116,9 @@ struct ServiceOptions {
   /// trace replay uses for bit-exact counter reproducibility — but
   /// VirtualClock is not thread-safe and core::Session refuses in-flight
   /// sharing on one, so a virtual-clock service disables the in-flight
-  /// table and the async writer (sessions write inline) and callers must
-  /// serialize iterations across sessions themselves.
+  /// table and the shared writer (each session drains a writer of its own
+  /// after every enqueue) and callers must serialize iterations across
+  /// sessions themselves.
   Clock* clock = nullptr;
   /// Record/replay hook; see IterationObserver above. Empty = no-op.
   IterationObserver iteration_observer;

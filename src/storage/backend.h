@@ -12,10 +12,10 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
+#include "common/spans.h"
 #include "common/status.h"
 
 namespace helix {
@@ -72,19 +72,21 @@ class StorageBackend {
   /// whose payload is intact.
   virtual Result<std::vector<StoreEntry>> Recover() = 0;
 
-  /// Durably associates `payload` with `meta.signature`, overwriting any
-  /// previous association. `meta` must describe `payload` (in particular
-  /// meta.size_bytes == payload.size()); persistent backends store the
-  /// metadata alongside the payload for Recover.
-  virtual Status Write(const StoreEntry& meta, std::string_view payload) = 0;
-
-  /// Move-aware Write: the materialization path serializes a payload
-  /// exactly once and hands the buffer over; backends that keep whole
-  /// payloads (MemoryBackend) adopt it instead of copying. Defaults to
-  /// the copying Write.
-  virtual Status Write(const StoreEntry& meta, std::string&& payload) {
-    return Write(meta, std::string_view(payload));
-  }
+  /// Durably associates the payload with `meta.signature`, overwriting any
+  /// previous association. The payload is the concatenation of the `n`
+  /// spans at `payload`, in order: the materialization path hands over the
+  /// envelope exactly as DataCollection::SerializeToSpans emitted it —
+  /// header fields interleaved with column bodies borrowed from the live
+  /// result — so no contiguous copy of the payload is ever built. The
+  /// spans are borrowed for the duration of the call only; a backend that
+  /// keeps the bytes (MemoryBackend) copies them, a persistent one
+  /// (DiskBackend) gathers them straight into its file. `meta` must
+  /// describe the payload (in particular meta.size_bytes equals the spans'
+  /// total length); persistent backends store the metadata alongside it
+  /// for Recover. `n` may be 0 (an empty payload) and is not bounded by
+  /// any system iovec limit.
+  virtual Status Write(const StoreEntry& meta, const ByteSpan* payload,
+                       size_t n) = 0;
 
   /// Returns the payload bytes for `signature`. NotFound if absent;
   /// Corruption if present but failing verification. The returned bytes

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -42,6 +43,10 @@ constexpr size_t kPutFooterBytes = 8 + 6 * 8 + 8 + 4 + 1;
 constexpr size_t kTombstoneBodyBytes = 8 + 1;
 // Compact once dead bytes exceed this floor and half the file bytes.
 constexpr int64_t kCompactMinDeadBytes = 4LL << 20;
+// writev/preadv take at most IOV_MAX pieces (EINVAL beyond); a gathered
+// record of a wide table has several spans per column, so larger lists
+// go out as consecutive calls.
+constexpr size_t kMaxIovPerCall = IOV_MAX;
 
 uint32_t LoadLe32(const char* p) {
   return ByteReader(std::string_view(p, 4)).GetU32().value();
@@ -130,13 +135,15 @@ class FdCloser {
   const int fd_;
 };
 
-// Transfers every byte of `iov` with (p)readv/writev, resuming after
-// short transfers and EINTR. `offset` < 0 writes at the file position.
+// Transfers every byte of `iov` with (p)readv/writev, at most
+// kMaxIovPerCall pieces per call, resuming after short transfers and
+// EINTR. `offset` < 0 writes at the file position.
 Status TransferAll(int fd, std::vector<iovec> iov, int64_t offset,
                    bool is_read) {
   size_t first = 0;
   while (first < iov.size()) {
-    int count = static_cast<int>(iov.size() - first);
+    int count =
+        static_cast<int>(std::min(iov.size() - first, kMaxIovPerCall));
     ssize_t n = is_read ? ::preadv(fd, &iov[first], count, offset)
                         : ::writev(fd, &iov[first], count);
     if (n < 0 && errno == EINTR) {
@@ -304,8 +311,8 @@ Status DiskBackend::AppendRecordLocked(uint64_t segment_id,
     body_len += body[i].len;
   }
   // Header (file header first on a fresh segment) and CRC trailer go out
-  // with the borrowed body pieces in one gathered write: the payload is
-  // never copied into a record buffer.
+  // with the borrowed body pieces as one gathered write (split only at
+  // kMaxIovPerCall): the payload is never copied into a record buffer.
   ByteWriter head;
   if (seg.file_bytes == 0) {
     head.PutU32(kSegmentMagic);
@@ -350,12 +357,14 @@ Status DiskBackend::AppendRecordLocked(uint64_t segment_id,
 }
 
 Status DiskBackend::AppendPutLocked(const StoreEntry& meta,
-                                    std::string_view payload) {
-  std::string tail = BuildPutTail(meta, payload.size());
-  ByteSpan body[] = {{payload.data(), payload.size()},
-                     {tail.data(), tail.size()}};
+                                    const ByteSpan* payload, size_t n,
+                                    size_t payload_len) {
+  std::string tail = BuildPutTail(meta, payload_len);
+  std::vector<ByteSpan> body(payload, payload + n);
+  body.push_back({tail.data(), tail.size()});
   Location loc;
-  HELIX_RETURN_IF_ERROR(AppendRecordLocked(active_segment_, body, 2, &loc));
+  HELIX_RETURN_IF_ERROR(
+      AppendRecordLocked(active_segment_, body.data(), body.size(), &loc));
   index_[meta.signature] = loc;
   segments_[loc.segment].live_bytes += loc.record_bytes;
   return Status::OK();
@@ -383,11 +392,16 @@ Status DiskBackend::DropSegmentIfDeadLocked(uint64_t id) {
   return Status::OK();
 }
 
-Status DiskBackend::Write(const StoreEntry& meta, std::string_view payload) {
+Status DiskBackend::Write(const StoreEntry& meta, const ByteSpan* payload,
+                          size_t n) {
+  size_t payload_len = 0;
+  for (size_t i = 0; i < n; ++i) {
+    payload_len += payload[i].len;
+  }
   // The record length prefix is a u32: refuse before appending anything,
   // or the wrapped length would fail replay there and seal the segment,
   // silently dropping every later acknowledged record.
-  uint64_t body_len = payload.size() + meta.node_name.size() + kPutFooterBytes;
+  uint64_t body_len = payload_len + meta.node_name.size() + kPutFooterBytes;
   if (body_len > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument(StrFormat(
         "a %llu-byte record exceeds the 4 GiB segment record limit",
@@ -399,7 +413,7 @@ Status DiskBackend::Write(const StoreEntry& meta, std::string_view payload) {
   if (auto it = index_.find(meta.signature); it != index_.end()) {
     prev = it->second;
   }
-  HELIX_RETURN_IF_ERROR(AppendPutLocked(meta, payload));
+  HELIX_RETURN_IF_ERROR(AppendPutLocked(meta, payload, n, payload_len));
   if (prev.has_value()) {
     segments_[prev->segment].live_bytes -= prev->record_bytes;
     HELIX_RETURN_IF_ERROR(DropSegmentIfDeadLocked(prev->segment));
@@ -583,8 +597,10 @@ Status DiskBackend::CompactLocked() {
         segments_[next];
         active_segment_ = next;
       }
+      std::string_view payload = rec.value().payload;
+      ByteSpan span{payload.data(), payload.size()};
       HELIX_RETURN_IF_ERROR(
-          AppendPutLocked(rec.value().meta, rec.value().payload));
+          AppendPutLocked(rec.value().meta, &span, 1, payload.size()));
     }
   }
   for (uint64_t id : old_ids) {

@@ -15,8 +15,10 @@
 // v1 format, or a header torn mid-write) replays no records and is never
 // appended to; its bytes count as dead until compaction deletes it.
 //
-// Write streams one CRC over the borrowed payload while sending header,
-// payload and trailer in one writev. Read lands the payload at offset 0
+// Write streams one CRC over the borrowed payload spans and sends the
+// header, the spans, the name and footer, and the trailer as gathered
+// writev calls (IOV_MAX pieces at most per call), so the payload is never
+// copied into a record buffer. Read lands the payload at offset 0
 // of the string it returns with one preadv and checks the CRC once; the
 // store then decodes the envelope without re-hashing it, so on load the
 // record checksum is the only hash over a stored payload's bytes.
@@ -81,7 +83,8 @@ class DiskBackend final : public StorageBackend {
       const std::string& dir, const DiskBackendOptions& options);
 
   Result<std::vector<StoreEntry>> Recover() override;
-  Status Write(const StoreEntry& meta, std::string_view payload) override;
+  Status Write(const StoreEntry& meta, const ByteSpan* payload,
+               size_t n) override;
   Result<std::string> Read(uint64_t signature) override;
   Status Delete(uint64_t signature) override;
   Status DeleteAll() override;
@@ -129,8 +132,10 @@ class DiskBackend final : public StorageBackend {
   // spans (borrowed, not copied) and reports where it landed.
   Status AppendRecordLocked(uint64_t segment_id, const ByteSpan* body,
                             size_t pieces, Location* loc);
-  // Appends a PUT record to the active segment and indexes it.
-  Status AppendPutLocked(const StoreEntry& meta, std::string_view payload);
+  // Appends a PUT record whose payload is the `n` borrowed spans
+  // (`payload_len` bytes in total) to the active segment and indexes it.
+  Status AppendPutLocked(const StoreEntry& meta, const ByteSpan* payload,
+                         size_t n, size_t payload_len);
   Status RollIfNeededLocked();
   Status DropSegmentIfDeadLocked(uint64_t id);
   Status CompactLocked();

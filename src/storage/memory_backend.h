@@ -20,8 +20,9 @@ namespace storage {
 /// Thread safety: all methods are safe to call concurrently; a
 /// reader-writer lock lets concurrent Reads (the executor's warm path)
 /// overlap while Writes are exclusive.
-/// Ownership: payload strings are owned by the backend; Read returns a
-/// copy, so results stay valid after concurrent mutation.
+/// Ownership: payload strings are owned by the backend (Write flattens
+/// the borrowed spans into one); Read returns a copy, so results stay
+/// valid after concurrent mutation.
 /// Failure modes: Read returns NotFound for unknown signatures. Write and
 /// Delete cannot fail (no I/O). Recover always returns empty — nothing
 /// survives construction.
@@ -33,15 +34,20 @@ class MemoryBackend final : public StorageBackend {
     return std::vector<StoreEntry>{};
   }
 
-  Status Write(const StoreEntry& meta, std::string_view payload) override {
+  Status Write(const StoreEntry& meta, const ByteSpan* payload,
+               size_t n) override {
+    // Flatten outside the lock: the copy is the write's only real work.
+    size_t total = 0;
+    for (size_t i = 0; i < n; ++i) {
+      total += payload[i].len;
+    }
+    std::string bytes;
+    bytes.reserve(total);
+    for (size_t i = 0; i < n; ++i) {
+      bytes.append(payload[i].data, payload[i].len);
+    }
     std::unique_lock<std::shared_mutex> lock(mu_);
-    payloads_[meta.signature] = std::string(payload);
-    return Status::OK();
-  }
-
-  Status Write(const StoreEntry& meta, std::string&& payload) override {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    payloads_[meta.signature] = std::move(payload);
+    payloads_[meta.signature] = std::move(bytes);
     return Status::OK();
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/hash.h"
@@ -125,6 +126,11 @@ Result<std::unique_ptr<IntermediateStore>> IntermediateStore::Open(
     if (!trimmed.ok()) {
       return trimmed;
     }
+  }
+  // The resident-bytes gauge starts at what the reopened store holds.
+  if (store->bytes_gauge_ != nullptr) {
+    store->bytes_gauge_->Set(
+        store->total_bytes_.load(std::memory_order_relaxed));
   }
   return store;
 }
@@ -279,14 +285,17 @@ Status IntermediateStore::Put(uint64_t signature,
         node_name.c_str(), HumanBytes(data.SizeBytes()).c_str(),
         HumanBytes(options_.budget_bytes).c_str()));
   }
-  // Serialization is the expensive CPU part; do it before any admission
-  // work so concurrent Puts serialize their payloads in parallel. The
-  // envelope is built once into a size-reserved buffer and moved (never
-  // copied) into the backend below.
+  // The envelope is emitted as a span list — header fields in owned
+  // scratch, column bodies borrowed from `data` — and handed to the
+  // backend as is, so no contiguous copy of the payload is ever built:
+  // the span list plus its envelope checksum is all this phase costs.
+  // `data` stays alive (the caller holds it) until Write returns.
   ScopedTimer serialize_timer(options_.clock);
-  std::string serialized = data.SerializeToString();
+  SpanWriter serialized;
+  data.SerializeToSpans(&serialized);
+  const std::vector<ByteSpan>& spans = serialized.spans();
   ObservePhase(put_serialize_micros_, serialize_timer.ElapsedMicros());
-  int64_t size = static_cast<int64_t>(serialized.size());
+  int64_t size = static_cast<int64_t>(serialized.TotalBytes());
   if (size > options_.budget_bytes) {
     return Status::ResourceExhausted(StrFormat(
         "result %s (%s) exceeds the whole store budget (%s)",
@@ -326,7 +335,7 @@ Status IntermediateStore::Put(uint64_t signature,
   }
 
   ScopedTimer timer(options_.clock);
-  Status written = backend_->Write(entry, std::move(serialized));
+  Status written = backend_->Write(entry, spans.data(), spans.size());
   int64_t elapsed = timer.ElapsedMicros();
   ObservePhase(put_write_micros_, elapsed);
   if (!written.ok()) {
@@ -513,6 +522,14 @@ void IntermediateStore::ObserveWrite(int64_t bytes, int64_t micros) {
   std::lock_guard<std::mutex> lock(est_mu_);
   observed_write_bytes_ += bytes;
   observed_write_micros_ += micros;
+}
+
+bool IntermediateStore::LearnsBandwidthFrom(int64_t size_bytes) const {
+  if (size_bytes < kMinObservableBytes) {
+    return false;
+  }
+  std::lock_guard<std::mutex> lock(est_mu_);
+  return observed_read_micros_ <= 0 && observed_write_micros_ <= 0;
 }
 
 int64_t IntermediateStore::EstimateLoadMicros(int64_t size_bytes) const {

@@ -192,6 +192,12 @@ class IntermediateStore {
   /// when no I/O has been observed yet.
   int64_t EstimateLoadMicros(int64_t size_bytes) const;
 
+  /// True while EstimateLoadMicros still returns its flat default (no
+  /// transfer has been timed yet) and a transfer of `size_bytes` is large
+  /// enough to be timed: the write of such a result gives every later
+  /// estimate a measured bandwidth.
+  bool LearnsBandwidthFrom(int64_t size_bytes) const;
+
   const std::string& dir() const { return dir_; }
   int shard_count() const { return static_cast<int>(shards_.size()); }
   const char* backend_name() const { return backend_->name(); }

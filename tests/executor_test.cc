@@ -15,6 +15,7 @@
 #include "core/workflow.h"
 #include "core/workflow_dag.h"
 #include "storage/disk_backend.h"
+#include "backend_util.h"
 #include "table_util.h"
 
 namespace helix {
@@ -35,7 +36,8 @@ void TamperPayloads(const std::string& store_dir,
   ASSERT_TRUE(backend.ok()) << backend.status().ToString();
   ASSERT_TRUE(backend.value()->Recover().ok());
   for (const storage::StoreEntry& entry : entries) {
-    ASSERT_TRUE(backend.value()->Write(entry, payload).ok());
+    ASSERT_TRUE(
+        storage::WriteBytes(backend.value().get(), entry, payload).ok());
   }
 }
 
@@ -360,6 +362,52 @@ TEST_F(ExecutorTest, ZeroBudgetNeverMaterializes) {
   ExecutionReport report = Run(p.Build(), options);
   EXPECT_EQ(report.num_materialized, 0);
   EXPECT_EQ(store.value()->NumEntries(), 0u);
+  (void)RemoveDirRecursively(tiny_dir.value());
+}
+
+// Says yes to everything, budget or not: only the store can refuse.
+class YesPolicy : public MaterializationPolicy {
+ public:
+  bool ShouldMaterialize(const MaterializationContext&) const override {
+    return true;
+  }
+  std::string name() const override { return "yes"; }
+};
+
+// A Put the store refuses as over budget comes back from the writer as a
+// failed outcome, which demotes the decision to a skip: the iteration
+// still succeeds, with nothing marked materialized. Checked on the
+// virtual clock (drained after each enqueue) and on a real clock (drained
+// at the end of the iteration).
+TEST_F(ExecutorTest, OverBudgetPutInSequentialModeIsASkippedMaterialization) {
+  auto tiny_dir = MakeTempDir("helix-over-budget");
+  ASSERT_TRUE(tiny_dir.ok());
+  YesPolicy yes;
+  for (bool virtual_clock : {true, false}) {
+    storage::StoreOptions store_options;
+    store_options.budget_bytes = 16;  // smaller than any envelope
+    store_options.clock = &clock_;
+    auto store = storage::IntermediateStore::Open(
+        JoinPath(tiny_dir.value(), virtual_clock ? "virtual" : "real"),
+        store_options);
+    ASSERT_TRUE(store.ok());
+    Pipeline p;
+    ExecutionOptions options = Options(0);
+    options.store = store.value().get();
+    options.mat_policy = &yes;
+    options.max_parallelism = 1;
+    if (!virtual_clock) {
+      options.clock = SystemClock::Default();
+    }
+    ExecutionReport report = Run(p.Build(), options);
+    EXPECT_EQ(report.num_computed, 4) << virtual_clock;
+    EXPECT_EQ(report.num_materialized, 0) << virtual_clock;
+    EXPECT_EQ(report.materialize_micros, 0) << virtual_clock;
+    for (const NodeExecution& node : report.nodes) {
+      EXPECT_FALSE(node.materialized) << node.name;
+    }
+    EXPECT_EQ(store.value()->NumEntries(), 0u);
+  }
   (void)RemoveDirRecursively(tiny_dir.value());
 }
 

@@ -11,6 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/file_util.h"
 #include "common/hash.h"
@@ -20,6 +24,7 @@
 #include "dataflow/simd.h"
 #include "storage/disk_backend.h"
 #include "storage/store.h"
+#include "backend_util.h"
 #include "table_util.h"
 
 namespace helix {
@@ -151,7 +156,7 @@ TEST(FormatV2Test, V1SegmentIsSealedThenDeletedByCompaction) {
   meta.fingerprint = recomputed.Fingerprint();
   std::string payload = recomputed.SerializeToString();
   meta.size_bytes = static_cast<int64_t>(payload.size());
-  ASSERT_TRUE(backend.value()->Write(meta, payload).ok());
+  ASSERT_TRUE(storage::WriteBytes(backend.value().get(), meta, payload).ok());
   EXPECT_EQ(backend.value()->NumSegments(), 2u);
   auto legacy_bytes = ReadFileToString(legacy);
   ASSERT_TRUE(legacy_bytes.ok());
@@ -735,7 +740,9 @@ TEST(FormatV2Test, FutureVersionRejected) {
       meta.signature = 100 + i;
       meta.node_name = "retired";
       meta.size_bytes = static_cast<int64_t>(cases[i].second.size());
-      ASSERT_TRUE(backend.value()->Write(meta, cases[i].second).ok());
+      ASSERT_TRUE(storage::WriteBytes(backend.value().get(), meta,
+                                      cases[i].second)
+                      .ok());
     }
   }
   auto store = storage::IntermediateStore::Open(dir.value(),
@@ -950,6 +957,134 @@ TEST(FormatV3Test, EverySingleByteFlipFailsVerificationAndNeverCrashes) {
       }
     }
   }
+}
+
+
+// --- gathered store writes ----------------------------------------------------
+
+// One payload of every kind, and a table holding every column layout with
+// and without a validity bitmap.
+std::vector<DataCollection> GatheredPutPayloads() {
+  std::vector<Row> rows;
+  const char* colors[] = {"red", "green", "blue"};
+  for (int64_t r = 0; r < 40; ++r) {
+    bool null = r % 7 == 3;
+    rows.push_back({
+        Value(r),
+        null ? Value::Null() : Value(r * 3),
+        Value(0.5 * static_cast<double>(r)),
+        null ? Value::Null() : Value(-0.25 * static_cast<double>(r)),
+        Value(r % 2 == 0),
+        null ? Value::Null() : Value(r % 3 == 0),
+        Value(StrFormat("plain-%lld", static_cast<long long>(r))),
+        null ? Value::Null()
+             : Value(StrFormat("nullable-%lld", static_cast<long long>(r))),
+        Value(colors[r % 3]),
+        null ? Value::Null() : Value(colors[(r + 1) % 3]),
+    });
+  }
+  auto table = MakeTable(Schema({
+                             {"i", ValueType::kInt},
+                             {"i_null", ValueType::kInt},
+                             {"d", ValueType::kDouble},
+                             {"d_null", ValueType::kDouble},
+                             {"b", ValueType::kBool},
+                             {"b_null", ValueType::kBool},
+                             {"s", ValueType::kString},
+                             {"s_null", ValueType::kString},
+                             {"dict", ValueType::kString},
+                             {"dict_null", ValueType::kString},
+                         }),
+                         rows);
+  const Column::Storage layouts[] = {
+      Column::Storage::kInt64,  Column::Storage::kInt64,
+      Column::Storage::kDouble, Column::Storage::kDouble,
+      Column::Storage::kBool,   Column::Storage::kBool,
+      Column::Storage::kString, Column::Storage::kString,
+      Column::Storage::kDictString, Column::Storage::kDictString};
+  for (int c = 0; c < table->schema().num_fields(); ++c) {
+    EXPECT_EQ(table->column(c)->storage(), layouts[c]) << "column " << c;
+    EXPECT_EQ(table->column(c)->null_count() > 0, c % 2 == 1)
+        << "column " << c;
+  }
+
+  Document doc;
+  doc.id = "doc-1";
+  doc.text = "Helix reuses intermediates";
+  auto model =
+      std::make_shared<ModelData>("logreg", std::vector<double>{0.5, -1.25},
+                                  0.125);
+  return {
+      DataCollection::FromTable(table),
+      DataCollection::DeserializeFromString(FromHex(kExamplesV3GoldenHex))
+          .value(),
+      DataCollection::FromModel(model),
+      DataCollection::FromText(
+          std::make_shared<TextData>(std::vector<Document>{doc})),
+      DataCollection::FromMetrics(std::make_shared<MetricsData>(
+          std::map<std::string, double>{{"accuracy", 0.75}, {"f1", 0.5}})),
+  };
+}
+
+// The store's Put hands the backend the envelope as SerializeToSpans emits
+// it — header fields interleaved with borrowed column bodies — and the
+// disk backend gathers the spans into one record. The segment it writes
+// must be byte-identical to one written from the contiguous
+// SerializeToString buffer, and every payload reloads intact.
+TEST(FormatV3Test, GatheredPutWritesTheSameSegmentAsAContiguousBuffer) {
+  auto gathered_dir = MakeTempDir("helix-gathered-put");
+  auto flat_dir = MakeTempDir("helix-flat-put");
+  ASSERT_TRUE(gathered_dir.ok() && flat_dir.ok());
+  std::vector<DataCollection> payloads = GatheredPutPayloads();
+  {
+    auto store = storage::IntermediateStore::Open(gathered_dir.value(),
+                                                  storage::StoreOptions());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (size_t i = 0; i < payloads.size(); ++i) {
+      ASSERT_TRUE(store.value()
+                      ->Put(100 + i, "payload", payloads[i], 1)
+                      .ok())
+          << i;
+    }
+  }
+  // The metadata exactly as the store recorded it, written again through
+  // single-span writes of the contiguous envelopes, in the same order.
+  auto recorded = storage::DiskBackend::Open(gathered_dir.value(),
+                                             storage::DiskBackendOptions());
+  ASSERT_TRUE(recorded.ok());
+  auto entries = recorded.value()->Recover();
+  ASSERT_TRUE(entries.ok());
+  ASSERT_EQ(entries.value().size(), payloads.size());
+  auto flat = storage::DiskBackend::Open(flat_dir.value(),
+                                         storage::DiskBackendOptions());
+  ASSERT_TRUE(flat.ok());
+  ASSERT_TRUE(flat.value()->Recover().ok());
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    const storage::StoreEntry& meta = entries.value()[i];
+    ASSERT_EQ(meta.signature, 100 + i);
+    EXPECT_EQ(meta.fingerprint, payloads[i].Fingerprint()) << i;
+    ASSERT_TRUE(storage::WriteBytes(flat.value().get(), meta,
+                                    payloads[i].SerializeToString())
+                    .ok());
+  }
+  auto gathered_bytes =
+      ReadFileToString(JoinPath(gathered_dir.value(), "seg-000001.log"));
+  auto flat_bytes =
+      ReadFileToString(JoinPath(flat_dir.value(), "seg-000001.log"));
+  ASSERT_TRUE(gathered_bytes.ok() && flat_bytes.ok());
+  EXPECT_EQ(gathered_bytes.value(), flat_bytes.value());
+
+  auto reopened = storage::IntermediateStore::Open(gathered_dir.value(),
+                                                   storage::StoreOptions());
+  ASSERT_TRUE(reopened.ok());
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    auto got = reopened.value()->Get(100 + i);
+    ASSERT_TRUE(got.ok()) << i << ": " << got.status().ToString();
+    EXPECT_EQ(got.value().kind(), payloads[i].kind()) << i;
+    EXPECT_EQ(got.value().Fingerprint(), payloads[i].Fingerprint()) << i;
+  }
+  (void)RemoveDirRecursively(gathered_dir.value());
+  (void)RemoveDirRecursively(flat_dir.value());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "backend_util.h"
 #include "common/clock.h"
 #include "common/file_util.h"
 #include "common/rng.h"
@@ -288,7 +289,9 @@ TEST_F(MemoryExecutorTest, RecomputeOverheadIsReportedNotHidden) {
         storage::DiskBackend::Open(dir.value(), storage::DiskBackendOptions());
     ASSERT_TRUE(backend.ok()) << backend.status().ToString();
     ASSERT_TRUE(backend.value()->Recover().ok());
-    ASSERT_TRUE(backend.value()->Write(*entry, "not an envelope").ok());
+    ASSERT_TRUE(storage::WriteBytes(backend.value().get(), *entry,
+                                    "not an envelope")
+                    .ok());
   }
   auto store = storage::IntermediateStore::Open(dir.value(), store_options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();

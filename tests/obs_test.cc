@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -386,6 +387,55 @@ TEST(TelemetryDeterminismTest, SpanOutcomesMatchReportCounters) {
   // The ML edit reuses upstream work, so reuse must actually appear.
   EXPECT_GT(loaded + pruned, 0);
   (void)RemoveDirRecursively(dir.value());
+}
+
+
+// The write tail: every materializing iteration observes its end-of-
+// iteration drain in `materializer.drain_wait_micros` and tags its span
+// with `write_wait_micros`. On a virtual clock both read 0 (the executor
+// drains after each enqueue) and the session's writer registers no
+// counters, whose values would depend on which thread won a write.
+TEST(TelemetryDeterminismTest, WriteTailIsReportedAndZeroOnAVirtualClock) {
+  auto dir = MakeTempDir("helix-obs-write-tail");
+  ASSERT_TRUE(dir.ok());
+  TelemetryRun run = RunInstrumentedSession(dir.value());
+  EXPECT_EQ(run.last_report.write_wait_micros, 0);
+  EXPECT_NE(run.metrics_json.find("materializer.drain_wait_micros"),
+            std::string::npos);
+  EXPECT_EQ(run.metrics_json.find("materializer.writes_helped"),
+            std::string::npos);
+  const TraceSpan& iteration = run.spans.back();
+  ASSERT_EQ(iteration.category, "iteration");
+  bool tagged = false;
+  for (const auto& [key, value] : iteration.int_args) {
+    if (key == "write_wait_micros") {
+      tagged = true;
+      EXPECT_EQ(value, 0);
+    }
+  }
+  EXPECT_TRUE(tagged);
+  (void)RemoveDirRecursively(dir.value());
+
+  // On a real clock the session's own writer reports its counters.
+  auto real_dir = MakeTempDir("helix-obs-write-tail-real");
+  ASSERT_TRUE(real_dir.ok());
+  MetricsRegistry metrics;
+  core::SessionOptions options;
+  options.workspace_dir = real_dir.value();
+  options.metrics = &metrics;
+  options.mat_policy = std::make_shared<core::AlwaysMaterializePolicy>();
+  auto session = core::Session::Open(options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto v0 = (*session)->RunIteration(MakeSyntheticWorkflow(2, 3), "initial",
+                                     core::ChangeCategory::kInitial);
+  ASSERT_TRUE(v0.ok()) << v0.status().ToString();
+  EXPECT_GT(v0->report.num_materialized, 0);
+  EXPECT_EQ(metrics.GetCounter("materializer.writes_ok")->Value(),
+            v0->report.num_materialized);
+  EXPECT_EQ(metrics.GetHistogram("materializer.drain_wait_micros")->Count(),
+            1);
+  session.value().reset();
+  (void)RemoveDirRecursively(real_dir.value());
 }
 
 }  // namespace

@@ -7,8 +7,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -520,6 +523,118 @@ TEST_F(AsyncMaterializerTest, OversizedRequestIsAdmittedAloneNotDeadlocked) {
   EXPECT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
   EXPECT_TRUE(outcomes[1].status.ok()) << outcomes[1].status.ToString();
   EXPECT_TRUE(store->Has(801));
+  EXPECT_EQ(materializer.QueuedBytes(), 0);
+}
+
+
+// --- Helping drains ----------------------------------------------------------
+
+// A payload whose Fingerprint — which Put computes on whichever thread
+// writes it — blocks until released, so a test can hold the writer inside
+// one request while it inspects the queue. Everything else forwards to a
+// plain table.
+class GatedPayload final : public dataflow::DataPayload {
+ public:
+  GatedPayload(DataCollection inner, std::shared_future<void> release,
+               std::promise<void>* started)
+      : inner_(std::move(inner)),
+        release_(std::move(release)),
+        started_(started) {}
+
+  dataflow::PayloadKind kind() const override { return inner_.kind(); }
+  int64_t SizeBytes() const override { return inner_.SizeBytes(); }
+  uint64_t Fingerprint() const override {
+    started_->set_value();
+    release_.wait();
+    return inner_.Fingerprint();
+  }
+  void Serialize(ByteWriter* w) const override {
+    inner_.payload()->Serialize(w);
+  }
+  std::string DebugString() const override { return "gated"; }
+
+ private:
+  DataCollection inner_;
+  std::shared_future<void> release_;
+  std::promise<void>* started_;
+};
+
+AsyncMaterializer::Request MakeRequest(int node, uint64_t owner,
+                                       DataCollection data) {
+  AsyncMaterializer::Request request;
+  request.node = node;
+  request.signature = 900 + static_cast<uint64_t>(node);
+  request.node_name = "n" + std::to_string(node);
+  request.data = std::move(data);
+  request.owner = owner;
+  return request;
+}
+
+// The writer sits inside owner 2's first write. A drain of owner 1 writes
+// owner 1's queued requests itself, returns their outcomes in enqueue
+// order, frees their queue bytes for a back-pressured producer, and
+// leaves owner 2's queued request to the writer.
+TEST_F(AsyncMaterializerTest, HelpingDrainWritesOnlyItsOwnersRequests) {
+  auto store = OpenStore(/*budget=*/8 << 20);
+  obs::MetricsRegistry metrics;
+  const int64_t unit = MakeCollection(std::string(1000, 'u'), 8).SizeBytes();
+  std::promise<void> release;
+  std::promise<void> started;
+  DataCollection gated(std::make_shared<GatedPayload>(
+      MakeCollection(std::string(1000, 'g'), 8),
+      release.get_future().share(), &started));
+  // Room for the in-flight gated request and three more, never four.
+  const int64_t bound = gated.SizeBytes() + 3 * unit;
+  AsyncMaterializer materializer(store.get(), bound);
+  materializer.EnableTelemetry(&metrics);
+  materializer.Enqueue(MakeRequest(0, /*owner=*/2, gated));
+  started.get_future().wait();  // the writer is inside request 0
+
+  materializer.Enqueue(
+      MakeRequest(1, 1, MakeCollection(std::string(1000, 'a'), 8)));
+  materializer.Enqueue(
+      MakeRequest(2, 1, MakeCollection(std::string(1000, 'b'), 8)));
+  materializer.Enqueue(
+      MakeRequest(3, 2, MakeCollection(std::string(1000, 'c'), 8)));
+  ASSERT_EQ(materializer.QueuedBytes(), bound);
+  // Request 4 cannot be admitted while the writer is held and nothing
+  // else writes.
+  std::atomic<bool> admitted{false};
+  std::thread producer([&]() {
+    materializer.Enqueue(
+        MakeRequest(4, 3, MakeCollection(std::string(1000, 'd'), 8)));
+    admitted.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(admitted.load());
+
+  std::vector<AsyncMaterializer::Outcome> mine = materializer.Drain(1);
+  ASSERT_EQ(mine.size(), 2u);
+  EXPECT_EQ(mine[0].node, 1);
+  EXPECT_EQ(mine[1].node, 2);
+  for (const auto& outcome : mine) {
+    EXPECT_EQ(outcome.owner, 1u);
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    EXPECT_TRUE(store->Has(outcome.signature));
+  }
+  // Both were written on this thread: the writer is still held, and owner
+  // 2's queued request is still waiting for it.
+  EXPECT_EQ(metrics.GetCounter("materializer.writes_helped")->Value(), 2);
+  EXPECT_EQ(materializer.Pending(2), 2u);
+  EXPECT_FALSE(store->Has(903));
+  // The helped writes' freed bytes admitted the back-pressured producer.
+  producer.join();
+  EXPECT_TRUE(admitted.load());
+
+  release.set_value();
+  std::vector<AsyncMaterializer::Outcome> theirs = materializer.Drain(2);
+  ASSERT_EQ(theirs.size(), 2u);
+  EXPECT_EQ(theirs[0].node, 0);
+  EXPECT_EQ(theirs[1].node, 3);
+  std::vector<AsyncMaterializer::Outcome> third = materializer.Drain(3);
+  ASSERT_EQ(third.size(), 1u);
+  EXPECT_TRUE(third[0].status.ok()) << third[0].status.ToString();
+  EXPECT_EQ(store->NumEntries(), 5u);
   EXPECT_EQ(materializer.QueuedBytes(), 0);
 }
 

@@ -211,8 +211,9 @@ TEST_F(StdOpsFileTest, CsvScannerDifferentialAgainstFormatCsvLine) {
 // Malformed lines fail closed with a fixed status: the InvalidArgument
 // code, the operator, the scanner's row number (counted over parsed rows,
 // continuing from the train blob into the test blob) and the parser's
-// reason. The train blob holds two CRLF rows around an empty line;
-// the test blob one good row, so the bad line is row 3.
+// reason. The train blob holds two CRLF rows around blank lines (CRLF,
+// LF and spaces-only), which are skipped; the test blob one good row, so
+// the bad line is row 3.
 TEST_F(StdOpsFileTest, CsvScannerMalformedLinesFailClosed) {
   const std::pair<const char*, const char*> cases[] = {
       {"x,y\"z\n",
@@ -229,12 +230,11 @@ TEST_F(StdOpsFileTest, CsvScannerMalformedLinesFailClosed) {
        "CSV parse error at row 3: CSV: unterminated quoted field"},
       {"x,y,z\n", "row 3 has 3 fields, expected 2"},
       {"\"x,y\"\n", "row 3 has 1 fields, expected 2"},
-      // A blank CRLF line is one field holding "\r", not an empty line.
-      {"\r\n", "row 3 has 1 fields, expected 2"},
   };
   std::string train = JoinPath(dir_, "train.csv");
   std::string test = JoinPath(dir_, "test.csv");
-  ASSERT_TRUE(WriteStringToFile(train, "a,1\r\n\nb,2\r\n").ok());
+  // Blank lines of every kind are skipped, a CRLF one ("\r") included.
+  ASSERT_TRUE(WriteStringToFile(train, "a,1\r\n\r\n\n  \nb,2\r\n").ok());
   for (const auto& [bad_line, reason] : cases) {
     ASSERT_TRUE(
         WriteStringToFile(test, std::string("c,3\n") + bad_line + "d,4\n")
@@ -247,6 +247,12 @@ TEST_F(StdOpsFileTest, CsvScannerMalformedLinesFailClosed) {
                                       reason))
         << "line: " << bad_line;
   }
+  ASSERT_TRUE(WriteStringToFile(test, "c,3\n\r\nd,4\n").ok());
+  auto data = Invoke(ops::FileSource("d", train, test), {});
+  ASSERT_TRUE(data.ok());
+  auto rows = Invoke(ops::CsvScanner("rows", {"k", "v"}), {data.value()});
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows.value().AsTable().value()->num_rows(), 4);
 }
 
 // Output fingerprints of FileSource and CsvScanner on a fixed census

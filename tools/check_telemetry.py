@@ -100,6 +100,14 @@ def check_metrics(path, require_server):
            "metrics: executor.peak_resident_bytes never set")
     expect("materializer.queue_bytes" in gauges,
            "metrics: materializer.queue_bytes gauge missing")
+    # The write tail: how many writes a helping end-of-iteration drain
+    # performed itself (0 is fine, absence is not), and how long each
+    # materializing iteration waited in that drain.
+    expect("materializer.writes_helped" in counters,
+           "metrics: materializer.writes_helped counter missing")
+    expect(histograms.get("materializer.drain_wait_micros", {})
+           .get("count", 0) > 0,
+           "metrics: materializer.drain_wait_micros not populated")
 
     # The pool queued work.
     wait = histograms.get("pool.task_wait_micros", {})
@@ -160,6 +168,10 @@ def check_trace(path):
         elif e.get("cat") == "iteration":
             for key in iteration_totals:
                 iteration_totals[key] += args.get(key, 0)
+            wait = args.get("write_wait_micros")
+            expect(isinstance(wait, int) and wait >= 0,
+                   "trace: iteration span write_wait_micros missing or "
+                   "malformed (%r)" % wait)
     expect(sum(node_outcomes.values()) > 0, "trace: no node spans")
 
     # Self-consistency: per-node outcome tags must sum to the iteration

@@ -51,6 +51,13 @@
 //                       with --virtual-clock (CI diffs record-then-replay
 //                       summaries for equality)
 //   --sequential=1      strict trace order on one thread
+//   --data-dir=DIR      materialize the trace's data files under DIR
+//                       (kept after the run) instead of a fresh temporary
+//                       directory: FileSource signatures embed the paths,
+//                       so two runs of the same trace with the same DIR —
+//                       against one server, or across a server restart —
+//                       compute the same signatures and can reuse each
+//                       other's stored results
 //   --virtual-clock=1   deterministic virtual time: implies sequential,
 //                       pins the materialization policy, think time
 //                       advances the clock instead of sleeping
@@ -127,6 +134,7 @@ struct DriverConfig {
   std::string trace_in;   // non-empty = replay this .htrc file
   std::string record_out;  // non-empty = re-record the replay here
   std::string summary_out;  // non-empty = deterministic summary JSON
+  std::string data_dir;  // non-empty = materialize trace data here
   bool sequential = false;
   bool virtual_clock = false;
   double think_scale = 0.0;
@@ -464,9 +472,11 @@ void RunTrace(const DriverConfig& config) {
                               "generate trace");
   }
 
-  // 2. Materialize the data the trace references.
+  // 2. Materialize the data the trace references (deterministic content,
+  // so rewriting it under a kept --data-dir changes nothing).
   bench::TempWorkspace workspace("helix-trace");
-  std::string data_dir = workspace.Path("data");
+  std::string data_dir =
+      config.data_dir.empty() ? workspace.Path("data") : config.data_dir;
   bench::CheckOk(workload::MaterializeTraceData(trace, data_dir),
                  "materialize trace data");
 
@@ -689,6 +699,8 @@ int main(int argc, char** argv) {
       config.record_out = arg + 9;
     } else if (std::strncmp(arg, "--summary-out=", 14) == 0) {
       config.summary_out = arg + 14;
+    } else if (std::strncmp(arg, "--data-dir=", 11) == 0) {
+      config.data_dir = arg + 11;
     } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
       config.metrics_out = arg + 14;
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
@@ -723,9 +735,11 @@ int main(int argc, char** argv) {
     helix::tools::RunTrace(config);
     return 0;
   }
-  if (!config.record_out.empty() || !config.summary_out.empty()) {
+  if (!config.record_out.empty() || !config.summary_out.empty() ||
+      !config.data_dir.empty()) {
     std::fprintf(stderr,
-                 "--record/--summary-out require --scenario or --trace\n");
+                 "--record/--summary-out/--data-dir require --scenario or "
+                 "--trace\n");
     return 2;
   }
   if (config.app != "census" && config.app != "ie" && config.app != "mixed") {
