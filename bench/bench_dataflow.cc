@@ -16,15 +16,15 @@
 // cell, plus nothing the columnar engine can skip for them. The "col"
 // variant reads typed columns the way the operators now do:
 // dictionary-encoded string columns are processed per distinct entry and
-// broadcast per row through the SIMD kernels; plain string columns fall
+// broadcast per row through the simd.h kernels; plain string columns fall
 // back to arena views. Outputs are cross-checked between the two
 // variants, then per-kernel and whole-pipeline timings are reported as
 // aligned rows and machine-readable JSON lines (grep '^json,'), same
 // convention as the other self-driving benches.
 //
-// A second section times the SIMD kernels themselves (filter, gather,
-// bitmap-AND, featurize/standardize, dict-encode) and reports rows/sec
-// under the runtime-selected ISA.
+// A second section times the kernels themselves (gather,
+// featurize/standardize, dict-encode) and reports rows/sec under the
+// runtime-selected ISA.
 //
 // A third section times the learner: logistic regression at 20 epochs
 // over the featurize kernel's census rows at 10k and 100k rows, reported
@@ -127,10 +127,10 @@ int64_t FilterColumnar(const TableData& t, const Column& hours) {
   SelectionVector sel;
   const auto* dict = dynamic_cast<const DictionaryColumn*>(&hours);
   if (dict != nullptr && dict->null_count() == 0 && t.num_rows() > 0) {
-    // Parse each distinct entry once, then select rows by code with the
-    // SIMD membership kernel — per-row work is one table lookup.
+    // Parse each distinct entry once, then select rows by code — per-row
+    // work is one table lookup.
     size_t d = static_cast<size_t>(dict->dict().num_entries());
-    std::vector<uint32_t> keep(d, 0);
+    std::vector<uint8_t> keep(d, 0);
     for (size_t c = 0; c < d; ++c) {
       double h = 0;
       if (ParseDouble(dict->dict().entry(static_cast<uint32_t>(c)), &h) &&
@@ -138,8 +138,12 @@ int64_t FilterColumnar(const TableData& t, const Column& hours) {
         keep[c] = 1;
       }
     }
-    dataflow::simd::SelectCodesInSet(dict->codes(), t.num_rows(), keep.data(),
-                                     &sel);
+    const uint32_t* codes = dict->codes();
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      if (keep[codes[r]] != 0) {
+        sel.push_back(r);
+      }
+    }
   } else {
     const auto* s = dynamic_cast<const StringColumn*>(&hours);
     if (s == nullptr) {
@@ -511,13 +515,15 @@ void RunAt(int64_t rows) {
                filter_col_ms + derive_col_ms + feat_col_ms);
 }
 
-// --- SIMD kernel micro-benchmarks --------------------------------------------
+// --- kernel micro-benchmarks -------------------------------------------------
 
-void ReportMicro(const char* kernel, int64_t rows, double ms) {
+// `isa` is the path the timed kernel ran on: only GatherF64 has a vector
+// body here, so the other rows always run scalar.
+void ReportMicro(const char* kernel, int64_t rows, double ms,
+                 const char* isa) {
   double rps = ms > 0 ? static_cast<double>(rows) * 1000.0 / ms : 0;
   std::printf("kernel/%-12s %9lld rows  %9.3f ms  %14.0f rows/s  [%s]\n",
-              kernel, static_cast<long long>(rows), ms, rps,
-              dataflow::simd::ActiveIsaName());
+              kernel, static_cast<long long>(rows), ms, rps, isa);
   JsonWriter json;
   json.BeginObject()
       .KV("bench", "dataflow")
@@ -525,7 +531,7 @@ void ReportMicro(const char* kernel, int64_t rows, double ms) {
       .KV("rows", rows)
       .KV("ms", ms)
       .KV("rows_per_sec", rps)
-      .KV("isa", dataflow::simd::ActiveIsaName())
+      .KV("isa", isa)
       .EndObject();
   PrintJsonLine(json);
 }
@@ -545,35 +551,26 @@ void RunMicroKernels(int64_t rows) {
   }
 
   SelectionVector sel;
-  double filter_ms = BestOfMs(reps, [&] {
-    sel.clear();
-    dataflow::simd::SelectGreaterThan(vals.data(), rows, 0.5, &sel);
-  });
-  ReportMicro("simd_filter", rows, filter_ms);
-
+  for (int64_t i = 0; i < rows; ++i) {
+    if (vals[static_cast<size_t>(i)] > 0.5) {
+      sel.push_back(i);
+    }
+  }
   std::vector<double> gathered(sel.size());
   double gather_ms = BestOfMs(reps, [&] {
     dataflow::simd::GatherF64(vals.data(), sel.data(),
                               static_cast<int64_t>(sel.size()),
                               gathered.data());
   });
-  ReportMicro("simd_gather", static_cast<int64_t>(sel.size()), gather_ms);
-
-  size_t bytes = (un + 7) / 8;
-  std::vector<uint8_t> bm_a(bytes, 0xAC);
-  std::vector<uint8_t> bm_b(bytes, 0xF3);
-  std::vector<uint8_t> bm_out(bytes);
-  double bitmap_ms = BestOfMs(reps, [&] {
-    dataflow::simd::BitmapAnd(bm_a.data(), bm_b.data(), bytes, bm_out.data());
-  });
-  ReportMicro("simd_bitmap_and", rows, bitmap_ms);
+  ReportMicro("simd_gather", static_cast<int64_t>(sel.size()), gather_ms,
+              dataflow::simd::ActiveIsaName());
 
   std::vector<double> standardized(un);
   double feat_ms = BestOfMs(reps, [&] {
     dataflow::simd::Standardize(vals.data(), rows, 0.5, 0.2,
                                 standardized.data());
   });
-  ReportMicro("simd_featurize", rows, feat_ms);
+  ReportMicro("simd_featurize", rows, feat_ms, "scalar");
 
   // Dict-encode: intern 1M cells drawn from 64 distinct entries through
   // the ColumnBuilder's incremental dictionary.
@@ -591,7 +588,7 @@ void RunMicroKernels(int64_t rows) {
     encoded_size += b.Finish()->SizeBytes();
   });
   (void)encoded_size;
-  ReportMicro("dict_encode", rows, dict_ms);
+  ReportMicro("dict_encode", rows, dict_ms, "scalar");
 }
 
 // --- learner throughput ------------------------------------------------------

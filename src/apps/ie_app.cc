@@ -69,10 +69,5 @@ std::vector<IeScriptedIteration> MakeIeIterationScript() {
   return script;
 }
 
-bool DeepDiveSupportsIe(const IeScriptedIteration& iteration) {
-  return iteration.category == core::ChangeCategory::kInitial ||
-         iteration.category == core::ChangeCategory::kDataPreprocessing;
-}
-
 }  // namespace apps
 }  // namespace helix

@@ -57,10 +57,6 @@ struct IeScriptedIteration {
 /// The 10-iteration script used by the Figure 2(a) reproduction.
 std::vector<IeScriptedIteration> MakeIeIterationScript();
 
-/// DeepDive expressibility for IE edits (pre-processing only, as for
-/// Census).
-bool DeepDiveSupportsIe(const IeScriptedIteration& iteration);
-
 }  // namespace apps
 }  // namespace helix
 

@@ -65,8 +65,8 @@ class VirtualClock final : public Clock {
   int64_t now_;
 };
 
-/// Scope timer: measures elapsed micros on a clock between construction and
-/// Elapsed()/destruction.
+/// Scope timer: measures elapsed micros on a clock from construction to
+/// each ElapsedMicros() call.
 class ScopedTimer {
  public:
   explicit ScopedTimer(const Clock* clock)

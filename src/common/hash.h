@@ -43,11 +43,6 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Order-dependent combination of two 64-bit hashes.
-inline uint64_t HashCombine(uint64_t a, uint64_t b) {
-  return Mix64(a ^ (Mix64(b) + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
-}
-
 /// Incremental hasher with typed Add methods; produces a 64-bit digest.
 /// Field order matters: Add("a").Add("b") != Add("b").Add("a").
 class Hasher {

@@ -219,9 +219,9 @@ void MaybeMaterialize(ExecState* st, int node,
   ctx.phase = op.phase();
   ctx.compute_micros = record->cost_micros;
   ctx.size_bytes = data.SizeBytes();
-  // With eviction enabled the store can make room up to the whole budget;
-  // the policy gates on what is admissible, Put enforces the fine print.
-  ctx.remaining_budget_bytes = opts.store->AdmissibleBytes();
+  // Eviction can make room up to the whole budget; the policy gates on
+  // that, Put enforces the fine print.
+  ctx.remaining_budget_bytes = opts.store->BudgetBytes();
   ctx.est_load_micros = op.synthetic_costs().load_micros >= 0
                             ? op.synthetic_costs().load_micros
                             : opts.store->EstimateLoadMicros(ctx.size_bytes);

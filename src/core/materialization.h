@@ -49,7 +49,8 @@ struct MaterializationContext {
   int64_t ancestors_compute_micros = 0;
   /// Serialized size of the result.
   int64_t size_bytes = 0;
-  /// Remaining storage budget.
+  /// Bytes the store can make room for: its whole budget, since eviction
+  /// frees the rest.
   int64_t remaining_budget_bytes = 0;
 };
 

@@ -34,7 +34,6 @@ Result<std::unique_ptr<Session>> Session::Open(
     store_options.budget_bytes = options.storage_budget_bytes;
     store_options.clock = options.clock;
     store_options.backend = options.storage_backend;
-    store_options.enable_eviction = options.storage_eviction;
     store_options.default_compute_estimate_micros =
         options.default_compute_estimate_micros;
     store_options.metrics = options.metrics;

@@ -40,9 +40,6 @@ struct SessionOptions {
   /// recomputing; kMemory confines reuse to this process.
   storage::StorageBackendKind storage_backend =
       storage::StorageBackendKind::kDisk;
-  /// Cost-based eviction: over-budget materializations evict
-  /// lowest-retention-score entries instead of being refused.
-  bool storage_eviction = true;
   Clock* clock = SystemClock::Default();
   /// Materialization decision rule; nullptr selects the paper's online
   /// cost-model policy. Ignored when materialization is disabled.

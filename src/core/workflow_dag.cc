@@ -75,11 +75,5 @@ int WorkflowDag::FindNode(const std::string& name) const {
   return it == by_name_.end() ? -1 : it->second;
 }
 
-std::string WorkflowDag::Summary() const {
-  return StrFormat("dag '%s': %d nodes, %d edges, %zu outputs",
-                   name_.c_str(), num_nodes(), dag_.num_edges(),
-                   outputs_.size());
-}
-
 }  // namespace core
 }  // namespace helix

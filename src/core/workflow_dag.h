@@ -66,10 +66,6 @@ class WorkflowDag {
   /// Node id by operator name, or -1.
   int FindNode(const std::string& name) const;
 
-  /// Sum of sizes of per-node in-memory results is not known at compile
-  /// time; this returns a structural summary string for logging.
-  std::string Summary() const;
-
  private:
   std::string name_;
   std::vector<std::shared_ptr<Operator>> operators_;

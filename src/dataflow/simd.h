@@ -1,34 +1,31 @@
-// Vectorized columnar kernels with a runtime-selected ISA path.
+// Columnar kernels, a few of them with an AVX2 body selected at runtime.
 //
-// Every hot per-element loop in the columnar engine — selection-vector
-// builds, gathers, validity-bitmap algebra, code expansion, feature
-// standardization — the learner's weight scaling, and the CRC32C that
-// guards every stored and transmitted byte funnel through the free
-// functions in this header.
-// Each function dispatches once (the ISA is probed a single time per
-// process) to one of three implementations:
+// The hot per-element loops of the columnar engine (selection-vector
+// builds, gathers, null counts, code expansion, feature standardization),
+// the learner's weight scaling, and the CRC32C that guards every stored
+// and transmitted byte funnel through the free functions in this header.
+// A kernel keeps a vector body only where a benchmark workload runs it
+// and it beats the scalar loop:
 //
-//   * AVX2 on x86-64 when the CPU reports it (compiled with the
-//     `target("avx2")` function attribute, so the rest of the binary
-//     stays baseline and the same build runs on non-AVX2 machines);
-//   * NEON on aarch64 (always available there);
-//   * a portable scalar loop everywhere else, and always under
-//     -DHELIX_FORCE_SCALAR=ON (the CI lane that keeps the fallback
-//     honest).
-//
-// The CRC32C checksum is probed separately: it runs the SSE4.2 `crc32`
-// instruction on x86-64 when the CPU reports it, independently of the
-// vector ISA, and the scalar table-driven loop everywhere else.
+//   * AVX2 on x86-64 when the CPU reports it: SelectCodesEqual,
+//     GatherF64, ExpandCodes and ResolveScale. The bodies are compiled
+//     with the `target("avx2")` function attribute, so the rest of the
+//     binary stays baseline and the same build runs on non-AVX2 machines.
+//   * SSE4.2 `crc32` on x86-64 when the CPU reports it: Crc32c, probed
+//     separately from the vector ISA.
+//   * The portable scalar loop: always for GatherI64, GatherU32,
+//     GatherU8, PopcountZeros, Standardize and SumAndSumSq, and for every
+//     kernel on other architectures or under -DHELIX_FORCE_SCALAR=ON (the
+//     CI lane that keeps the fallback honest).
 //
 // Two rules keep vectorization invisible to the rest of the system:
 //
-//   1. Bit-exactness. Every kernel here is a per-element map (compare,
-//      copy, AND, subtract+divide) whose vector form is IEEE-identical
-//      to the scalar form. Floating-point *reductions* are the
-//      exception — reassociating a sum changes the result — so
-//      SumAndSumSq is deliberately sequential scalar on every path.
-//      Fingerprints, golden envelopes, and replay summaries therefore
-//      never depend on the host's ISA.
+//   1. Bit-exactness. Every vector body is a per-element map (compare,
+//      gather, multiply) that is IEEE-identical to the scalar form.
+//      Floating-point *reductions* are the exception — reassociating a
+//      sum changes the result — so SumAndSumSq is deliberately
+//      sequential scalar on every path. Fingerprints, golden envelopes,
+//      and replay summaries therefore never depend on the host's ISA.
 //   2. Observability. Each call records one invocation under
 //      "simd.<kernel>.<isa>" (the isa actually executed, not merely
 //      probed); FoldCountersInto publishes the totals into an obs
@@ -55,11 +52,11 @@ namespace dataflow {
 namespace simd {
 
 /// kSse42 names the CRC instruction set (Crc32c only).
-enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2, kSse42 = 3 };
+enum class Isa { kScalar = 0, kAvx2 = 1, kSse42 = 2 };
 
-/// The vector ISA the dispatcher selected for this process (probed once).
-/// Individual kernels without a vector implementation on the active ISA
-/// still run (and are counted as) scalar.
+/// The vector ISA the dispatcher selected for this process (probed once):
+/// kAvx2 or kScalar. Kernels without an AVX2 body still run (and are
+/// counted as) scalar.
 Isa ActiveIsa();
 /// The ISA Crc32c runs on in this process (probed once): kSse42 or
 /// kScalar.
@@ -69,19 +66,9 @@ inline const char* ActiveIsaName() { return IsaName(ActiveIsa()); }
 
 // --- selection-vector builds ------------------------------------------------
 
-/// Appends to `sel` every row index i in [0, n) with values[i] > threshold.
-void SelectGreaterThan(const double* values, int64_t n, double threshold,
-                       std::vector<int64_t>* sel);
-
 /// Appends to `sel` every row index i in [0, n) with codes[i] == target.
 void SelectCodesEqual(const uint32_t* codes, int64_t n, uint32_t target,
                       std::vector<int64_t>* sel);
-
-/// Appends to `sel` every row index i in [0, n) whose code is kept:
-/// keep[codes[i]] != 0. `keep` has one entry per dictionary code; every
-/// code in `codes` must be < the keep-table length.
-void SelectCodesInSet(const uint32_t* codes, int64_t n,
-                      const uint32_t* keep, std::vector<int64_t>* sel);
 
 // --- gathers ----------------------------------------------------------------
 // dst[i] = src[sel[i]] for i in [0, n); dst must hold n elements and must
@@ -96,11 +83,7 @@ void GatherU32(const uint32_t* src, const int64_t* sel, int64_t n,
 void GatherU8(const uint8_t* src, const int64_t* sel, int64_t n,
               uint8_t* dst);
 
-// --- validity-bitmap algebra ------------------------------------------------
-
-/// out[i] = a[i] & b[i] for i in [0, num_bytes). out may alias a or b.
-void BitmapAnd(const uint8_t* a, const uint8_t* b, size_t num_bytes,
-               uint8_t* out);
+// --- validity bitmaps -------------------------------------------------------
 
 /// Number of CLEAR bits among the first num_bits of `bits` (= null count
 /// of a validity bitmap). Trailing bits past num_bits in the final byte
@@ -116,8 +99,8 @@ void ExpandCodes(const uint32_t* codes, int64_t n, const double* per_code,
 
 // --- featurization ----------------------------------------------------------
 
-/// out[i] = (src[i] - mean) / stddev. Exact per-element IEEE ops, so the
-/// vector and scalar forms agree bit-for-bit.
+/// out[i] = (src[i] - mean) / stddev. Scalar on every path: the loop is
+/// bound by the divide, so a vector body measured no faster.
 void Standardize(const double* src, int64_t n, double mean, double stddev,
                  double* out);
 
@@ -130,7 +113,7 @@ void SumAndSumSq(const double* values, int64_t n, double* sum,
 // --- learner ----------------------------------------------------------------
 
 /// In-place scale: x[i] *= s for i in [0, n). A per-element IEEE
-/// multiply, so the vector forms match the scalar loop bit-for-bit (NaN,
+/// multiply, so the vector form matches the scalar loop bit-for-bit (NaN,
 /// +-inf, -0.0 and subnormals included).
 using ScaleFn = void (*)(double* x, int64_t n, double s);
 
@@ -161,14 +144,11 @@ uint32_t Crc32c(const ByteSpan* spans, size_t n, uint32_t crc = 0);
 /// recorded by ColumnBuilder when it emits a DictionaryColumn (the
 /// encode itself is a hash loop, counted as scalar).
 enum class Kernel {
-  kSelectGreaterThan = 0,
-  kSelectCodesEqual,
-  kSelectCodesInSet,
+  kSelectCodesEqual = 0,
   kGatherI64,
   kGatherF64,
   kGatherU32,
   kGatherU8,
-  kBitmapAnd,
   kPopcountZeros,
   kExpandCodes,
   kStandardize,
@@ -199,12 +179,8 @@ void FoldCountersInto(obs::MetricsRegistry* registry);
 // These do NOT record invocation counters.
 namespace scalar {
 
-void SelectGreaterThan(const double* values, int64_t n, double threshold,
-                       std::vector<int64_t>* sel);
 void SelectCodesEqual(const uint32_t* codes, int64_t n, uint32_t target,
                       std::vector<int64_t>* sel);
-void SelectCodesInSet(const uint32_t* codes, int64_t n,
-                      const uint32_t* keep, std::vector<int64_t>* sel);
 void GatherI64(const int64_t* src, const int64_t* sel, int64_t n,
                int64_t* dst);
 void GatherF64(const double* src, const int64_t* sel, int64_t n, double* dst);
@@ -212,8 +188,6 @@ void GatherU32(const uint32_t* src, const int64_t* sel, int64_t n,
                uint32_t* dst);
 void GatherU8(const uint8_t* src, const int64_t* sel, int64_t n,
               uint8_t* dst);
-void BitmapAnd(const uint8_t* a, const uint8_t* b, size_t num_bytes,
-               uint8_t* out);
 int64_t PopcountZeros(const uint8_t* bits, int64_t num_bits);
 void ExpandCodes(const uint32_t* codes, int64_t n, const double* per_code,
                  double* out);

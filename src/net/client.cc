@@ -228,19 +228,6 @@ void HelixClient::GetCountersAsync(
             });
 }
 
-void HelixClient::FetchOutputAsync(
-    uint64_t signature,
-    std::function<void(Result<dataflow::DataCollection>)> done) {
-  CallAsync(Opcode::kFetchOutput, EncodeFetchOutputRequest(signature),
-            [done = std::move(done)](Result<std::string> reply) {
-              if (!reply.ok()) {
-                done(reply.status());
-                return;
-              }
-              done(DecodeFetchOutputReply(reply.value()));
-            });
-}
-
 Result<std::string> HelixClient::GetMetricsJson() {
   HELIX_ASSIGN_OR_RETURN(std::string reply,
                          Call(Opcode::kGetMetrics, std::string()));

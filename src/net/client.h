@@ -74,9 +74,6 @@ class HelixClient {
   void GetCountersAsync(
       uint64_t session_id,
       std::function<void(Result<service::SessionCounters>)> done);
-  void FetchOutputAsync(
-      uint64_t signature,
-      std::function<void(Result<dataflow::DataCollection>)> done);
 
   // --- blocking wrappers --------------------------------------------------
 

@@ -191,10 +191,5 @@ std::string MetricsRegistry::SnapshotJson() const {
   return json.str();
 }
 
-MetricsRegistry* MetricsRegistry::Global() {
-  static MetricsRegistry* global = new MetricsRegistry();  // never torn down
-  return global;
-}
-
 }  // namespace obs
 }  // namespace helix

@@ -169,11 +169,6 @@ class MetricsRegistry {
   /// driver embeds it in a larger document).
   void WriteSnapshot(JsonWriter* json) const;
 
-  /// Process-wide shared instance for code without an explicit registry
-  /// (never torn down). Prefer passing a registry explicitly — tests and
-  /// services want isolated namespaces.
-  static MetricsRegistry* Global();
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;

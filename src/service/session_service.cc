@@ -84,7 +84,6 @@ Result<std::unique_ptr<SessionService>> SessionService::Open(
   store_options.clock = service->clock_;
   store_options.budget_bytes = options.storage_budget_bytes;
   store_options.backend = options.storage_backend;
-  store_options.enable_eviction = options.storage_eviction;
   store_options.default_compute_estimate_micros =
       options.default_compute_estimate_micros;
   store_options.metrics = &service->metrics_;

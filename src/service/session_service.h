@@ -93,7 +93,6 @@ struct ServiceOptions {
   int64_t storage_budget_bytes = 1LL << 30;
   storage::StorageBackendKind storage_backend =
       storage::StorageBackendKind::kDisk;
-  bool storage_eviction = true;
   /// Worker threads of the shared pool (0 = hardware concurrency). Each
   /// iteration runs sequentially on one worker; the pool parallelizes
   /// across sessions, so this bounds concurrently executing iterations.

@@ -261,18 +261,28 @@ Status IntermediateStore::Put(uint64_t signature,
                               const dataflow::DataCollection& data,
                               int64_t iteration, int64_t* write_micros_out,
                               int64_t compute_micros) {
-  // Cheap early rejection before paying for serialization; the post-write
-  // re-check below stays authoritative. Deliberately not Has(): this
-  // bookkeeping probe must not count toward the reuse hit/miss rate.
+  // Reject a stored or in-flight signature before paying for
+  // serialization, and otherwise mark it in flight until this Put
+  // returns. Deliberately not Has(): this bookkeeping probe must not
+  // count toward the reuse hit/miss rate.
+  Shard& shard = ShardFor(signature);
   {
-    Shard& shard = ShardFor(signature);
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.entries.count(signature) > 0) {
+    if (shard.entries.count(signature) > 0 ||
+        !shard.writing.insert(signature).second) {
       return Status::AlreadyExists(
           StrFormat("signature %s already stored",
                     HashToHex(signature).c_str()));
     }
   }
+  struct WritingMark {
+    Shard& shard;
+    uint64_t signature;
+    ~WritingMark() {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      shard.writing.erase(signature);
+    }
+  } mark{shard, signature};
   // A result that alone exceeds the whole budget can never be admitted;
   // reject before paying for serialization or touching the budget lock
   // (no eviction churn ahead of an inevitable failure). SizeBytes is a
@@ -319,13 +329,6 @@ Status IntermediateStore::Put(uint64_t signature,
     int64_t remaining =
         options_.budget_bytes - total_bytes_.load(std::memory_order_relaxed);
     if (size > remaining) {
-      if (!options_.enable_eviction) {
-        return Status::ResourceExhausted(StrFormat(
-            "result %s (%s) exceeds remaining store budget (%s of %s left)",
-            node_name.c_str(), HumanBytes(size).c_str(),
-            HumanBytes(remaining).c_str(),
-            HumanBytes(options_.budget_bytes).c_str()));
-      }
       double incoming_score =
           RetentionScore(entry, EstimateLoadMicros(size),
                          options_.default_compute_estimate_micros);
@@ -345,17 +348,7 @@ Status IntermediateStore::Put(uint64_t signature,
   entry.write_micros = elapsed;
 
   {
-    Shard& shard = ShardFor(signature);
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.entries.count(signature) > 0) {
-      // A concurrent Put of the same signature won the race. Signatures
-      // are content-determined, so the backend holds identical bytes —
-      // only the double-reserved budget needs undoing.
-      total_bytes_.fetch_sub(size, std::memory_order_relaxed);
-      return Status::AlreadyExists(
-          StrFormat("signature %s already stored",
-                    HashToHex(signature).c_str()));
-    }
     shard.entries[signature] = entry;
     if (shard.bytes_written != nullptr) {
       shard.bytes_written->Add(size);
@@ -433,6 +426,7 @@ Status IntermediateStore::EvictForLocked(int64_t bytes_needed,
 int64_t IntermediateStore::EvictOne(uint64_t signature) {
   int64_t freed = 0;
   Shard& shard = ShardFor(signature);
+  Status deleted;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(signature);
@@ -441,6 +435,11 @@ int64_t IntermediateStore::EvictOne(uint64_t signature) {
     }
     freed = it->second.size_bytes;
     shard.entries.erase(it);
+    // The tombstone goes to the backend under the shard lock. A Put of
+    // this signature probes the index under the same lock, so its record
+    // always lands after the tombstone; appended later, the tombstone
+    // would delete that live record (and drop it from a reopened store).
+    deleted = backend_->Delete(signature);
   }
   total_bytes_.fetch_sub(freed, std::memory_order_relaxed);
   if (shard.evictions != nullptr) {
@@ -450,7 +449,6 @@ int64_t IntermediateStore::EvictOne(uint64_t signature) {
   if (bytes_gauge_ != nullptr) {
     bytes_gauge_->Set(total_bytes_.load(std::memory_order_relaxed));
   }
-  Status deleted = backend_->Delete(signature);
   if (!deleted.ok()) {
     HELIX_LOG(Warning) << "backend delete of " << HashToHex(signature)
                        << " failed: " << deleted.ToString();

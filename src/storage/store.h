@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -51,10 +52,8 @@ class CostStatsRegistry;
 
 /// Options for opening a store.
 struct StoreOptions {
-  /// Maximum total bytes of materialized results. With eviction enabled
-  /// (default) this is an online cache budget: an over-budget Put evicts
-  /// low-value entries to make room. With eviction disabled it is a hard
-  /// admission limit: Put is refused beyond it (legacy behavior).
+  /// Maximum total bytes of materialized results: an online cache
+  /// budget. An over-budget Put evicts low-value entries to make room.
   int64_t budget_bytes = 1LL << 30;
   /// Clock used to measure write/load costs (real I/O always happens; a
   /// virtual clock simply won't observe it, callers then charge synthetic
@@ -66,8 +65,6 @@ struct StoreOptions {
   /// Lock-striping width of the metadata index (clamped to >= 1).
   /// shard_count == 1 reproduces the legacy single-mutex store exactly.
   int shard_count = 8;
-  /// Enables cost-based eviction on over-budget Puts.
-  bool enable_eviction = true;
   /// Compute-cost fallback for retention scoring of entries whose
   /// producer cost was never recorded (mirrors
   /// ExecutionOptions::default_compute_estimate_micros).
@@ -139,12 +136,12 @@ class IntermediateStore {
   Result<dataflow::DataCollection> Get(uint64_t signature,
                                        int64_t* load_micros_out = nullptr);
 
-  /// Persists `data` under `signature`. Returns AlreadyExists if present.
-  /// If the result does not fit the remaining budget, eviction (when
-  /// enabled) frees room by dropping entries with strictly lower
-  /// retention scores; returns ResourceExhausted when the result exceeds
-  /// the whole budget, when eviction is disabled and the result does not
-  /// fit, or when making room would evict higher-value entries.
+  /// Persists `data` under `signature`. Returns AlreadyExists if present
+  /// or if a concurrent Put of the same signature is in flight.
+  /// If the result does not fit the remaining budget, eviction frees room
+  /// by dropping entries with strictly lower retention scores; returns
+  /// ResourceExhausted when the result exceeds the whole budget or when
+  /// making room would evict higher-value entries.
   /// `write_micros_out` (optional) receives the measured write time;
   /// `compute_micros` (optional) is the producer's measured compute cost,
   /// recorded for retention scoring (-1 = unknown).
@@ -168,13 +165,6 @@ class IntermediateStore {
   int64_t BudgetBytes() const { return options_.budget_bytes; }
   int64_t RemainingBytes() const {
     return options_.budget_bytes - TotalBytes();
-  }
-  /// Largest result Put could currently admit: the whole budget when
-  /// eviction can make room, the remaining budget otherwise. The
-  /// executor's materialization policies gate on this.
-  int64_t AdmissibleBytes() const {
-    return options_.enable_eviction ? options_.budget_bytes
-                                    : RemainingBytes();
   }
   size_t NumEntries() const;
 
@@ -206,6 +196,10 @@ class IntermediateStore {
   struct Shard {
     mutable std::mutex mu;
     std::map<uint64_t, StoreEntry> entries;
+    // Signatures with a Put between its index probe and its index
+    // insert. One Put per signature at a time keeps every record of a
+    // signature ordered against its tombstones (see EvictOne).
+    std::set<uint64_t> writing;
     // Per-shard telemetry (null when StoreOptions::metrics is unset; set
     // once in Open before the store is visible to other threads).
     obs::Counter* hits = nullptr;

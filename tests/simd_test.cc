@@ -1,15 +1,18 @@
-// Differential coverage for the vectorized columnar kernels
-// (src/dataflow/simd.h): for every kernel, the dispatched implementation
-// (AVX2/NEON where the host supports it, scalar otherwise, always scalar
-// under -DHELIX_FORCE_SCALAR=ON) must agree byte-for-byte with the
-// portable scalar reference across seeds, lengths that are not multiples
-// of any vector width, empty inputs, and null-bearing bitmaps. A
-// mismatch here means a fingerprint can silently depend on the host CPU
-// — the exact failure mode format v2's determinism contract forbids.
+// Differential coverage for the columnar kernels (src/dataflow/simd.h):
+// for every kernel, the dispatched implementation (AVX2 for the four
+// kernels that have a vector body when the host supports it, scalar
+// otherwise, always scalar under -DHELIX_FORCE_SCALAR=ON) must agree
+// byte-for-byte with the portable scalar reference across seeds, lengths
+// that are not multiples of any vector width, empty inputs, and
+// null-bearing bitmaps. A mismatch here means a fingerprint can silently
+// depend on the host CPU — the exact failure mode format v2's
+// determinism contract forbids. KernelsRunOnTheirPinnedIsa pins which
+// ISA each kernel's counter records.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -47,23 +50,6 @@ TEST(SimdTest, ActiveIsaIsConsistent) {
 #endif
 }
 
-TEST(SimdTest, SelectGreaterThanMatchesScalar) {
-  for (int seed = 1; seed <= kNumSeeds; ++seed) {
-    Rng rng(static_cast<uint64_t>(seed));
-    for (int64_t n : kLengths) {
-      std::vector<double> values(static_cast<size_t>(n));
-      for (double& v : values) {
-        v = rng.NextDouble() * 100.0 - 50.0;
-      }
-      double threshold = rng.NextDouble() * 100.0 - 50.0;
-      std::vector<int64_t> got, want;
-      SelectGreaterThan(values.data(), n, threshold, &got);
-      scalar::SelectGreaterThan(values.data(), n, threshold, &want);
-      ASSERT_EQ(got, want) << "seed=" << seed << " n=" << n;
-    }
-  }
-}
-
 TEST(SimdTest, SelectCodesEqualMatchesScalar) {
   for (int seed = 1; seed <= kNumSeeds; ++seed) {
     Rng rng(static_cast<uint64_t>(seed));
@@ -76,27 +62,6 @@ TEST(SimdTest, SelectCodesEqualMatchesScalar) {
       std::vector<int64_t> got, want;
       SelectCodesEqual(codes.data(), n, target, &got);
       scalar::SelectCodesEqual(codes.data(), n, target, &want);
-      ASSERT_EQ(got, want) << "seed=" << seed << " n=" << n;
-    }
-  }
-}
-
-TEST(SimdTest, SelectCodesInSetMatchesScalar) {
-  for (int seed = 1; seed <= kNumSeeds; ++seed) {
-    Rng rng(static_cast<uint64_t>(seed));
-    for (int64_t n : kLengths) {
-      constexpr uint32_t kNumCodes = 13;
-      std::vector<uint32_t> codes(static_cast<size_t>(n));
-      for (uint32_t& c : codes) {
-        c = static_cast<uint32_t>(rng.NextBelow(kNumCodes));
-      }
-      std::vector<uint32_t> keep(kNumCodes);
-      for (uint32_t& k : keep) {
-        k = rng.NextBelow(2) != 0 ? 1 : 0;
-      }
-      std::vector<int64_t> got, want;
-      SelectCodesInSet(codes.data(), n, keep.data(), &got);
-      scalar::SelectCodesInSet(codes.data(), n, keep.data(), &want);
       ASSERT_EQ(got, want) << "seed=" << seed << " n=" << n;
     }
   }
@@ -154,29 +119,6 @@ TEST(SimdTest, GathersMatchScalar) {
       GatherU8(src_u8.data(), sel.data(), m, got_u8.data());
       scalar::GatherU8(src_u8.data(), sel.data(), m, want_u8.data());
       ASSERT_EQ(got_u8, want_u8) << "seed=" << seed << " n=" << n;
-    }
-  }
-}
-
-TEST(SimdTest, BitmapAndMatchesScalar) {
-  for (int seed = 1; seed <= kNumSeeds; ++seed) {
-    Rng rng(static_cast<uint64_t>(seed));
-    for (int64_t n : kLengths) {
-      size_t num_bytes = static_cast<size_t>(n);
-      std::vector<uint8_t> a(num_bytes), b(num_bytes);
-      for (size_t i = 0; i < num_bytes; ++i) {
-        a[i] = static_cast<uint8_t>(rng.NextU64());
-        b[i] = static_cast<uint8_t>(rng.NextU64());
-      }
-      std::vector<uint8_t> got(num_bytes), want(num_bytes);
-      BitmapAnd(a.data(), b.data(), num_bytes, got.data());
-      scalar::BitmapAnd(a.data(), b.data(), num_bytes, want.data());
-      ASSERT_EQ(got, want) << "seed=" << seed << " n=" << n;
-
-      // Aliasing form (out == a) — documented as legal.
-      std::vector<uint8_t> aliased = a;
-      BitmapAnd(aliased.data(), b.data(), num_bytes, aliased.data());
-      ASSERT_EQ(aliased, want) << "aliased, seed=" << seed << " n=" << n;
     }
   }
 }
@@ -328,12 +270,63 @@ TEST(SimdTest, ResolveScaleCountsOncePerResolution) {
 
 TEST(SimdTest, InvocationCountersAdvance) {
   Isa isa = ActiveIsa();
-  uint64_t before = InvocationCount(Kernel::kSelectGreaterThan, isa);
-  std::vector<double> values(100, 1.0);
+  uint64_t before = InvocationCount(Kernel::kSelectCodesEqual, isa);
+  std::vector<uint32_t> codes(100, 3);
   std::vector<int64_t> sel;
-  SelectGreaterThan(values.data(), 100, 0.5, &sel);
-  EXPECT_EQ(InvocationCount(Kernel::kSelectGreaterThan, isa), before + 1);
+  SelectCodesEqual(codes.data(), 100, 3, &sel);
+  EXPECT_EQ(InvocationCount(Kernel::kSelectCodesEqual, isa), before + 1);
   EXPECT_EQ(sel.size(), 100u);
+}
+
+// Only SelectCodesEqual, GatherF64, ExpandCodes and ResolveScale have an
+// AVX2 body; every other kernel runs (and is counted) scalar on every
+// host, and Crc32c on its own probed ISA.
+TEST(SimdTest, KernelsRunOnTheirPinnedIsa) {
+  const Isa vector_isa = ActiveIsa();
+  std::vector<uint32_t> codes(9, 0);
+  std::vector<int64_t> sel(9, 0);
+  std::vector<int64_t> i64(9, 1), i64_out(9);
+  std::vector<double> f64(9, 2.0), f64_out(9);
+  std::vector<uint32_t> u32_out(9);
+  std::vector<uint8_t> u8(9, 1), u8_out(9);
+  double sum = 0, sum_sq = 0;
+  std::vector<int64_t> matches;
+
+  struct Case {
+    const char* name;
+    Kernel kernel;
+    Isa isa;
+    std::function<void()> call;
+  };
+  const Case cases[] = {
+      {"select_code_eq", Kernel::kSelectCodesEqual, vector_isa,
+       [&] { SelectCodesEqual(codes.data(), 9, 0, &matches); }},
+      {"gather_f64", Kernel::kGatherF64, vector_isa,
+       [&] { GatherF64(f64.data(), sel.data(), 9, f64_out.data()); }},
+      {"expand_codes", Kernel::kExpandCodes, vector_isa,
+       [&] { ExpandCodes(codes.data(), 9, f64.data(), f64_out.data()); }},
+      {"scale", Kernel::kScale, vector_isa, [&] { (void)ResolveScale(); }},
+      {"gather_i64", Kernel::kGatherI64, Isa::kScalar,
+       [&] { GatherI64(i64.data(), sel.data(), 9, i64_out.data()); }},
+      {"gather_u32", Kernel::kGatherU32, Isa::kScalar,
+       [&] { GatherU32(codes.data(), sel.data(), 9, u32_out.data()); }},
+      {"gather_u8", Kernel::kGatherU8, Isa::kScalar,
+       [&] { GatherU8(u8.data(), sel.data(), 9, u8_out.data()); }},
+      {"popcount", Kernel::kPopcountZeros, Isa::kScalar,
+       [&] { (void)PopcountZeros(u8.data(), 72); }},
+      {"standardize", Kernel::kStandardize, Isa::kScalar,
+       [&] { Standardize(f64.data(), 9, 1.0, 2.0, f64_out.data()); }},
+      {"sum_sumsq", Kernel::kSumAndSumSq, Isa::kScalar,
+       [&] { SumAndSumSq(f64.data(), 9, &sum, &sum_sq); }},
+      {"crc32c", Kernel::kCrc32c, Crc32cIsa(),
+       [&] { (void)Crc32c(u8.data(), u8.size()); }},
+  };
+  for (const Case& c : cases) {
+    uint64_t before = InvocationCount(c.kernel, c.isa);
+    c.call();
+    EXPECT_EQ(InvocationCount(c.kernel, c.isa), before + 1)
+        << c.name << " did not run on " << IsaName(c.isa);
+  }
 }
 
 // --- CRC32C -------------------------------------------------------------------

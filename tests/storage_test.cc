@@ -143,27 +143,6 @@ TEST_F(StoreTest, OversizedPutRejectedEvenWithEviction) {
   EXPECT_EQ(store->TotalBytes(), 0);
 }
 
-TEST_F(StoreTest, LegacyRejectOnFullWhenEvictionDisabled) {
-  DataCollection data = MakeCollection(std::string(1000, 'a'));
-  int64_t size = SerializedSize(data);
-  StoreOptions options;
-  options.budget_bytes = 1 << 12;
-  options.enable_eviction = false;
-  auto store = OpenStore(options);
-  int fits = static_cast<int>((1 << 12) / size);
-  int stored = 0;
-  for (int i = 0; i < fits + 3; ++i) {
-    if (store->Put(static_cast<uint64_t>(i), "n", data, 0).ok()) {
-      ++stored;
-    }
-  }
-  EXPECT_EQ(stored, fits);
-  EXPECT_LE(store->TotalBytes(), 1 << 12);
-  EXPECT_GE(store->RemainingBytes(), 0);
-  EXPECT_EQ(store->NumEvictions(), 0);
-  EXPECT_EQ(store->AdmissibleBytes(), store->RemainingBytes());
-}
-
 TEST_F(StoreTest, EvictionMakesRoomLowestScoreFirst) {
   DataCollection data = MakeCollection(std::string(1000, 'a'));
   int64_t size = SerializedSize(data);

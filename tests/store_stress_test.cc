@@ -79,7 +79,6 @@ TEST_F(StoreStressTest, MixedOpsKeepBudgetAndPayloadInvariants) {
   // Puts continuously trigger eviction.
   options.budget_bytes = max_size * static_cast<int64_t>(kSignatureSpace) / 3;
   options.backend = StorageBackendKind::kDisk;
-  options.enable_eviction = true;
   auto opened = IntermediateStore::Open(dir_, options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<IntermediateStore> store = std::move(opened).value();

@@ -82,7 +82,7 @@ def check_metrics(path, require_server):
            "metrics: no simd.* kernel counters populated")
     # A census run trains logistic regression, whose L2 shrink resolves
     # the scale kernel once per training run: simd.scale.<isa> names the
-    # path (scalar, avx2, neon) that served the learner.
+    # path (scalar or avx2) that served the learner.
     expect(any(name.startswith("simd.scale.") and value > 0
                for name, value in counters.items()),
            "metrics: no simd.scale.<isa> counter populated (no LR trained?)")
