@@ -11,9 +11,9 @@
 //               AssembleExamples featurization scan).
 //
 // The "row" variant is a reference loop that materializes one Value per
-// cell (Column::GetValue) and appends output cells through the generic
-// ColumnBuilder::Append — what the retired row store's operators paid per
-// cell, plus nothing the columnar engine can skip for them. The "col"
+// cell (Column::GetValue) and appends each output cell from that Value —
+// what the retired row store's operators paid per cell, plus nothing the
+// columnar engine can skip for them. The "col"
 // variant reads typed columns the way the operators now do:
 // dictionary-encoded string columns are processed per distinct entry and
 // broadcast per row through the simd.h kernels; plain string columns fall
@@ -23,8 +23,9 @@
 // convention as the other self-driving benches.
 //
 // A second section times the kernels themselves (gather,
-// featurize/standardize, dict-encode) and reports rows/sec under the
-// runtime-selected ISA.
+// featurize/standardize, dict-encode) and reports the time of one pass
+// and rows/sec under the runtime-selected ISA; each timed sample repeats
+// the pass for at least a millisecond.
 //
 // A third section times the learner: logistic regression at 20 epochs
 // over the featurize kernel's census rows at 10k and 100k rows, reported
@@ -89,6 +90,15 @@ std::string_view StringCell(const Column& col, int64_t r) {
   return static_cast<const StringColumn&>(col).view(r);
 }
 
+// Appends one materialized cell of the all-string census table.
+void AppendStringValue(ColumnBuilder* out, const Value& v) {
+  if (v.is_null()) {
+    out->AppendNull();
+  } else {
+    out->AppendString(v.AsString());
+  }
+}
+
 // --- filter: hours_per_week > 40 ---------------------------------------------
 
 int64_t FilterRowLoop(const TableData& t, int hours_col) {
@@ -109,9 +119,8 @@ int64_t FilterRowLoop(const TableData& t, int hours_col) {
       continue;
     }
     for (int c = 0; c < cols; ++c) {
-      CheckOk(out[static_cast<size_t>(c)].Append(
-                  in[static_cast<size_t>(c)]->GetValue(r)),
-              "filter append");
+      AppendStringValue(&out[static_cast<size_t>(c)],
+                        in[static_cast<size_t>(c)]->GetValue(r));
     }
   }
   std::vector<std::shared_ptr<const Column>> sealed;
@@ -184,7 +193,7 @@ uint64_t DeriveRowLoop(const TableData& t, int age_col) {
     int b = std::clamp(
         static_cast<int>((parsed[static_cast<size_t>(r)] - lo) / width), 0,
         kBins - 1);
-    CheckOk(bucket.Append(Value(StrFormat("b%d", b))), "derive append");
+    AppendStringValue(&bucket, Value(StrFormat("b%d", b)));
     check += static_cast<uint64_t>(b);
   }
   bucket.Finish();
@@ -448,6 +457,27 @@ double BestOfMs(int reps, Fn&& fn) {
   return best;
 }
 
+// Best of `reps` per-call times of `fn`, each sample repeating it enough
+// times (doubling from 1) to take at least kMinSampleMs, so a kernel that
+// finishes in microseconds at small row counts still reads well above the
+// clock's resolution. `*loops_out` receives the repeat count.
+constexpr double kMinSampleMs = 1.0;
+
+template <typename Fn>
+double BestPerCallMs(int reps, Fn&& fn, int64_t* loops_out) {
+  int64_t loops = 1;
+  auto repeated = [&] {
+    for (int64_t i = 0; i < loops; ++i) {
+      fn();
+    }
+  };
+  while (BestOfMs(1, repeated) < kMinSampleMs && loops < (int64_t{1} << 24)) {
+    loops *= 2;
+  }
+  *loops_out = loops;
+  return BestOfMs(reps, repeated) / static_cast<double>(loops);
+}
+
 void ReportKernel(const char* kernel, int64_t rows, double row_ms,
                   double col_ms) {
   double speedup = col_ms > 0 ? row_ms / col_ms : 0;
@@ -517,19 +547,24 @@ void RunAt(int64_t rows) {
 
 // --- kernel micro-benchmarks -------------------------------------------------
 
-// `isa` is the path the timed kernel ran on: only GatherF64 has a vector
-// body here, so the other rows always run scalar.
-void ReportMicro(const char* kernel, int64_t rows, double ms,
+// `ms` is the time of one pass over `rows` (see BestPerCallMs), `loops`
+// the passes per timed sample. `isa` is the path the timed kernel ran on:
+// only GatherF64 has a vector body here, so the other rows always run
+// scalar.
+void ReportMicro(const char* kernel, int64_t rows, double ms, int64_t loops,
                  const char* isa) {
   double rps = ms > 0 ? static_cast<double>(rows) * 1000.0 / ms : 0;
-  std::printf("kernel/%-12s %9lld rows  %9.3f ms  %14.0f rows/s  [%s]\n",
-              kernel, static_cast<long long>(rows), ms, rps, isa);
+  std::printf(
+      "kernel/%-12s %9lld rows  %10.5f ms  %14.0f rows/s  x%-6lld [%s]\n",
+      kernel, static_cast<long long>(rows), ms, rps,
+      static_cast<long long>(loops), isa);
   JsonWriter json;
   json.BeginObject()
       .KV("bench", "dataflow")
       .KV("kernel", kernel)
       .KV("rows", rows)
       .KV("ms", ms)
+      .KV("loops", loops)
       .KV("rows_per_sec", rps)
       .KV("isa", isa)
       .EndObject();
@@ -557,20 +592,27 @@ void RunMicroKernels(int64_t rows) {
     }
   }
   std::vector<double> gathered(sel.size());
-  double gather_ms = BestOfMs(reps, [&] {
-    dataflow::simd::GatherF64(vals.data(), sel.data(),
-                              static_cast<int64_t>(sel.size()),
-                              gathered.data());
-  });
+  int64_t loops = 0;
+  double gather_ms = BestPerCallMs(
+      reps,
+      [&] {
+        dataflow::simd::GatherF64(vals.data(), sel.data(),
+                                  static_cast<int64_t>(sel.size()),
+                                  gathered.data());
+      },
+      &loops);
   ReportMicro("simd_gather", static_cast<int64_t>(sel.size()), gather_ms,
-              dataflow::simd::ActiveIsaName());
+              loops, dataflow::simd::ActiveIsaName());
 
   std::vector<double> standardized(un);
-  double feat_ms = BestOfMs(reps, [&] {
-    dataflow::simd::Standardize(vals.data(), rows, 0.5, 0.2,
-                                standardized.data());
-  });
-  ReportMicro("simd_featurize", rows, feat_ms, "scalar");
+  double feat_ms = BestPerCallMs(
+      reps,
+      [&] {
+        dataflow::simd::Standardize(vals.data(), rows, 0.5, 0.2,
+                                    standardized.data());
+      },
+      &loops);
+  ReportMicro("simd_featurize", rows, feat_ms, loops, "scalar");
 
   // Dict-encode: intern 1M cells drawn from 64 distinct entries through
   // the ColumnBuilder's incremental dictionary.
@@ -579,16 +621,19 @@ void RunMicroKernels(int64_t rows) {
     cats.push_back(StrFormat("category_%02d", c));
   }
   int64_t encoded_size = 0;
-  double dict_ms = BestOfMs(reps, [&] {
-    ColumnBuilder b(dataflow::ValueType::kString);
-    b.Reserve(rows);
-    for (size_t i = 0; i < un; ++i) {
-      b.AppendString(cats[codes[i]]);
-    }
-    encoded_size += b.Finish()->SizeBytes();
-  });
+  double dict_ms = BestPerCallMs(
+      reps,
+      [&] {
+        ColumnBuilder b(dataflow::ValueType::kString);
+        b.Reserve(rows);
+        for (size_t i = 0; i < un; ++i) {
+          b.AppendString(cats[codes[i]]);
+        }
+        encoded_size += b.Finish()->SizeBytes();
+      },
+      &loops);
   (void)encoded_size;
-  ReportMicro("dict_encode", rows, dict_ms, "scalar");
+  ReportMicro("dict_encode", rows, dict_ms, loops, "scalar");
 }
 
 // --- learner throughput ------------------------------------------------------

@@ -277,9 +277,10 @@ void MaybeMaterialize(ExecState* st, int node,
 // store entry.
 Status ComputeNode(ExecState* st, int node);
 
-// Loads `node`'s result from the store (with the paranoid fingerprint
-// check when enabled) and performs load bookkeeping. Non-OK when the entry
-// is missing or corrupt; callers decide whether to fall back to compute.
+// Loads `node`'s result from the store (with the store's paranoid
+// envelope check when enabled) and performs load bookkeeping. Non-OK when
+// the entry is missing or corrupt; callers decide whether to fall back to
+// compute.
 Status LoadNodeFromStore(ExecState* st, int node) {
   const ExecutionOptions& options = *st->opts;
   const WorkflowDag& dag = *st->dag;
@@ -287,15 +288,7 @@ Status LoadNodeFromStore(ExecState* st, int node) {
   const Operator& op = dag.op(node);
   uint64_t sig = dag.cumulative_signature(node);
   int64_t start = options.clock->NowMicros();
-  auto loaded = options.store->Get(sig);
-  if (loaded.ok() && options.paranoid_checks) {
-    std::optional<storage::StoreEntry> entry = options.store->GetEntry(sig);
-    if (entry.has_value() && entry->fingerprint != 0 &&
-        entry->fingerprint != loaded.value().Fingerprint()) {
-      (void)options.store->Remove(sig);
-      loaded = Status::Corruption("fingerprint mismatch for " + op.name());
-    }
-  }
+  auto loaded = options.store->Get(sig, options.paranoid_checks);
   if (!loaded.ok()) {
     return loaded.status();
   }
@@ -431,7 +424,7 @@ Status ComputeNode(ExecState* st, int node) {
   // was empty at planning time); re-check and serve a load instead.
   if (opts.store != nullptr && opts.store->Has(sig)) {
     int64_t start = opts.clock->NowMicros();
-    auto loaded = opts.store->Get(sig);
+    auto loaded = opts.store->Get(sig, opts.paranoid_checks);
     if (loaded.ok()) {
       record.state = NodeState::kLoad;
       record.start_micros = start;

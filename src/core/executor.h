@@ -87,8 +87,9 @@ struct ExecutionOptions {
   /// *estimated* sizes, not an enforced allocator limit; a plan that does
   /// not fit even sequentially executes best-effort.
   int64_t memory_budget_bytes = 0;
-  /// Verify loaded results' fingerprints against recorded ones when
-  /// available (defense against silent store corruption).
+  /// Check every loaded envelope against the CRC the store recorded at
+  /// Put (IntermediateStore::Get's paranoid mode): defense against a
+  /// stored payload silently swapped for another valid one.
   bool paranoid_checks = false;
   /// DAG-level parallelism: 0 = one worker per hardware thread, 1 = the
   /// exact sequential legacy behavior, N > 1 = at most N nodes in flight.

@@ -643,35 +643,6 @@ void ColumnBuilder::AppendStringCell(std::string_view v) {
   offsets_.push_back(arena_.size());
 }
 
-Status ColumnBuilder::Append(const Value& v) {
-  if (v.is_null()) {
-    AppendNull();
-    return Status::OK();
-  }
-  if (v.type() != declared_type_) {
-    return Status::InvalidArgument(
-        StrFormat("%s cell in a %s column", ValueTypeToString(v.type()),
-                  ValueTypeToString(declared_type_)));
-  }
-  switch (v.type()) {
-    case ValueType::kInt:
-      AppendInt(v.AsInt());
-      break;
-    case ValueType::kDouble:
-      AppendDouble(v.AsDouble());
-      break;
-    case ValueType::kBool:
-      AppendBool(v.AsBool());
-      break;
-    case ValueType::kString:
-      AppendString(v.AsString());
-      break;
-    case ValueType::kNull:
-      break;  // handled above
-  }
-  return Status::OK();
-}
-
 void ColumnBuilder::AppendNull() {
   switch (storage_) {
     case Column::Storage::kInt64:

@@ -304,12 +304,9 @@ class ColumnBuilder {
   int64_t length() const { return length_; }
   void Reserve(int64_t n);
 
-  /// Generic append: a null, or a cell of the declared type. Any other
-  /// cell is InvalidArgument and leaves the builder unchanged.
-  Status Append(const Value& v);
   void AppendNull();
 
-  /// Typed fast paths; each requires a builder declared with that type
+  /// Typed appends; each requires a builder declared with that type
   /// (asserted).
   void AppendInt(int64_t v);
   void AppendDouble(double v);

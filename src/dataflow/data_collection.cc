@@ -37,16 +37,10 @@ Result<DataCollection> Decode(std::string_view data, bool verify_trailer) {
   if (data.size() < kHeaderBytes + kTrailerBytes) {
     return Status::Corruption("data collection buffer too short");
   }
-  std::string_view body = data.substr(0, data.size() - kTrailerBytes);
   if (verify_trailer) {
-    uint32_t stored = ByteReader(data.substr(body.size())).GetU32().value();
-    uint32_t actual = simd::Crc32c(body.data(), body.size());
-    if (stored != actual) {
-      return Status::Corruption(
-          StrFormat("checksum mismatch: stored %08x != actual %08x", stored,
-                    actual));
-    }
+    HELIX_RETURN_IF_ERROR(DataCollection::VerifyEnvelopeCrc(data).status());
   }
+  std::string_view body = data.substr(0, data.size() - kTrailerBytes);
 
   ByteReader r(body.substr(header.pos()));
   HELIX_ASSIGN_OR_RETURN(uint8_t kind_tag, r.GetU8());
@@ -138,7 +132,7 @@ std::string DataCollection::SerializeToString() const {
   return std::move(w).TakeData();
 }
 
-void DataCollection::SerializeToSpans(SpanWriter* s) const {
+uint32_t DataCollection::SerializeToSpans(SpanWriter* s) const {
   size_t start = s->TotalBytes();
   ByteWriter* w = s->writer();
   w->PutU32(kMagic);
@@ -158,7 +152,23 @@ void DataCollection::SerializeToSpans(SpanWriter* s) const {
     covered.push_back(ByteSpan{span.data + skip, span.len - skip});
     skip = 0;
   }
-  s->writer()->PutU32(simd::Crc32c(covered.data(), covered.size()));
+  uint32_t crc = simd::Crc32c(covered.data(), covered.size());
+  s->writer()->PutU32(crc);
+  return crc;
+}
+
+Result<uint32_t> DataCollection::VerifyEnvelopeCrc(std::string_view data) {
+  if (data.size() < kHeaderBytes + kTrailerBytes) {
+    return Status::Corruption("data collection buffer too short");
+  }
+  std::string_view body = data.substr(0, data.size() - kTrailerBytes);
+  uint32_t stored = ByteReader(data.substr(body.size())).GetU32().value();
+  uint32_t actual = simd::Crc32c(body.data(), body.size());
+  if (stored != actual) {
+    return Status::Corruption(StrFormat(
+        "checksum mismatch: stored %08x != actual %08x", stored, actual));
+  }
+  return actual;
 }
 
 Result<DataCollection> DataCollection::DeserializeFromString(

@@ -82,8 +82,15 @@ class DataCollection {
   /// consumed. The trailing checksum is computed by streaming over the
   /// emitted spans, so Flatten() of the list deserializes like a
   /// SerializeToString buffer. Bytes already in `s` are left untouched
-  /// and excluded from the checksum.
-  void SerializeToSpans(SpanWriter* s) const;
+  /// and excluded from the checksum. Returns that checksum (the trailer's
+  /// CRC32C), which the store records as the entry's envelope_crc.
+  uint32_t SerializeToSpans(SpanWriter* s) const;
+
+  /// Hashes an envelope's bytes before the trailer and returns the CRC32C
+  /// when it matches the trailer; Corruption on a mismatch or a buffer
+  /// too short to hold a header and trailer. Header fields are not
+  /// parsed.
+  static Result<uint32_t> VerifyEnvelopeCrc(std::string_view data);
 
   /// Parses and checksum-verifies an envelope produced by
   /// SerializeToString. Only the current version (v3) is read: a retired

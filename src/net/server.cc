@@ -41,6 +41,8 @@ Result<std::unique_ptr<HelixServer>> HelixServer::Start(
   server->execute_micros_ = metrics->GetHistogram("server.execute_micros");
   server->reply_write_micros_ =
       metrics->GetHistogram("server.reply_write_micros");
+  server->reply_fingerprint_micros_ =
+      metrics->GetHistogram("server.reply_fingerprint_micros");
   server->frames_in_total_ = metrics->GetCounter("server.frames_in");
   server->bytes_in_total_ = metrics->GetCounter("server.bytes_in");
   server->frames_out_total_ = metrics->GetCounter("server.frames_out");
@@ -304,11 +306,13 @@ std::string HelixServer::HandleRunIteration(const Frame& frame) {
   remote.num_pruned = result->report.num_pruned;
   remote.num_materialized = result->report.num_materialized;
   remote.total_micros = result->report.total_micros;
+  const int64_t fingerprint_start = SteadyNowMicros();
   for (const auto& [output_name, data] : result->report.outputs) {
     const core::NodeExecution* node = result->report.FindNode(output_name);
     remote.outputs.push_back({output_name, data.Fingerprint(),
                               node != nullptr ? node->signature : 0});
   }
+  reply_fingerprint_micros_->Observe(SteadyNowMicros() - fingerprint_start);
   return EncodeRunIterationReply(remote);
 }
 
@@ -358,8 +362,8 @@ void HelixServer::HandleFetchOutput(ClientConn* connection,
               EncodeErrorReply(signature.status()));
     return;
   }
-  Result<dataflow::DataCollection> data =
-      service_->store()->Get(signature.value());
+  Result<dataflow::DataCollection> data = service_->store()->Get(
+      signature.value(), options_.service.paranoid_checks);
   if (!data.ok()) {
     execute_micros_->Observe(SteadyNowMicros() - handler_start);
     SendReply(connection, frame.request_id,

@@ -197,6 +197,8 @@ class HelixServer {
   obs::Histogram* queue_micros_ = nullptr;       // dispatch -> handler start
   obs::Histogram* execute_micros_ = nullptr;     // handler body
   obs::Histogram* reply_write_micros_ = nullptr; // reply enqueue
+  // RunIteration's output fingerprints (booked in the client's wire time)
+  obs::Histogram* reply_fingerprint_micros_ = nullptr;
   obs::Counter* frames_in_total_ = nullptr;
   obs::Counter* bytes_in_total_ = nullptr;
   obs::Counter* frames_out_total_ = nullptr;

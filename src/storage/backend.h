@@ -43,7 +43,10 @@ struct StoreEntry {
   int64_t compute_micros = -1; // producer's compute cost (-1 = unknown);
                                // feeds the eviction retention score
   int64_t iteration = -1;      // iteration that wrote the entry
-  uint64_t fingerprint = 0;    // payload content hash (paranoid re-checks)
+  uint64_t envelope_crc = 0;   // the payload envelope's CRC32C trailer as
+                               // Put emitted it (0 = not recorded); a
+                               // paranoid Get checks the bytes it reads
+                               // against it
 };
 
 /// Flat blob storage keyed by signature.

@@ -32,8 +32,10 @@ constexpr uint8_t kRecordPut = 1;
 constexpr uint8_t kRecordTombstone = 2;
 
 // Segment file header: "HLXS" little-endian, then the format version.
+// v3 footers record the envelope's CRC32C where v2 footers held a
+// semantic fingerprint; a v2 (or older) segment replays as retired.
 constexpr uint32_t kSegmentMagic = 0x53584C48;
-constexpr uint32_t kSegmentVersion = 2;
+constexpr uint32_t kSegmentVersion = 3;
 constexpr int64_t kSegmentHeaderBytes = 4 + 4;
 // Record framing: u32 body length before the body, u32 CRC32C after it.
 constexpr size_t kRecordTrailerBytes = 4;
@@ -89,7 +91,7 @@ Result<ParsedRecord> VerifyAndParse(std::string_view body,
   rec.meta.load_micros = r.GetI64().value();
   rec.meta.compute_micros = r.GetI64().value();
   rec.meta.iteration = r.GetI64().value();
-  rec.meta.fingerprint = r.GetU64().value();
+  rec.meta.envelope_crc = r.GetU64().value();
   uint64_t payload_len = r.GetU64().value();
   uint32_t name_len = r.GetU32().value();
   uint64_t head = body.size() - kPutFooterBytes;
@@ -112,7 +114,7 @@ std::string BuildPutTail(const StoreEntry& meta, size_t payload_len) {
   w.PutI64(meta.load_micros);
   w.PutI64(meta.compute_micros);
   w.PutI64(meta.iteration);
-  w.PutU64(meta.fingerprint);
+  w.PutU64(meta.envelope_crc);
   w.PutU64(payload_len);
   w.PutU32(static_cast<uint32_t>(meta.node_name.size()));
   w.PutU8(kRecordPut);
@@ -249,7 +251,8 @@ Status DiskBackend::ReplaySegment(uint64_t id, bool* clean_out) {
       LoadLe32(data.data()) != kSegmentMagic ||
       LoadLe32(data.data() + 4) != kSegmentVersion) {
     HELIX_LOG(Warning) << "segment " << id
-                       << " has no segment header; sealing it unreplayed";
+                       << " has no current segment header; sealing it "
+                          "unreplayed";
     *clean_out = false;
     return Status::OK();
   }

@@ -7,13 +7,15 @@
 // Each segment is a sequence of length-prefixed, checksummed records: a
 // PUT record carries a StoreEntry's metadata plus the payload bytes; a
 // TOMBSTONE records a deletion. A segment is an 8-byte file header (u32
-// magic "HLXS", u32 version 2), then records
+// magic "HLXS", u32 version 3), then records
 // [u32 body_len][body][u32 CRC32C(body)]. A PUT body is the payload, then
-// the node name, then a fixed footer (signature, six metadata fields,
-// payload length, name length, type byte last); a TOMBSTONE body is the
-// signature and the type byte. A file without that header (the retired
-// v1 format, or a header torn mid-write) replays no records and is never
-// appended to; its bytes count as dead until compaction deletes it.
+// the node name, then a fixed footer (signature, six metadata fields —
+// the last the envelope's CRC32C — payload length, name length, type byte
+// last); a TOMBSTONE body is the signature and the type byte. A file
+// without that header (the retired v1 and v2 formats — v2 footers held a
+// semantic fingerprint in the CRC's slot — or a header torn mid-write)
+// replays no records and is never appended to; its bytes count as dead
+// until compaction deletes it.
 //
 // Write streams one CRC over the borrowed payload spans and sends the
 // header, the spans, the name and footer, and the trailer as gathered

@@ -34,6 +34,19 @@ void ObservePhase(obs::Histogram* histogram, int64_t micros) {
     histogram->Observe(micros);
   }
 }
+
+// The paranoid check: the envelope's trailer matches its body, and the
+// body is the one Put recorded (`recorded_crc` 0 = not recorded).
+Status CheckRecordedCrc(std::string_view envelope, uint64_t recorded_crc) {
+  HELIX_ASSIGN_OR_RETURN(uint32_t crc,
+                         dataflow::DataCollection::VerifyEnvelopeCrc(envelope));
+  if (recorded_crc != 0 && crc != recorded_crc) {
+    return Status::Corruption(StrFormat(
+        "envelope CRC %08x differs from the %08llx recorded at Put", crc,
+        static_cast<unsigned long long>(recorded_crc)));
+  }
+  return Status::OK();
+}
 }  // namespace
 
 const char* StorageBackendKindToString(StorageBackendKind kind) {
@@ -173,15 +186,17 @@ std::optional<StoreEntry> IntermediateStore::GetEntry(
 }
 
 Result<dataflow::DataCollection> IntermediateStore::Get(
-    uint64_t signature, int64_t* load_micros_out) {
+    uint64_t signature, bool paranoid) {
   // The backend read and deserialization — the expensive parts — run
   // outside any shard lock so concurrent loads (the parallel executor's
   // warm path) actually overlap; only index lookups/updates take the
   // owning shard's mutex.
   Shard& shard = ShardFor(signature);
+  uint64_t recorded_crc = 0;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.entries.count(signature) == 0) {
+    auto it = shard.entries.find(signature);
+    if (it == shard.entries.end()) {
       if (shard.misses != nullptr) {
         shard.misses->Add(1);
         misses_total_->Add(1);
@@ -190,6 +205,7 @@ Result<dataflow::DataCollection> IntermediateStore::Get(
           StrFormat("no stored result for signature %s",
                     HashToHex(signature).c_str()));
     }
+    recorded_crc = it->second.envelope_crc;
   }
   ScopedTimer timer(options_.clock);
   auto payload = backend_->Read(signature);
@@ -221,8 +237,15 @@ Result<dataflow::DataCollection> IntermediateStore::Get(
   }
   // The backend already verified these bytes against its own checksum
   // (a disk record's CRC32C), or they never left the process (memory):
-  // decode without hashing them a second time.
-  auto data = dataflow::DataCollection::DeserializeVerified(payload.value());
+  // decode without hashing them a second time — unless paranoid, which
+  // pays one envelope hash to check the bytes against the CRC recorded
+  // at Put.
+  Status verified = paranoid ? CheckRecordedCrc(payload.value(), recorded_crc)
+                             : Status::OK();
+  Result<dataflow::DataCollection> data =
+      verified.ok()
+          ? dataflow::DataCollection::DeserializeVerified(payload.value())
+          : Result<dataflow::DataCollection>(verified);
   if (!data.ok()) {
     HELIX_LOG(Warning) << "store entry corrupt, evicting "
                        << HashToHex(signature) << ": "
@@ -250,9 +273,6 @@ Result<dataflow::DataCollection> IntermediateStore::Get(
     bytes_read_total_->Add(static_cast<int64_t>(payload.value().size()));
   }
   ObserveRead(static_cast<int64_t>(payload.value().size()), elapsed);
-  if (load_micros_out != nullptr) {
-    *load_micros_out = elapsed;
-  }
   return data;
 }
 
@@ -302,7 +322,7 @@ Status IntermediateStore::Put(uint64_t signature,
   // `data` stays alive (the caller holds it) until Write returns.
   ScopedTimer serialize_timer(options_.clock);
   SpanWriter serialized;
-  data.SerializeToSpans(&serialized);
+  const uint32_t envelope_crc = data.SerializeToSpans(&serialized);
   const std::vector<ByteSpan>& spans = serialized.spans();
   ObservePhase(put_serialize_micros_, serialize_timer.ElapsedMicros());
   int64_t size = static_cast<int64_t>(serialized.TotalBytes());
@@ -319,7 +339,7 @@ Status IntermediateStore::Put(uint64_t signature,
   entry.size_bytes = size;
   entry.compute_micros = compute_micros;
   entry.iteration = iteration;
-  entry.fingerprint = data.Fingerprint();
+  entry.envelope_crc = envelope_crc;
 
   // Admission: budget check, eviction, and reservation are atomic under
   // budget_mu_, so concurrent Puts can never jointly overshoot the

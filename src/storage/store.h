@@ -130,11 +130,13 @@ class IntermediateStore {
 
   /// Reads and verifies the stored result: the backend checks its record
   /// checksum and the envelope decodes without re-hashing the same bytes.
-  /// On corruption the entry is evicted and Corruption is returned;
-  /// NotFound if never stored or evicted concurrently.
-  /// `load_micros_out` (optional) receives the measured read time.
+  /// With `paranoid`, the envelope's trailer is also checked over its
+  /// body and against the CRC recorded at Put (StoreEntry::envelope_crc,
+  /// when recorded), which catches a payload swapped for another valid
+  /// envelope. On corruption the entry is evicted and Corruption is
+  /// returned; NotFound if never stored or evicted concurrently.
   Result<dataflow::DataCollection> Get(uint64_t signature,
-                                       int64_t* load_micros_out = nullptr);
+                                       bool paranoid = false);
 
   /// Persists `data` under `signature`. Returns AlreadyExists if present
   /// or if a concurrent Put of the same signature is in flight.

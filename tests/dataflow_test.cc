@@ -150,20 +150,6 @@ TEST(TableTest, ColumnLayoutMustMatchFieldType) {
   EXPECT_TRUE(TableData::FromColumns(Schema::AllStrings({"s"}), {dict}).ok());
 }
 
-TEST(ColumnBuilderTest, GenericAppendRejectsMismatchedCell) {
-  ColumnBuilder b(ValueType::kInt);
-  ASSERT_TRUE(b.Append(Value(int64_t{7})).ok());
-  ASSERT_TRUE(b.Append(Value::Null()).ok());
-  EXPECT_TRUE(b.Append(Value("7")).IsInvalidArgument());
-  EXPECT_TRUE(b.Append(Value(7.0)).IsInvalidArgument());
-  EXPECT_TRUE(b.Append(Value(true)).IsInvalidArgument());
-  // A refused cell leaves the builder unchanged.
-  EXPECT_EQ(b.length(), 2);
-  std::shared_ptr<const Column> col = b.Finish();
-  EXPECT_EQ(col->storage(), Column::Storage::kInt64);
-  EXPECT_EQ(col->null_count(), 1);
-}
-
 // --- FeatureDict / SparseVector ----------------------------------------------------
 
 TEST(FeatureDictTest, InternIsIdempotent) {

@@ -691,6 +691,11 @@ TEST_F(RobustnessTest, GetMetricsAndTraceRoundTrip) {
   EXPECT_NE(metrics->find("pool.task_wait_micros"), std::string::npos);
   EXPECT_NE(metrics->find("server.decode_micros"), std::string::npos);
   EXPECT_NE(metrics->find("server.requests"), std::string::npos);
+  // One output-fingerprint sample per RunIteration reply (the histogram's
+  // "count" is its first field).
+  EXPECT_EQ(CounterFromSnapshot(
+                *metrics, "server.reply_fingerprint_micros\":{\"count"),
+            2);
 
   auto trace = (*client)->GetTraceJson();
   ASSERT_TRUE(trace.ok()) << trace.status().ToString();

@@ -529,7 +529,7 @@ TEST_F(AsyncMaterializerTest, OversizedRequestIsAdmittedAloneNotDeadlocked) {
 
 // --- Helping drains ----------------------------------------------------------
 
-// A payload whose Fingerprint — which Put computes on whichever thread
+// A payload whose serialization — which Put runs on whichever thread
 // writes it — blocks until released, so a test can hold the writer inside
 // one request while it inspects the queue. Everything else forwards to a
 // plain table.
@@ -543,12 +543,10 @@ class GatedPayload final : public dataflow::DataPayload {
 
   dataflow::PayloadKind kind() const override { return inner_.kind(); }
   int64_t SizeBytes() const override { return inner_.SizeBytes(); }
-  uint64_t Fingerprint() const override {
+  uint64_t Fingerprint() const override { return inner_.Fingerprint(); }
+  void Serialize(ByteWriter* w) const override {
     started_->set_value();
     release_.wait();
-    return inner_.Fingerprint();
-  }
-  void Serialize(ByteWriter* w) const override {
     inner_.payload()->Serialize(w);
   }
   std::string DebugString() const override { return "gated"; }

@@ -10,6 +10,7 @@
 #include <map>
 #include <thread>
 
+#include "common/bytes.h"
 #include "common/file_util.h"
 #include "common/hash.h"
 #include "common/logging.h"
@@ -40,6 +41,13 @@ DataCollection MakeCollection(const std::string& content, int rows = 1) {
       Schema::AllStrings({"v"}),
       std::vector<dataflow::Row>(static_cast<size_t>(rows),
                                  {Value(content)})));
+}
+
+// The u32 CRC32C trailer of a stored envelope.
+uint32_t EnvelopeTrailer(const std::string& envelope) {
+  return ByteReader(std::string_view(envelope).substr(envelope.size() - 4))
+      .GetU32()
+      .value();
 }
 
 int64_t SerializedSize(const DataCollection& data) {
@@ -82,11 +90,13 @@ TEST_F(StoreTest, PutGetRoundTrip) {
   EXPECT_TRUE(store->Has(0xAB));
   EXPECT_EQ(store->NumEntries(), 1u);
 
-  int64_t load_micros = -1;
-  auto got = store->Get(0xAB, &load_micros);
+  auto got = store->Get(0xAB);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value().Fingerprint(), data.Fingerprint());
-  EXPECT_GE(load_micros, 0);
+  // The measured load time is recorded in the entry.
+  std::optional<StoreEntry> entry = store->GetEntry(0xAB);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_GE(entry->load_micros, 0);
 }
 
 // A table wide enough that its envelope is more spans than writev takes
@@ -500,7 +510,7 @@ TEST_F(StoreTest, EveryTruncationPointKeepsExactlyTheRecordsBeforeIt) {
         meta.signature = op.signature;
         meta.node_name = "n";
         meta.size_bytes = static_cast<int64_t>(payload.size());
-        meta.fingerprint = value.Fingerprint();
+        meta.envelope_crc = EnvelopeTrailer(payload);
         ASSERT_TRUE(WriteBytes(backend.value().get(), meta, payload).ok());
       }
       auto bytes = ReadFileToString(FirstSegmentPath(dir_));
@@ -804,14 +814,72 @@ TEST_F(StoreTest, EstimateLoadMicrosSurvivesZeroObservedMicros) {
   EXPECT_LT(estimate, 60LL * 1000 * 1000);  // sane, not overflow garbage
 }
 
-TEST_F(StoreTest, FingerprintRecordedInEntry) {
-  auto store = OpenStore();
-  DataCollection data = MakeCollection("fp");
-  ASSERT_TRUE(store->Put(9, "n", data, 0).ok());
-  const StoreEntry* entry = store->Find(9);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->fingerprint, data.Fingerprint());
+TEST_F(StoreTest, EnvelopeCrcRecordedInEntryIsTheStoredTrailer) {
+  uint64_t recorded = 0;
+  {
+    auto store = OpenStore();
+    DataCollection data = MakeCollection("crc");
+    ASSERT_TRUE(store->Put(9, "n", data, 0).ok());
+    const StoreEntry* entry = store->Find(9);
+    ASSERT_NE(entry, nullptr);
+    recorded = entry->envelope_crc;
+    // An intact entry passes the paranoid check.
+    auto got = store->Get(9, /*paranoid=*/true);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value().Fingerprint(), data.Fingerprint());
+  }
+  // The stored envelope, as the disk backend holds it, ends in the CRC the
+  // entry recorded, and the segment footer carries it across a reopen.
+  auto backend = DiskBackend::Open(dir_, DiskBackendOptions());
+  ASSERT_TRUE(backend.ok());
+  auto entries = backend.value()->Recover();
+  ASSERT_TRUE(entries.ok());
+  ASSERT_EQ(entries.value().size(), 1u);
+  EXPECT_EQ(entries.value()[0].envelope_crc, recorded);
+  auto envelope = backend.value()->Read(9);
+  ASSERT_TRUE(envelope.ok());
+  EXPECT_EQ(EnvelopeTrailer(envelope.value()), recorded);
+  EXPECT_NE(recorded, 0u);
 }
+
+TEST_F(StoreTest, ParanoidGetRejectsABodyEditThatKeepsTheOldTrailer) {
+  const std::string marker = "paranoid-marker";
+  {
+    auto store = OpenStore();
+    ASSERT_TRUE(store->Put(9, "n", MakeCollection(marker), 0).ok());
+  }
+  // Rewrite the record with one body byte changed inside the string
+  // value, keeping the envelope's old trailer and the recorded CRC: the
+  // disk record's own checksum covers the edited bytes, so only the
+  // paranoid envelope check can see the edit.
+  {
+    auto backend = DiskBackend::Open(dir_, DiskBackendOptions());
+    ASSERT_TRUE(backend.ok());
+    auto entries = backend.value()->Recover();
+    ASSERT_TRUE(entries.ok());
+    ASSERT_EQ(entries.value().size(), 1u);
+    auto envelope = backend.value()->Read(9);
+    ASSERT_TRUE(envelope.ok());
+    std::string edited = envelope.value();
+    size_t at = edited.find(marker);
+    ASSERT_NE(at, std::string::npos);
+    edited[at] = 'P';
+    ASSERT_EQ(EnvelopeTrailer(edited), entries.value()[0].envelope_crc);
+    ASSERT_TRUE(WriteBytes(backend.value().get(), entries.value()[0], edited)
+                    .ok());
+  }
+  auto store = OpenStore();
+  auto trusting = store->Get(9);
+  ASSERT_TRUE(trusting.ok()) << trusting.status().ToString();
+  EXPECT_EQ(trusting.value().Fingerprint(),
+            MakeCollection("Paranoid-marker").Fingerprint());
+  auto paranoid = store->Get(9, /*paranoid=*/true);
+  EXPECT_TRUE(paranoid.status().IsCorruption())
+      << paranoid.status().ToString();
+  // The entry is gone, so the caller's next probe misses and recomputes.
+  EXPECT_FALSE(store->Has(9));
+}
+
 
 TEST_F(StoreTest, EntriesDeterministicOrder) {
   auto store = OpenStore();
@@ -995,14 +1063,14 @@ TEST_F(DiskBackendTest, CompactionReclaimsDeadSpaceAndKeepsLive) {
   EXPECT_TRUE(reopened->Read(19).ok());
 }
 
-TEST_F(DiskBackendTest, SegmentsStartWithTheV2Header) {
+TEST_F(DiskBackendTest, SegmentsStartWithTheV3Header) {
   auto backend = OpenBackend();
   ASSERT_TRUE(WriteBytes(backend.get(), Meta(1, "abc"), "abc").ok());
   auto bytes = ReadFileToString(FirstSegmentPath(dir_));
   ASSERT_TRUE(bytes.ok());
-  // "HLXS", version 2, then the first record's u32 length prefix.
+  // "HLXS", version 3, then the first record's u32 length prefix.
   ASSERT_GE(bytes.value().size(), 12u);
-  EXPECT_EQ(bytes.value().substr(0, 8), std::string("HLXS\x02\0\0\0", 8));
+  EXPECT_EQ(bytes.value().substr(0, 8), std::string("HLXS\x03\0\0\0", 8));
   // Header accounting: the header is neither live nor dead.
   EXPECT_EQ(backend->DeadBytes(), 0);
 }

@@ -1,15 +1,17 @@
 // Test helper: row-at-a-time construction of immutable tables.
 //
 // Tables are built from sealed columns (dataflow/table.h). MakeTable routes
-// each row's cells through one ColumnBuilder per field with the strict
-// generic Append, so a row of the wrong arity or a cell whose type differs
-// from its field fails the calling test instead of building a table.
+// each row's cells through one ColumnBuilder per field with the typed
+// appends the operators use; a row of the wrong arity or a cell whose type
+// differs from its field fails the calling test instead of building a
+// table.
 #ifndef HELIX_TESTS_TABLE_UTIL_H_
 #define HELIX_TESTS_TABLE_UTIL_H_
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dataflow/table.h"
@@ -36,9 +38,32 @@ inline std::shared_ptr<TableData> MakeTable(const Schema& schema,
       return fail("row arity differs from the schema's");
     }
     for (size_t c = 0; c < row.size(); ++c) {
-      Status appended = builders[c].Append(row[c]);
-      if (!appended.ok()) {
-        return fail(appended.ToString());
+      const Value& v = row[c];
+      ColumnBuilder& builder = builders[c];
+      if (v.is_null()) {
+        builder.AppendNull();
+        continue;
+      }
+      const ValueType declared = schema.field(static_cast<int>(c)).type;
+      if (v.type() != declared) {
+        return fail(std::string(ValueTypeToString(v.type())) + " cell in a " +
+                    ValueTypeToString(declared) + " column");
+      }
+      switch (v.type()) {
+        case ValueType::kInt:
+          builder.AppendInt(v.AsInt());
+          break;
+        case ValueType::kDouble:
+          builder.AppendDouble(v.AsDouble());
+          break;
+        case ValueType::kBool:
+          builder.AppendBool(v.AsBool());
+          break;
+        case ValueType::kString:
+          builder.AppendString(v.AsString());
+          break;
+        case ValueType::kNull:
+          break;  // handled above
       }
     }
   }

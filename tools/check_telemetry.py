@@ -124,7 +124,8 @@ def check_metrics(path, require_server):
                % (name, bucket_total, h.get("count", -1)))
 
     if require_server:
-        for phase in ("decode", "queue", "execute", "reply_write"):
+        for phase in ("decode", "queue", "execute", "reply_write",
+                      "reply_fingerprint"):
             h = histograms.get("server.%s_micros" % phase, {})
             expect(h.get("count", 0) > 0,
                    "metrics: server.%s_micros not populated" % phase)
