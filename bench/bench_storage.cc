@@ -1,19 +1,15 @@
 // Microbenchmarks for the storage substrate: DataCollection serialization,
-// IntermediateStore put/get throughput, sharded-vs-single-lock contention,
-// and disk-backend read/write bandwidth. These costs are the "l_i" side
-// of every optimizer decision, so their absolute magnitudes matter for
-// interpreting the figure benchmarks.
+// IntermediateStore put/get throughput, and disk-backend read/write
+// bandwidth. These costs are the "l_i" side of every optimizer decision,
+// so their absolute magnitudes matter for interpreting the figure
+// benchmarks.
 //
-// The custom main runs two self-driving harnesses first (each emits one
-// "json,"-prefixed machine-readable line per configuration via
-// bench_util.h), then hands over to Google Benchmark for the registered
-// microbenchmarks.
+// The custom main runs a self-driving disk-throughput harness first (it
+// emits one "json,"-prefixed machine-readable line via bench_util.h),
+// then hands over to Google Benchmark for the registered microbenchmarks.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -137,86 +133,7 @@ void BM_FingerprintTable(benchmark::State& state) {
 }
 BENCHMARK(BM_FingerprintTable)->Arg(1000)->Arg(100000);
 
-// --- Self-driving harness 1: shard contention ------------------------------
-//
-// Preloads a memory-backed store (isolating lock behavior from disk I/O)
-// and hammers the metadata/read path from T threads, comparing one shard
-// (the legacy single-mutex layout) against a striped index. On a 1-CPU
-// container the thread counts time-slice, so the single-lock penalty shows
-// up muted — the json lines carry the thread count so harnesses can judge.
-void RunShardContention() {
-  constexpr int kEntries = 256;
-  constexpr int kOpsPerThread = 40000;
-  const int hw = std::max(1u, std::thread::hardware_concurrency());
-  const int threads = std::min(hw, 8);
-
-  for (int shards : {1, 16}) {
-    storage::StoreOptions options;
-    options.backend = storage::StorageBackendKind::kMemory;
-    options.shard_count = shards;
-    options.budget_bytes = 1LL << 30;
-    auto store = bench::ValueOrDie(storage::IntermediateStore::Open("", options),
-                                   "open memory store");
-    for (int i = 0; i < kEntries; ++i) {
-      bench::CheckOk(store->Put(static_cast<uint64_t>(i + 1), "bench",
-                                MakeTable(20, static_cast<uint64_t>(i)), 0),
-                     "preload put");
-    }
-
-    std::atomic<bool> go{false};
-    std::atomic<int64_t> failures{0};
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&store, &go, &failures, t]() {
-        Rng rng(static_cast<uint64_t>(t) + 99);
-        while (!go.load(std::memory_order_acquire)) {
-        }
-        for (int i = 0; i < kOpsPerThread; ++i) {
-          uint64_t sig = rng.NextBelow(kEntries) + 1;
-          // Mixed metadata + payload traffic, like the executor's warm
-          // path: mostly Has/GetEntry probes, every 8th op a full Get.
-          if (i % 8 == 0) {
-            if (!store->Get(sig).ok()) {
-              failures.fetch_add(1);
-            }
-          } else {
-            benchmark::DoNotOptimize(store->Has(sig));
-            benchmark::DoNotOptimize(store->GetEntry(sig));
-          }
-        }
-      });
-    }
-    auto start = std::chrono::steady_clock::now();
-    go.store(true, std::memory_order_release);
-    for (std::thread& w : workers) {
-      w.join();
-    }
-    double wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    if (failures.load() != 0) {
-      std::fprintf(stderr, "FATAL contention harness: %lld failed gets\n",
-                   (long long)failures.load());
-      std::abort();
-    }
-    double total_ops = static_cast<double>(threads) * kOpsPerThread;
-    JsonWriter json;
-    json.BeginObject()
-        .KV("bench", "store_shard_contention")
-        .KV("backend", "memory")
-        .KV("shards", shards)
-        .KV("threads", threads)
-        .KV("entries", kEntries)
-        .KV("ops", total_ops)
-        .KV("wall_ms", wall_ms)
-        .KV("mops_per_sec", total_ops / wall_ms / 1000.0)
-        .EndObject();
-    bench::PrintJsonLine(json);
-  }
-}
-
-// --- Self-driving harness 2: disk backend throughput ------------------------
+// --- Self-driving harness: disk backend throughput -------------------------
 //
 // Sequentially writes then reads back ~1 MiB payloads through a
 // disk-backed store, reporting bandwidth the way the store's own load-cost
@@ -280,7 +197,6 @@ void RunDiskThroughput() {
 }  // namespace helix
 
 int main(int argc, char** argv) {
-  helix::RunShardContention();
   helix::RunDiskThroughput();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {

@@ -656,13 +656,16 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
     st.materializer = &*private_materializer;
   }
   Status exec_status;
-  if (parallelism <= 1 && mem_plan.enabled) {
-    // Budget-mode sequential strategy: the planner's order with the exact
-    // release rule the planner simulated — after each step, drop every
-    // resident non-output whose computing consumers all ran. The scan also
-    // re-drops results that a load-failure fallback re-produced.
+  if (parallelism <= 1) {
+    // Sequential strategy: the topological loop, or under a memory budget
+    // the planner's order with the exact release rule the planner
+    // simulated — after each step, drop every resident non-output whose
+    // computing consumers all ran. The scan also re-drops results that a
+    // load-failure fallback re-produced.
+    const std::vector<int>& order =
+        mem_plan.enabled ? mem_plan.order : dag.topo_order();
     std::vector<int> remaining_uses(static_cast<size_t>(n), 0);
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < n && mem_plan.enabled; ++i) {
       if (plan.state(i) != NodeState::kCompute) {
         continue;
       }
@@ -672,10 +675,13 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
         }
       }
     }
-    for (int j : mem_plan.order) {
+    for (int j : order) {
       exec_status = ExecutePlannedNode(&st, j, plan.state(j));
       if (!exec_status.ok()) {
         break;
+      }
+      if (!mem_plan.enabled) {
+        continue;
       }
       if (plan.state(j) == NodeState::kCompute) {
         for (graph::NodeId parent : dag.dag().Parents(j)) {
@@ -695,14 +701,6 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
           st.records[s].dropped = true;
           st.SubResident(st.records[s].output_bytes);
         }
-      }
-    }
-  } else if (parallelism <= 1) {
-    // Sequential strategy: the classic topological loop.
-    for (int i : dag.topo_order()) {
-      exec_status = ExecutePlannedNode(&st, i, plan.state(i));
-      if (!exec_status.ok()) {
-        break;
       }
     }
   } else {

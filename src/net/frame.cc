@@ -70,29 +70,6 @@ std::string EncodeFrame(const Frame& frame) {
   return std::move(writer.TakeData());
 }
 
-Result<Frame> DecodeFrame(std::string_view bytes,
-                          uint32_t max_payload_bytes) {
-  if (bytes.size() < kFrameHeaderBytes) {
-    return Status::Corruption("truncated frame header");
-  }
-  HELIX_ASSIGN_OR_RETURN(
-      Header header,
-      DecodeHeader(bytes.substr(0, kFrameHeaderBytes), max_payload_bytes));
-  size_t total =
-      kFrameHeaderBytes + header.payload_len + kFrameChecksumBytes;
-  if (bytes.size() != total) {
-    return Status::Corruption("frame length mismatch");
-  }
-  HELIX_RETURN_IF_ERROR(VerifyChecksum(
-      bytes.substr(0, kFrameHeaderBytes + header.payload_len),
-      bytes.substr(kFrameHeaderBytes + header.payload_len)));
-  Frame frame;
-  frame.opcode = header.opcode;
-  frame.request_id = header.request_id;
-  frame.payload.assign(bytes.data() + kFrameHeaderBytes, header.payload_len);
-  return frame;
-}
-
 Result<size_t> DecodeFrameFromBuffer(std::string_view buffer,
                                      uint32_t max_payload_bytes, Frame* out,
                                      uint64_t* request_id_out) {

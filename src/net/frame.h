@@ -56,34 +56,29 @@ struct Frame {
 /// Serializes header + payload + checksum.
 std::string EncodeFrame(const Frame& frame);
 
-/// Decodes one complete frame from `bytes` (which must be exactly one
-/// frame). Corruption on bad magic / bad checksum / truncation,
-/// InvalidArgument on an unsupported version, ResourceExhausted on a
-/// payload length beyond `max_payload_bytes`.
-Result<Frame> DecodeFrame(std::string_view bytes,
-                          uint32_t max_payload_bytes = kDefaultMaxPayloadBytes);
-
 /// Incremental decoder for a growing receive buffer (the event loop's
 /// nonblocking read path): examines the front of `buffer` and returns the
 /// number of bytes one complete frame consumed (header + payload +
 /// checksum), with the decoded frame in `*out` — or 0 when the buffer does
 /// not yet hold a complete frame (read more bytes and retry; nothing is
-/// consumed). Validation and error taxonomy are exactly DecodeFrame's,
-/// applied as early as the bytes allow: a bad magic or an oversized length
-/// fails as soon as the 18-byte header is buffered, without waiting for
-/// the (untrustworthy) payload. When the fixed header parses, a non-null
-/// `request_id_out` receives its request id even if validation then fails,
-/// so a server can address its error reply.
+/// consumed). Corruption on bad magic or a bad checksum, InvalidArgument
+/// on an unsupported version, ResourceExhausted on a payload length
+/// beyond `max_payload_bytes`; each is checked as early as the bytes
+/// allow: a bad magic or an oversized length fails as soon as the 18-byte
+/// header is buffered, without waiting for the (untrustworthy) payload.
+/// When the fixed header parses, a non-null `request_id_out` receives its
+/// request id even if validation then fails, so a server can address its
+/// error reply.
 Result<size_t> DecodeFrameFromBuffer(
     std::string_view buffer, uint32_t max_payload_bytes, Frame* out,
     uint64_t* request_id_out = nullptr);
 
 /// Reads exactly one frame from the connection. Same error taxonomy as
-/// DecodeFrame, plus NotFound("connection closed") on a clean end-of-stream
-/// at a frame boundary and IOError on a torn stream. When the fixed header
-/// parses (even if the body then fails validation), `request_id_out` (if
-/// non-null) receives the header's request id so a server can address its
-/// error reply.
+/// DecodeFrameFromBuffer, plus NotFound("connection closed") on a clean
+/// end-of-stream at a frame boundary and IOError on a torn stream. When
+/// the fixed header parses (even if the body then fails validation),
+/// `request_id_out` (if non-null) receives the header's request id so a
+/// server can address its error reply.
 Result<Frame> ReadFrame(TcpConnection* conn, uint32_t max_payload_bytes,
                         uint64_t* request_id_out = nullptr);
 

@@ -56,13 +56,7 @@ void ServiceSession::FoldReport(const core::ExecutionReport& report,
     }
   }
   std::lock_guard<std::mutex> lock(counters_mu_);
-  counters_.iterations += delta.iterations;
-  counters_.num_computed += delta.num_computed;
-  counters_.num_loaded += delta.num_loaded;
-  counters_.num_shared += delta.num_shared;
-  counters_.cross_session_loads += delta.cross_session_loads;
-  counters_.saved_micros += delta.saved_micros;
-  counters_.total_micros += delta.total_micros;
+  counters_ += delta;
 }
 
 std::string SessionService::StatsPath() const {
@@ -199,14 +193,7 @@ Status SessionService::CloseSession(uint64_t id) {
     // Fold before erasing: a disconnecting client's iterations must stay
     // in the service-wide aggregate (the wire tests read GetCounters(0)
     // after every client has hung up).
-    SessionCounters c = (*it)->counters();
-    retired_.iterations += c.iterations;
-    retired_.num_computed += c.num_computed;
-    retired_.num_loaded += c.num_loaded;
-    retired_.num_shared += c.num_shared;
-    retired_.cross_session_loads += c.cross_session_loads;
-    retired_.saved_micros += c.saved_micros;
-    retired_.total_micros += c.total_micros;
+    retired_ += (*it)->counters();
     sessions_.erase(it);  // destruction deferred to the last shared_ptr
     return Status::OK();
   }
@@ -253,14 +240,7 @@ SessionCounters SessionService::AggregateCounters() const {
   std::lock_guard<std::mutex> lock(mu_);
   SessionCounters total = retired_;
   for (const auto& session : sessions_) {
-    SessionCounters c = session->counters();
-    total.iterations += c.iterations;
-    total.num_computed += c.num_computed;
-    total.num_loaded += c.num_loaded;
-    total.num_shared += c.num_shared;
-    total.cross_session_loads += c.cross_session_loads;
-    total.saved_micros += c.saved_micros;
-    total.total_micros += c.total_micros;
+    total += session->counters();
   }
   return total;
 }

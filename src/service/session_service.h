@@ -144,6 +144,17 @@ struct SessionCounters {
   /// ancestors carry most of the benefit).
   int64_t saved_micros = 0;
   int64_t total_micros = 0;
+
+  SessionCounters& operator+=(const SessionCounters& other) {
+    iterations += other.iterations;
+    num_computed += other.num_computed;
+    num_loaded += other.num_loaded;
+    num_shared += other.num_shared;
+    cross_session_loads += other.cross_session_loads;
+    saved_micros += other.saved_micros;
+    total_micros += other.total_micros;
+    return *this;
+  }
 };
 
 /// One user's long-lived session inside a service. Created by

@@ -1,7 +1,6 @@
-// StorageBackend: the pluggable payload layer under the sharded
-// IntermediateStore.
+// StorageBackend: the pluggable payload layer under the IntermediateStore.
 //
-// The store separates *what* is cached (the sharded metadata index, budget
+// The store separates *what* is cached (the metadata index, budget
 // accounting, eviction policy — storage/store.h) from *where* payload bytes
 // live. A backend is a flat keyed blob space: serialized DataCollection
 // envelopes keyed by the producing node's cumulative Merkle signature.
@@ -32,7 +31,7 @@ enum class StorageBackendKind : uint8_t {
 const char* StorageBackendKindToString(StorageBackendKind kind);
 
 /// Manifest record for one stored result. The store keeps these in its
-/// sharded index; persistent backends also embed them in their on-disk
+/// index; persistent backends also embed them in their on-disk
 /// records so the index can be rebuilt on open.
 struct StoreEntry {
   uint64_t signature = 0;      // cumulative Merkle signature (the key)
@@ -53,8 +52,8 @@ struct StoreEntry {
 ///
 /// Contract for implementations:
 ///   * Thread safety — every method must be safe to call concurrently;
-///     the sharded store deliberately performs backend I/O outside its
-///     shard locks so reads of different entries can overlap.
+///     the store deliberately performs backend Read/Write outside its
+///     index lock so reads of different entries can overlap.
 ///   * Ownership — backends own their resources (maps, file handles);
 ///     the store owns the backend and destroys it on close. Destruction
 ///     must not lose writes that already returned OK.
@@ -103,15 +102,6 @@ class StorageBackend {
   /// removal durable (tombstones) so deleted entries stay deleted across
   /// restart.
   virtual Status Delete(uint64_t signature) = 0;
-
-  /// Removes everything, including on-disk state.
-  virtual Status DeleteAll() = 0;
-
-  /// True if data written here survives process restart.
-  virtual bool persistent() const = 0;
-
-  /// Stable human-readable backend name ("disk", "memory").
-  virtual const char* name() const = 0;
 };
 
 }  // namespace storage

@@ -513,19 +513,6 @@ Status DiskBackend::Delete(uint64_t signature) {
   return appended;
 }
 
-Status DiskBackend::DeleteAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, seg] : segments_) {
-    (void)seg;
-    HELIX_RETURN_IF_ERROR(RemoveFileIfExists(SegmentPath(id)));
-  }
-  segments_.clear();
-  index_.clear();
-  meta_.clear();
-  active_segment_ = 0;
-  return Status::OK();
-}
-
 Status DiskBackend::Compact() {
   std::lock_guard<std::mutex> lock(mu_);
   return CompactLocked();

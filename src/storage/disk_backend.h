@@ -89,9 +89,6 @@ class DiskBackend final : public StorageBackend {
                size_t n) override;
   Result<std::string> Read(uint64_t signature) override;
   Status Delete(uint64_t signature) override;
-  Status DeleteAll() override;
-  bool persistent() const override { return true; }
-  const char* name() const override { return "disk"; }
 
   /// Rewrites all live records into fresh segments and deletes the old
   /// ones, reclaiming tombstoned/overwritten space. Called automatically
@@ -106,8 +103,6 @@ class DiskBackend final : public StorageBackend {
   /// Bytes of dead (overwritten or tombstoned) records awaiting
   /// compaction (diagnostics/tests).
   int64_t DeadBytes() const;
-
-  const std::string& dir() const { return dir_; }
 
  private:
   // Where one live record's full bytes (meta + payload) sit.

@@ -2,7 +2,7 @@
 //
 // The refactored form of the original single-map store. Used by sessions
 // that want intra-process reuse without touching disk (tests, ephemeral
-// exploration, benchmarks isolating lock behavior from I/O).
+// exploration).
 #ifndef HELIX_STORAGE_MEMORY_BACKEND_H_
 #define HELIX_STORAGE_MEMORY_BACKEND_H_
 
@@ -65,15 +65,6 @@ class MemoryBackend final : public StorageBackend {
     payloads_.erase(signature);
     return Status::OK();
   }
-
-  Status DeleteAll() override {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    payloads_.clear();
-    return Status::OK();
-  }
-
-  bool persistent() const override { return false; }
-  const char* name() const override { return "memory"; }
 
  private:
   mutable std::shared_mutex mu_;

@@ -1,6 +1,5 @@
 #include "storage/store.h"
 
-#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -35,6 +34,22 @@ void ObservePhase(obs::Histogram* histogram, int64_t micros) {
   }
 }
 
+void Count(obs::Counter* counter, int64_t n) {
+  if (counter != nullptr) {
+    counter->Add(n);
+  }
+}
+
+// Adds one timed transfer to a bandwidth estimator's totals; transfers
+// too small to time are dropped.
+void Observe(int64_t bytes, int64_t micros, int64_t* total_bytes,
+             int64_t* total_micros) {
+  if (bytes >= kMinObservableBytes) {
+    *total_bytes += bytes;
+    *total_micros += micros;
+  }
+}
+
 // The paranoid check: the envelope's trailer matches its body, and the
 // body is the one Put recorded (`recorded_crc` 0 = not recorded).
 Status CheckRecordedCrc(std::string_view envelope, uint64_t recorded_crc) {
@@ -64,8 +79,7 @@ Result<std::unique_ptr<IntermediateStore>> IntermediateStore::Open(
   if (options.budget_bytes < 0) {
     return Status::InvalidArgument("store budget must be non-negative");
   }
-  std::unique_ptr<IntermediateStore> store(
-      new IntermediateStore(dir, options));
+  std::unique_ptr<IntermediateStore> store(new IntermediateStore(options));
 
   switch (options.backend) {
     case StorageBackendKind::kDisk: {
@@ -73,10 +87,8 @@ Result<std::unique_ptr<IntermediateStore>> IntermediateStore::Open(
         return Status::InvalidArgument(
             "disk-backed store requires a directory");
       }
-      DiskBackendOptions disk_options;
-      disk_options.segment_max_bytes = options.segment_max_bytes;
       HELIX_ASSIGN_OR_RETURN(store->backend_,
-                             DiskBackend::Open(dir, disk_options));
+                             DiskBackend::Open(dir, DiskBackendOptions()));
       break;
     }
     case StorageBackendKind::kMemory:
@@ -84,21 +96,6 @@ Result<std::unique_ptr<IntermediateStore>> IntermediateStore::Open(
       break;
   }
 
-  int shards = std::max(1, options.shard_count);
-  store->shards_.reserve(static_cast<size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    if (options.metrics != nullptr) {
-      std::string prefix = StrFormat("store.shard.%d.", i);
-      shard->hits = options.metrics->GetCounter(prefix + "hits");
-      shard->misses = options.metrics->GetCounter(prefix + "misses");
-      shard->evictions = options.metrics->GetCounter(prefix + "evictions");
-      shard->bytes_read = options.metrics->GetCounter(prefix + "bytes_read");
-      shard->bytes_written =
-          options.metrics->GetCounter(prefix + "bytes_written");
-    }
-    store->shards_.push_back(std::move(shard));
-  }
   if (options.metrics != nullptr) {
     store->hits_total_ = options.metrics->GetCounter("store.hits");
     store->misses_total_ = options.metrics->GetCounter("store.misses");
@@ -126,7 +123,7 @@ Result<std::unique_ptr<IntermediateStore>> IntermediateStore::Open(
   for (StoreEntry& entry : recovered) {
     total += entry.size_bytes;
     uint64_t sig = entry.signature;
-    store->ShardFor(sig).entries[sig] = std::move(entry);
+    store->entries_[sig] = std::move(entry);
   }
   store->total_bytes_.store(total, std::memory_order_relaxed);
 
@@ -149,37 +146,23 @@ Result<std::unique_ptr<IntermediateStore>> IntermediateStore::Open(
 }
 
 bool IntermediateStore::Has(uint64_t signature) const {
-  Shard& shard = ShardFor(signature);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  bool present = shard.entries.count(signature) > 0;
+  bool present;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    present = entries_.count(signature) > 0;
+  }
   // Has is the planner's reuse probe — every load-vs-compute decision
   // goes through it — so this is where hit/miss rates are meaningful.
   // (Get also counts a miss on the rare vanished-payload paths.)
-  if (shard.hits != nullptr) {
-    if (present) {
-      shard.hits->Add(1);
-      hits_total_->Add(1);
-    } else {
-      shard.misses->Add(1);
-      misses_total_->Add(1);
-    }
-  }
+  Count(present ? hits_total_ : misses_total_, 1);
   return present;
-}
-
-const StoreEntry* IntermediateStore::Find(uint64_t signature) const {
-  Shard& shard = ShardFor(signature);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(signature);
-  return it == shard.entries.end() ? nullptr : &it->second;
 }
 
 std::optional<StoreEntry> IntermediateStore::GetEntry(
     uint64_t signature) const {
-  Shard& shard = ShardFor(signature);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(signature);
-  if (it == shard.entries.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(signature);
+  if (it == entries_.end()) {
     return std::nullopt;
   }
   return it->second;
@@ -188,19 +171,14 @@ std::optional<StoreEntry> IntermediateStore::GetEntry(
 Result<dataflow::DataCollection> IntermediateStore::Get(
     uint64_t signature, bool paranoid) {
   // The backend read and deserialization — the expensive parts — run
-  // outside any shard lock so concurrent loads (the parallel executor's
-  // warm path) actually overlap; only index lookups/updates take the
-  // owning shard's mutex.
-  Shard& shard = ShardFor(signature);
+  // outside the index lock so concurrent loads (the parallel executor's
+  // warm path) actually overlap; only index lookups/updates take it.
   uint64_t recorded_crc = 0;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(signature);
-    if (it == shard.entries.end()) {
-      if (shard.misses != nullptr) {
-        shard.misses->Add(1);
-        misses_total_->Add(1);
-      }
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(signature);
+    if (it == entries_.end()) {
+      Count(misses_total_, 1);
       return Status::NotFound(
           StrFormat("no stored result for signature %s",
                     HashToHex(signature).c_str()));
@@ -223,10 +201,7 @@ Result<dataflow::DataCollection> IntermediateStore::Get(
                          << payload.status().ToString();
     }
     (void)EvictOne(signature);
-    if (shard.misses != nullptr) {
-      shard.misses->Add(1);  // the caller ends up recomputing: a miss
-      misses_total_->Add(1);
-    }
+    Count(misses_total_, 1);  // the caller ends up recomputing: a miss
     if (vanished) {
       return Status::NotFound(
           StrFormat("stored result %s was evicted concurrently",
@@ -251,28 +226,23 @@ Result<dataflow::DataCollection> IntermediateStore::Get(
                        << HashToHex(signature) << ": "
                        << data.status().ToString();
     (void)EvictOne(signature);
-    if (shard.misses != nullptr) {
-      shard.misses->Add(1);
-      misses_total_->Add(1);
-    }
+    Count(misses_total_, 1);
     return data.status();
   }
   int64_t elapsed = timer.ElapsedMicros();
   ObservePhase(get_decode_micros_, elapsed - read_micros);
+  const int64_t bytes = static_cast<int64_t>(payload.value().size());
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(signature);
-    if (it != shard.entries.end()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(signature);
+    if (it != entries_.end()) {
       it->second.load_micros = elapsed;
     }
+    Observe(bytes, elapsed, &observed_read_bytes_, &observed_read_micros_);
   }
   // Hits are counted at the Has probe; a successful Get only accounts
   // for the bytes it actually moved.
-  if (shard.bytes_read != nullptr) {
-    shard.bytes_read->Add(static_cast<int64_t>(payload.value().size()));
-    bytes_read_total_->Add(static_cast<int64_t>(payload.value().size()));
-  }
-  ObserveRead(static_cast<int64_t>(payload.value().size()), elapsed);
+  Count(bytes_read_total_, bytes);
   return data;
 }
 
@@ -285,24 +255,23 @@ Status IntermediateStore::Put(uint64_t signature,
   // serialization, and otherwise mark it in flight until this Put
   // returns. Deliberately not Has(): this bookkeeping probe must not
   // count toward the reuse hit/miss rate.
-  Shard& shard = ShardFor(signature);
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.entries.count(signature) > 0 ||
-        !shard.writing.insert(signature).second) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (entries_.count(signature) > 0 ||
+        !writing_.insert(signature).second) {
       return Status::AlreadyExists(
           StrFormat("signature %s already stored",
                     HashToHex(signature).c_str()));
     }
   }
   struct WritingMark {
-    Shard& shard;
+    IntermediateStore* store;
     uint64_t signature;
     ~WritingMark() {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.writing.erase(signature);
+      std::lock_guard<std::mutex> lock(store->mu_);
+      store->writing_.erase(signature);
     }
-  } mark{shard, signature};
+  } mark{this, signature};
   // A result that alone exceeds the whole budget can never be admitted;
   // reject before paying for serialization or touching the budget lock
   // (no eviction churn ahead of an inevitable failure). SizeBytes is a
@@ -368,17 +337,14 @@ Status IntermediateStore::Put(uint64_t signature,
   entry.write_micros = elapsed;
 
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.entries[signature] = entry;
-    if (shard.bytes_written != nullptr) {
-      shard.bytes_written->Add(size);
-      bytes_written_total_->Add(size);
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_[signature] = entry;
+    Observe(size, elapsed, &observed_write_bytes_, &observed_write_micros_);
   }
+  Count(bytes_written_total_, size);
   if (bytes_gauge_ != nullptr) {
     bytes_gauge_->Set(total_bytes_.load(std::memory_order_relaxed));
   }
-  ObserveWrite(size, elapsed);
   if (write_micros_out != nullptr) {
     *write_micros_out = elapsed;
   }
@@ -388,9 +354,10 @@ Status IntermediateStore::Put(uint64_t signature,
 Status IntermediateStore::EvictForLocked(int64_t bytes_needed,
                                          double incoming_score) {
   std::vector<EvictionCandidate> candidates;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [sig, entry] : shard->entries) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    candidates.reserve(entries_.size());
+    for (const auto& [sig, entry] : entries_) {
       (void)sig;
       // Copy only the scoring inputs — node_name in particular stays put;
       // this scan runs under budget_mu_ on every over-budget Put.
@@ -400,7 +367,7 @@ Status IntermediateStore::EvictForLocked(int64_t bytes_needed,
       c.entry.load_micros = entry.load_micros;
       c.entry.compute_micros = entry.compute_micros;
       c.entry.iteration = entry.iteration;
-      c.est_load_micros = EstimateLoadMicros(entry.size_bytes);
+      c.est_load_micros = EstimateLoadMicrosLocked(entry.size_bytes);
       candidates.push_back(std::move(c));
     }
   }
@@ -408,7 +375,7 @@ Status IntermediateStore::EvictForLocked(int64_t bytes_needed,
   // entry written under a pre-edit DAG version carries that version's
   // compute_micros forever, and a later measurement (same signature, so
   // same bytes) is strictly better information. The registry's mutex is a
-  // leaf lock under budget_mu_ -> shard mu.
+  // leaf lock under budget_mu_.
   if (options_.cost_stats != nullptr) {
     for (EvictionCandidate& c : candidates) {
       std::optional<NodeStats> stats =
@@ -445,27 +412,27 @@ Status IntermediateStore::EvictForLocked(int64_t bytes_needed,
 
 int64_t IntermediateStore::EvictOne(uint64_t signature) {
   int64_t freed = 0;
-  Shard& shard = ShardFor(signature);
   Status deleted;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(signature);
-    if (it == shard.entries.end()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(signature);
+    if (it == entries_.end()) {
       return 0;
     }
     freed = it->second.size_bytes;
-    shard.entries.erase(it);
-    // The tombstone goes to the backend under the shard lock. A Put of
+    entries_.erase(it);
+    // The bytes leave the ledger under the same lock as the entry leaves
+    // the index: an admission whose eviction plan picked this entry and
+    // then finds it gone must also find its bytes gone, or its
+    // reservation could overshoot the budget until this subtraction.
+    total_bytes_.fetch_sub(freed, std::memory_order_relaxed);
+    // The tombstone goes to the backend under the index lock. A Put of
     // this signature probes the index under the same lock, so its record
     // always lands after the tombstone; appended later, the tombstone
     // would delete that live record (and drop it from a reopened store).
     deleted = backend_->Delete(signature);
   }
-  total_bytes_.fetch_sub(freed, std::memory_order_relaxed);
-  if (shard.evictions != nullptr) {
-    shard.evictions->Add(1);
-    evictions_total_->Add(1);
-  }
+  Count(evictions_total_, 1);
   if (bytes_gauge_ != nullptr) {
     bytes_gauge_->Set(total_bytes_.load(std::memory_order_relaxed));
   }
@@ -481,80 +448,40 @@ Status IntermediateStore::Remove(uint64_t signature) {
   return Status::OK();
 }
 
-Status IntermediateStore::Clear() {
-  std::lock_guard<std::mutex> budget_lock(budget_mu_);
-  int64_t cleared = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [sig, entry] : shard->entries) {
-      (void)sig;
-      cleared += entry.size_bytes;
-    }
-    shard->entries.clear();
-  }
-  total_bytes_.fetch_sub(cleared, std::memory_order_relaxed);
-  if (bytes_gauge_ != nullptr) {
-    bytes_gauge_->Set(total_bytes_.load(std::memory_order_relaxed));
-  }
-  return backend_->DeleteAll();
-}
-
 size_t IntermediateStore::NumEntries() const {
-  size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    n += shard->entries.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
 std::vector<StoreEntry> IntermediateStore::Entries() const {
   std::vector<StoreEntry> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [sig, entry] : shard->entries) {
-      (void)sig;
-      out.push_back(entry);
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  out.reserve(entries_.size());
+  for (const auto& [sig, entry] : entries_) {
+    (void)sig;
+    out.push_back(entry);  // the map is ordered by signature
   }
-  std::sort(out.begin(), out.end(),
-            [](const StoreEntry& a, const StoreEntry& b) {
-              return a.signature < b.signature;
-            });
   return out;
-}
-
-void IntermediateStore::ObserveRead(int64_t bytes, int64_t micros) {
-  if (bytes < kMinObservableBytes) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(est_mu_);
-  observed_read_bytes_ += bytes;
-  observed_read_micros_ += micros;
-}
-
-void IntermediateStore::ObserveWrite(int64_t bytes, int64_t micros) {
-  if (bytes < kMinObservableBytes) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(est_mu_);
-  observed_write_bytes_ += bytes;
-  observed_write_micros_ += micros;
 }
 
 bool IntermediateStore::LearnsBandwidthFrom(int64_t size_bytes) const {
   if (size_bytes < kMinObservableBytes) {
     return false;
   }
-  std::lock_guard<std::mutex> lock(est_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return observed_read_micros_ <= 0 && observed_write_micros_ <= 0;
 }
 
 int64_t IntermediateStore::EstimateLoadMicros(int64_t size_bytes) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return EstimateLoadMicrosLocked(size_bytes);
+}
+
+int64_t IntermediateStore::EstimateLoadMicrosLocked(
+    int64_t size_bytes) const {
   if (size_bytes < 0) {
     size_bytes = 0;
   }
-  std::lock_guard<std::mutex> lock(est_mu_);
   // Guarded ratio: zero observed micros (e.g. measurements taken under a
   // virtual clock) must never divide; such observations fall through to
   // the next source.

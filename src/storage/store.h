@@ -8,9 +8,9 @@
 // iterative change tracker's invalidation semantics at the storage layer.
 //
 // Architecture (this layer's three jobs):
-//   * sharding  — the metadata index is striped over N independently
-//     locked shards keyed by signature, so concurrent lookups/loads from
-//     the parallel runtime do not serialize on one mutex;
+//   * indexing  — the metadata index sits under one mutex held only for
+//     map lookups and updates; payload I/O runs outside it, so concurrent
+//     loads from the parallel runtime still overlap;
 //   * backends  — payload bytes live behind the StorageBackend interface
 //     (storage/backend.h): a persistent append-only-segment disk backend
 //     (storage/disk_backend.h) or a volatile in-memory one
@@ -62,9 +62,6 @@ struct StoreOptions {
   /// Where payload bytes live. kDisk persists across process restart;
   /// kMemory is an in-process map (reuse within one process only).
   StorageBackendKind backend = StorageBackendKind::kDisk;
-  /// Lock-striping width of the metadata index (clamped to >= 1).
-  /// shard_count == 1 reproduces the legacy single-mutex store exactly.
-  int shard_count = 8;
   /// Compute-cost fallback for retention scoring of entries whose
   /// producer cost was never recorded (mirrors
   /// ExecutionOptions::default_compute_estimate_micros).
@@ -76,12 +73,9 @@ struct StoreOptions {
   /// otherwise score with stale compute_micros forever. Must outlive the
   /// store.
   const CostStatsRegistry* cost_stats = nullptr;
-  /// Disk backend: roll to a new segment file past this size.
-  int64_t segment_max_bytes = 64LL << 20;
   /// Optional telemetry. When set, the store registers aggregate counters
   /// (`store.hits/misses/evictions/bytes_read/bytes_written`), the
-  /// resident-bytes gauge `store.bytes`, per-shard counters
-  /// (`store.shard.<i>.hits` etc.), and phase histograms splitting a Get
+  /// resident-bytes gauge `store.bytes`, and phase histograms splitting a Get
   /// into `store.get.read_micros` (backend read and verify) and
   /// `store.get.decode_micros`, and a Put into
   /// `store.put.serialize_micros` and `store.put.write_micros`. Must
@@ -89,15 +83,14 @@ struct StoreOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// A sharded, budget-gated result store over a pluggable payload backend.
+/// A budget-gated result store over a pluggable payload backend.
 ///
 /// Thread safety: all public methods are safe to call concurrently.
-/// Metadata operations take only the owning shard's mutex; payload I/O
-/// (backend Read/Write) runs outside shard locks so concurrent loads
-/// overlap; budget admission and eviction are serialized on one budget
-/// mutex, so concurrent Puts can never jointly overshoot the budget.
-/// Lock order: budget mutex -> shard mutex -> backend internals; shard
-/// mutexes are leaf locks with respect to each other (never nested).
+/// Metadata operations take the index mutex; payload I/O (backend
+/// Read/Write) runs outside it so concurrent loads overlap; budget
+/// admission and eviction are serialized on one budget mutex, so
+/// concurrent Puts can never jointly overshoot the budget.
+/// Lock order: budget mutex -> index mutex -> backend internals.
 ///
 /// Ownership: the store owns its backend; a Session owns the store. The
 /// Clock in StoreOptions must outlive the store.
@@ -120,10 +113,6 @@ class IntermediateStore {
 
   /// True if a valid index entry exists for `signature`.
   bool Has(uint64_t signature) const;
-
-  /// Entry metadata, or nullptr. The pointer is invalidated by any
-  /// concurrent mutation of the store; under concurrency prefer GetEntry.
-  const StoreEntry* Find(uint64_t signature) const;
 
   /// Copy of the entry metadata, or nullopt. Safe under concurrency.
   std::optional<StoreEntry> GetEntry(uint64_t signature) const;
@@ -155,19 +144,11 @@ class IntermediateStore {
   /// Removes one entry (no-op if absent).
   Status Remove(uint64_t signature);
 
-  /// Removes all entries. Not linearizable with respect to concurrent
-  /// Puts: an overlapping Put may survive (with its payload intact) or be
-  /// reduced to an index entry whose payload self-heals on first Get.
-  Status Clear();
-
   /// Sum of stored entries' payload sizes.
   int64_t TotalBytes() const {
     return total_bytes_.load(std::memory_order_relaxed);
   }
   int64_t BudgetBytes() const { return options_.budget_bytes; }
-  int64_t RemainingBytes() const {
-    return options_.budget_bytes - TotalBytes();
-  }
   size_t NumEntries() const;
 
   /// Entries evicted to make room since open (diagnostics/tests).
@@ -190,33 +171,9 @@ class IntermediateStore {
   /// estimate a measured bandwidth.
   bool LearnsBandwidthFrom(int64_t size_bytes) const;
 
-  const std::string& dir() const { return dir_; }
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-  const char* backend_name() const { return backend_->name(); }
-
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<uint64_t, StoreEntry> entries;
-    // Signatures with a Put between its index probe and its index
-    // insert. One Put per signature at a time keeps every record of a
-    // signature ordered against its tombstones (see EvictOne).
-    std::set<uint64_t> writing;
-    // Per-shard telemetry (null when StoreOptions::metrics is unset; set
-    // once in Open before the store is visible to other threads).
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* bytes_read = nullptr;
-    obs::Counter* bytes_written = nullptr;
-  };
-
-  IntermediateStore(std::string dir, const StoreOptions& options)
-      : dir_(std::move(dir)), options_(options) {}
-
-  Shard& ShardFor(uint64_t signature) const {
-    return *shards_[signature % shards_.size()];
-  }
+  explicit IntermediateStore(const StoreOptions& options)
+      : options_(options) {}
 
   // Frees at least `bytes_needed` by evicting entries scoring strictly
   // below `incoming_score`; requires budget_mu_. ResourceExhausted when
@@ -224,13 +181,22 @@ class IntermediateStore {
   Status EvictForLocked(int64_t bytes_needed, double incoming_score);
   // Drops one entry from index + backend; returns bytes actually freed.
   int64_t EvictOne(uint64_t signature);
-  void ObserveRead(int64_t bytes, int64_t micros);
-  void ObserveWrite(int64_t bytes, int64_t micros);
+  // EstimateLoadMicros; requires mu_.
+  int64_t EstimateLoadMicrosLocked(int64_t size_bytes) const;
 
-  std::string dir_;
   StoreOptions options_;
   std::unique_ptr<StorageBackend> backend_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+
+  // The index. mu_ guards entries_, writing_ and the estimator's
+  // observed_* totals; it is held only for map and counter updates, never
+  // across backend Read/Write (EvictOne's Delete is the one backend call
+  // made under it).
+  mutable std::mutex mu_;
+  std::map<uint64_t, StoreEntry> entries_;
+  // Signatures with a Put between its index probe and its index insert.
+  // One Put per signature at a time keeps every record of a signature
+  // ordered against its tombstones (see EvictOne).
+  std::set<uint64_t> writing_;
 
   // Budget accounting. total_bytes_ is authoritative and updated under
   // budget_mu_ for admission (reserve/unreserve) but read lock-free.
@@ -251,11 +217,10 @@ class IntermediateStore {
   obs::Histogram* put_serialize_micros_ = nullptr;
   obs::Histogram* put_write_micros_ = nullptr;
 
-  // Observed throughput for load-cost estimation. Reads (load +
-  // deserialize) and writes (serialize + flush) have very different
+  // Observed throughput for load-cost estimation (under mu_). Reads (load
+  // + deserialize) and writes (serialize + flush) have very different
   // throughput, so they are tracked separately; load estimation prefers
   // read observations.
-  mutable std::mutex est_mu_;
   int64_t observed_read_bytes_ = 0;
   int64_t observed_read_micros_ = 0;
   int64_t observed_write_bytes_ = 0;

@@ -271,7 +271,9 @@ TEST_F(ExecutorTest, CorruptStoreEntryFallsBackToRecompute) {
   // builds loaded and which is now a miss.
   for (uint32_t version : {0u, 1u, 2u}) {
     SCOPED_TRACE("version " + std::to_string(version));
-    ASSERT_TRUE(store_->Clear().ok());
+    for (const storage::StoreEntry& entry : store_->Entries()) {
+      ASSERT_TRUE(store_->Remove(entry.signature).ok());
+    }
     ExecutionReport first = Run(p.Build(), Options(iteration++));
     ASSERT_TRUE(first.FindNode("eval")->materialized ||
                 first.FindNode("prep")->materialized);

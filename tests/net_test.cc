@@ -65,31 +65,29 @@ Frame MakeTestFrame() {
   return frame;
 }
 
-TEST(FrameTest, RoundTrip) {
-  Frame frame = MakeTestFrame();
-  std::string bytes = EncodeFrame(frame);
-  auto decoded = DecodeFrame(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->opcode, frame.opcode);
-  EXPECT_EQ(decoded->request_id, frame.request_id);
-  EXPECT_EQ(decoded->payload, frame.payload);
-}
-
-TEST(FrameTest, EveryTruncationIsRejected) {
-  std::string bytes = EncodeFrame(MakeTestFrame());
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    auto decoded = DecodeFrame(bytes.substr(0, len));
-    EXPECT_FALSE(decoded.ok()) << "accepted a " << len << "-byte prefix";
-  }
-}
-
 TEST(FrameTest, EverySingleByteCorruptionIsRejected) {
   std::string bytes = EncodeFrame(MakeTestFrame());
+  Frame out;
   for (size_t i = 0; i < bytes.size(); ++i) {
+    SCOPED_TRACE("flip at byte " + std::to_string(i));
     std::string corrupted = bytes;
     corrupted[i] = static_cast<char>(corrupted[i] ^ 0x40);
-    auto decoded = DecodeFrame(corrupted);
-    EXPECT_FALSE(decoded.ok()) << "accepted a flip at byte " << i;
+    auto consumed =
+        DecodeFrameFromBuffer(corrupted, kDefaultMaxPayloadBytes, &out);
+    if (i == 4) {
+      // The version byte: "unsupported version", not "corrupt".
+      EXPECT_TRUE(consumed.status().IsInvalidArgument())
+          << consumed.status().ToString();
+    } else if (i >= 14 && i < kFrameHeaderBytes) {
+      // The length: a longer frame waits for bytes that never come, a
+      // shorter one fails its checksum, an oversized one its bound.
+      EXPECT_TRUE(!consumed.ok() || consumed.value() == 0u)
+          << "accepted a frame of " << consumed.value() << " bytes";
+    } else {
+      // The magic, or a byte the checksum covers.
+      EXPECT_TRUE(consumed.status().IsCorruption())
+          << consumed.status().ToString();
+    }
   }
 }
 
@@ -98,16 +96,21 @@ TEST(FrameTest, UnsupportedVersionIsInvalidArgument) {
   bytes[4] = static_cast<char>(kProtocolVersion + 1);
   // The version check fires before the checksum check: a future-version
   // frame reports "unsupported version", not "corrupt".
-  EXPECT_TRUE(DecodeFrame(bytes).status().IsInvalidArgument());
+  Frame out;
+  EXPECT_TRUE(DecodeFrameFromBuffer(bytes, kDefaultMaxPayloadBytes, &out)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(FrameTest, OversizedDeclaredLengthIsResourceExhausted) {
   Frame frame = MakeTestFrame();
   frame.payload.assign(2048, 'x');
   std::string bytes = EncodeFrame(frame);
-  auto decoded = DecodeFrame(bytes, /*max_payload_bytes=*/1024);
-  EXPECT_TRUE(decoded.status().IsResourceExhausted())
-      << decoded.status().ToString();
+  Frame out;
+  auto consumed =
+      DecodeFrameFromBuffer(bytes, /*max_payload_bytes=*/1024, &out);
+  EXPECT_TRUE(consumed.status().IsResourceExhausted())
+      << consumed.status().ToString();
 }
 
 // --- Incremental decoder (the event loop's read path) ---------------------
@@ -1275,12 +1278,16 @@ TEST(FetchOutputDecodeTest, ClientDecodeRunsOneChecksum) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(checksums(), before + 1);
   EXPECT_EQ(decoded->Fingerprint(), data.Fingerprint());
-  // The contiguous decoder (the server's read path) agrees.
+  // The buffer decoder (the server's read path) agrees.
   before = checksums();
-  auto again = DecodeFrame(EncodeFrame(reply));
-  ASSERT_TRUE(again.ok());
-  ASSERT_TRUE(DecodeFetchOutputReply(again->payload).ok());
-  EXPECT_EQ(checksums(), before + 2);  // EncodeFrame's + DecodeFrame's
+  std::string encoded = EncodeFrame(reply);
+  Frame again;
+  auto consumed =
+      DecodeFrameFromBuffer(encoded, kDefaultMaxPayloadBytes, &again);
+  ASSERT_TRUE(consumed.ok()) << consumed.status().ToString();
+  EXPECT_EQ(consumed.value(), encoded.size());
+  ASSERT_TRUE(DecodeFetchOutputReply(again.payload).ok());
+  EXPECT_EQ(checksums(), before + 2);  // EncodeFrame's + the decoder's
   (*listener)->Close();
 }
 

@@ -1,13 +1,14 @@
-// Tests for src/storage: the sharded, budget-gated materialization store
-// over pluggable backends (with failure injection), cost-based eviction,
-// the append-only disk backend's crash recovery, and the cost statistics
-// registry.
+// Tests for src/storage: the budget-gated materialization store (one
+// index mutex) over pluggable backends (with failure injection),
+// cost-based eviction, the append-only disk backend's crash recovery, and
+// the cost statistics registry.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "common/bytes.h"
@@ -297,11 +298,9 @@ TEST(EvictionPlanTest, EqualScoresEvictOldestIterationThenSmallestSignature) {
   EXPECT_EQ(again.victims, plan.victims);
 }
 
-// Store-level version of the same property: a store's shard count changes
-// how entries are partitioned across index shards (and thus every
-// internal enumeration order), but must not change which equal-score
-// entry is evicted when.
-TEST_F(StoreTest, EqualScoreEvictionOrderIsSameAcrossShardCounts) {
+// Store-level version of the same property: equal-score residents are
+// evicted in the documented order, whatever order they were put in.
+TEST_F(StoreTest, EqualScoreEvictionFollowsTheDocumentedOrder) {
   // (signature, iteration) pairs whose documented eviction order is
   // 40, 50 (iteration 1, by signature), then 20, 30 (iteration 2), then
   // 10 (iteration 3).
@@ -311,38 +310,32 @@ TEST_F(StoreTest, EqualScoreEvictionOrderIsSameAcrossShardCounts) {
   DataCollection data = MakeCollection(std::string(1000, 'a'));
   int64_t size = SerializedSize(data);
 
-  for (int shard_count : {1, 4, 8}) {
-    SCOPED_TRACE("shard_count=" + std::to_string(shard_count));
-    StoreOptions options;
-    options.backend = StorageBackendKind::kMemory;
-    options.shard_count = shard_count;
-    options.budget_bytes = 5 * size;  // exactly the residents
-    auto store = OpenStore(options);
-    for (const auto& [sig, iteration] : residents) {
-      ASSERT_TRUE(store->Put(sig, "r" + std::to_string(sig), data, iteration,
-                             nullptr, /*compute_micros=*/1000000)
-                      .ok());
-    }
-    // Each high-value newcomer displaces exactly one equal-score
-    // resident; the victims must appear in the documented order.
-    for (size_t k = 0; k < expected_order.size(); ++k) {
-      ASSERT_TRUE(store->Put(1000 + k, "incoming", data,
-                             /*iteration=*/9, nullptr,
-                             /*compute_micros=*/1000000000000)
-                      .ok());
-      EXPECT_FALSE(store->Has(expected_order[k]))
-          << "newcomer " << k << " should have evicted "
-          << expected_order[k];
-      for (size_t later = k + 1; later < expected_order.size(); ++later) {
-        EXPECT_TRUE(store->Has(expected_order[later]))
-            << "newcomer " << k << " wrongly evicted "
-            << expected_order[later];
-      }
-      EXPECT_EQ(store->NumEvictions(), static_cast<int64_t>(k) + 1);
-    }
-    // The iteration-3 resident outlived every iteration-1/2 peer.
-    EXPECT_TRUE(store->Has(10));
+  StoreOptions options;
+  options.backend = StorageBackendKind::kMemory;
+  options.budget_bytes = 5 * size;  // exactly the residents
+  auto store = OpenStore(options);
+  for (const auto& [sig, iteration] : residents) {
+    ASSERT_TRUE(store->Put(sig, "r" + std::to_string(sig), data, iteration,
+                           nullptr, /*compute_micros=*/1000000)
+                    .ok());
   }
+  // Each high-value newcomer displaces exactly one equal-score resident;
+  // the victims must appear in the documented order.
+  for (size_t k = 0; k < expected_order.size(); ++k) {
+    ASSERT_TRUE(store->Put(1000 + k, "incoming", data,
+                           /*iteration=*/9, nullptr,
+                           /*compute_micros=*/1000000000000)
+                    .ok());
+    EXPECT_FALSE(store->Has(expected_order[k]))
+        << "newcomer " << k << " should have evicted " << expected_order[k];
+    for (size_t later = k + 1; later < expected_order.size(); ++later) {
+      EXPECT_TRUE(store->Has(expected_order[later]))
+          << "newcomer " << k << " wrongly evicted " << expected_order[later];
+    }
+    EXPECT_EQ(store->NumEvictions(), static_cast<int64_t>(k) + 1);
+  }
+  // The iteration-3 resident outlived every iteration-1/2 peer.
+  EXPECT_TRUE(store->Has(10));
 }
 
 TEST_F(StoreTest, RemoveFreesBudget) {
@@ -358,16 +351,6 @@ TEST_F(StoreTest, RemoveFreesBudget) {
   EXPECT_TRUE(store->Remove(7).ok());
 }
 
-TEST_F(StoreTest, ClearRemovesEverything) {
-  auto store = OpenStore();
-  ASSERT_TRUE(store->Put(1, "a", MakeCollection("1"), 0).ok());
-  ASSERT_TRUE(store->Put(2, "b", MakeCollection("2"), 0).ok());
-  ASSERT_TRUE(store->Clear().ok());
-  EXPECT_EQ(store->NumEntries(), 0u);
-  EXPECT_FALSE(store->Has(1));
-  EXPECT_EQ(store->TotalBytes(), 0);
-}
-
 TEST_F(StoreTest, PersistsAcrossReopen) {
   DataCollection data = MakeCollection("persist me");
   {
@@ -376,8 +359,8 @@ TEST_F(StoreTest, PersistsAcrossReopen) {
   }
   auto store = OpenStore();
   EXPECT_TRUE(store->Has(0xFEED));
-  const StoreEntry* entry = store->Find(0xFEED);
-  ASSERT_NE(entry, nullptr);
+  std::optional<StoreEntry> entry = store->GetEntry(0xFEED);
+  ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->node_name, "node");
   EXPECT_EQ(entry->iteration, 3);
   EXPECT_EQ(entry->compute_micros, 12345);  // retention input survives too
@@ -691,57 +674,15 @@ TEST_F(StoreTest, MemoryBackendRoundTripAndForgetsOnReopen) {
     auto got = store->Get(1);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value().Fingerprint(), data.Fingerprint());
-    EXPECT_STREQ(store->backend_name(), "memory");
   }
   auto reopened = IntermediateStore::Open("", options);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(reopened.value()->NumEntries(), 0u);
 }
 
-TEST_F(StoreTest, ShardCountOneMatchesShardedStore) {
-  // The same operation sequence against a 1-shard (legacy single-mutex)
-  // and an 8-shard store must be observationally identical.
-  auto run = [](IntermediateStore* store) {
-    EXPECT_TRUE(
-        store->Put(11, "a", MakeCollection("a"), 0, nullptr, 500).ok());
-    EXPECT_TRUE(
-        store->Put(22, "b", MakeCollection("b", 5), 0, nullptr, 900).ok());
-    EXPECT_TRUE(
-        store->Put(33, "c", MakeCollection("c", 9), 1, nullptr, 100).ok());
-    EXPECT_TRUE(store->Remove(22).ok());
-    EXPECT_TRUE(store->Get(11).ok());
-    EXPECT_TRUE(store->Get(33).ok());
-  };
-  StoreOptions mem1;
-  mem1.backend = StorageBackendKind::kMemory;
-  mem1.shard_count = 1;
-  StoreOptions mem8 = mem1;
-  mem8.shard_count = 8;
-  auto s1 = IntermediateStore::Open("", mem1);
-  auto s8 = IntermediateStore::Open("", mem8);
-  ASSERT_TRUE(s1.ok());
-  ASSERT_TRUE(s8.ok());
-  EXPECT_EQ(s1.value()->shard_count(), 1);
-  EXPECT_EQ(s8.value()->shard_count(), 8);
-  run(s1.value().get());
-  run(s8.value().get());
-
-  EXPECT_EQ(s1.value()->TotalBytes(), s8.value()->TotalBytes());
-  EXPECT_EQ(s1.value()->NumEntries(), s8.value()->NumEntries());
-  std::vector<StoreEntry> e1 = s1.value()->Entries();
-  std::vector<StoreEntry> e8 = s8.value()->Entries();
-  ASSERT_EQ(e1.size(), e8.size());
-  for (size_t i = 0; i < e1.size(); ++i) {
-    EXPECT_EQ(e1[i].signature, e8[i].signature);
-    EXPECT_EQ(e1[i].size_bytes, e8[i].size_bytes);
-    EXPECT_EQ(e1[i].compute_micros, e8[i].compute_micros);
-  }
-}
-
-TEST_F(StoreTest, ConcurrentGetsAcrossShards) {
+TEST_F(StoreTest, ConcurrentGets) {
   StoreOptions options;
   options.backend = StorageBackendKind::kMemory;
-  options.shard_count = 8;
   auto opened = IntermediateStore::Open("", options);
   ASSERT_TRUE(opened.ok());
   auto& store = opened.value();
@@ -814,14 +755,80 @@ TEST_F(StoreTest, EstimateLoadMicrosSurvivesZeroObservedMicros) {
   EXPECT_LT(estimate, 60LL * 1000 * 1000);  // sane, not overflow garbage
 }
 
+// A clock that advances a fixed step on every read, so each timed store
+// phase measures a whole number of steps.
+class StepClock final : public Clock {
+ public:
+  explicit StepClock(int64_t step) : step_(step) {}
+  int64_t NowMicros() const override {
+    return now_.fetch_add(step_) + step_;
+  }
+  void AdvanceMicros(int64_t micros) override { now_.fetch_add(micros); }
+  bool is_virtual() const override { return true; }
+
+ private:
+  const int64_t step_;
+  mutable std::atomic<int64_t> now_{0};
+};
+
+constexpr int64_t kTimedBytes = 64 * 1024;  // the estimator's threshold
+
+TEST_F(StoreTest, LearnsBandwidthFromLargeTransfersUntilOneIsTimed) {
+  StepClock clock(10000);
+  StoreOptions options;
+  options.budget_bytes = 64 << 20;
+  options.clock = &clock;
+  auto store = OpenStore(options);
+  // A fresh store times any transfer of at least 64 KiB, and none below.
+  EXPECT_TRUE(store->LearnsBandwidthFrom(kTimedBytes));
+  EXPECT_FALSE(store->LearnsBandwidthFrom(kTimedBytes - 1));
+  // A small write is not timed: nothing is learned yet.
+  ASSERT_TRUE(store->Put(1, "small", MakeCollection("s"), 0).ok());
+  EXPECT_TRUE(store->LearnsBandwidthFrom(kTimedBytes));
+  // One timed large write gives the estimator a bandwidth.
+  ASSERT_TRUE(store->Put(2, "big", MakeCollection("x", 100000), 0).ok());
+  ASSERT_GE(store->GetEntry(2)->size_bytes, kTimedBytes);
+  EXPECT_FALSE(store->LearnsBandwidthFrom(kTimedBytes));
+  EXPECT_FALSE(store->LearnsBandwidthFrom(1 << 30));
+}
+
+TEST_F(StoreTest, EstimateLoadMicrosFollowsMeasuredWritesThenReads) {
+  StepClock clock(10000);
+  StoreOptions options;
+  options.budget_bytes = 64 << 20;
+  options.clock = &clock;
+  auto store = OpenStore(options);
+  DataCollection big = MakeCollection("x", 100000);
+  const int64_t size = SerializedSize(big);
+  ASSERT_GE(size, kTimedBytes);
+  const int64_t overhead = store->EstimateLoadMicros(0);
+  const int64_t flat_default = store->EstimateLoadMicros(size);
+
+  // After one timed write, estimates follow the measured write rate.
+  ASSERT_TRUE(store->Put(1, "big", big, 0).ok());
+  const int64_t write_micros = store->GetEntry(1)->write_micros;
+  ASSERT_GT(write_micros, 0);
+  EXPECT_NEAR(store->EstimateLoadMicros(size), overhead + write_micros, 1);
+  EXPECT_NEAR(store->EstimateLoadMicros(2 * size),
+              overhead + 2 * write_micros, 1);
+  EXPECT_NE(store->EstimateLoadMicros(size), flat_default);
+
+  // Once a Get is timed, read observations win over write observations.
+  ASSERT_TRUE(store->Get(1).ok());
+  const int64_t load_micros = store->GetEntry(1)->load_micros;
+  ASSERT_GT(load_micros, 0);
+  ASSERT_NE(load_micros, write_micros);
+  EXPECT_NEAR(store->EstimateLoadMicros(size), overhead + load_micros, 1);
+}
+
 TEST_F(StoreTest, EnvelopeCrcRecordedInEntryIsTheStoredTrailer) {
   uint64_t recorded = 0;
   {
     auto store = OpenStore();
     DataCollection data = MakeCollection("crc");
     ASSERT_TRUE(store->Put(9, "n", data, 0).ok());
-    const StoreEntry* entry = store->Find(9);
-    ASSERT_NE(entry, nullptr);
+    std::optional<StoreEntry> entry = store->GetEntry(9);
+    ASSERT_TRUE(entry.has_value());
     recorded = entry->envelope_crc;
     // An intact entry passes the paranoid check.
     auto got = store->Get(9, /*paranoid=*/true);
